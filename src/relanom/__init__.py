@@ -26,7 +26,7 @@ from .graph import (
     rbf_similarity_matrix,
     threshold_sparsify,
 )
-from .model_io import ModelBundle, load_model, save_model
+from .model_io import ModelBundle, fit_model, load_model, save_model
 from .popularity import (
     PopularityModel,
     PowerResult,
@@ -53,7 +53,6 @@ from .scoring import (
     label_top_fraction,
 )
 from .shortest_path import (
-    Ecdf,
     ShortestPathModel,
     fit_shortest_path,
     multi_source_shortest_paths,

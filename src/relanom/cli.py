@@ -14,18 +14,12 @@ import sys
 import numpy as np
 
 from .dataset import Dataset, load_csv, write_csv
-from .degree import vertex_degrees
-from .graph import DistanceMetric, dump_graph, rbf_similarity_matrix
-from .model_io import ModelBundle, load_model, save_model
-from .popularity import fit_popularity
-from .preprocess import apply_preprocessor, fit_preprocessor
+from .graph import DistanceMetric, dump_graph
+from .model_io import METHODS, ModelBundle, fit_model, load_model, save_model
 from .scoring import explain_deviations, label_top_fraction
-from .shortest_path import fit_shortest_path
 from .synth import LABEL_ANOMALOUS, scraping_analogue, wifi_analogue
 
 __all__ = ["main"]
-
-DEFAULT_GAMMA = {"popularity": 0.2, "vertex_degree": 0.5, "shortest_path": 0.2}
 
 _METRICS = {"l2": DistanceMetric.EUCLIDEAN, "l1": DistanceMetric.MANHATTAN}
 
@@ -38,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fit = sub.add_parser("fit", help="fit a detector and write a model file")
-    fit.add_argument("--method", required=True, choices=sorted(DEFAULT_GAMMA))
+    fit.add_argument("--method", required=True, choices=sorted(METHODS))
     fit.add_argument("--input", required=True,
                      help="training CSV (header row; a trailing 'label' column is ignored)")
     fit.add_argument("--output", "--model", dest="model", required=True,
@@ -145,74 +139,9 @@ def _load_features(path) -> Dataset:
     return loaded[0] if isinstance(loaded, tuple) else loaded
 
 
-def _fit_bundle(
-    raw: Dataset,
-    method: str,
-    *,
-    gamma: float | None = None,
-    metric: DistanceMetric = DistanceMetric.EUCLIDEAN,
-    preprocess: str = "box-cox",
-    q: float = 0.5,
-    k: int | None = None,
-    sparsify: float = 0.0,
-    start: str = "uniform",
-    rff_dim: int = 256,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
-    seed: int = 0,
-):
-    """Fit one method end to end; returns (bundle, fitted graph)."""
-    if gamma is None:
-        gamma = DEFAULT_GAMMA[method]
-    transforms = fit_preprocessor(raw, preprocess)
-    data = apply_preprocessor(raw, transforms)
-    config = {"seed": seed, "tol": tol, "max_iter": max_iter}
-    if method == "popularity":
-        model = fit_popularity(
-            data, gamma, metric=metric, sparsify=sparsify, start=start,
-            rff_dim=rff_dim, seed=seed, tol=tol, max_iter=max_iter,
-        )
-        config.update({"sparsify": sparsify, "start": start,
-                       "rff_dim": rff_dim if start == "rff" else None})
-        state = {
-            "s_vec": model.s_vec,
-            "lambda1": model.lambda1,
-            "denom": model.denom,
-            "iterations": model.iterations,
-            "residual": model.residual,
-        }
-        graph = model.graph
-    elif method == "vertex_degree":
-        graph = rbf_similarity_matrix(data, gamma, metric)
-        vd = vertex_degrees(graph)
-        # symmetric dense S: the stationary distribution is exactly vd / sum(vd)
-        # (detailed balance); iterating would stall on well-separated clusters
-        state = {"vd": vd.vd, "stationary": vd.vd / vd.vd.sum()}
-    else:
-        model = fit_shortest_path(data, gamma, q, k, metric=metric)
-        config.update({"q": q, "k": k})
-        state = {
-            "vd": model.vd.vd,
-            "normal_set": model.normal_set,
-            "ra_q": model.ra_q,
-        }
-        graph = model.graph
-    bundle = ModelBundle(
-        method=method,
-        preprocess=preprocess,
-        metric=metric,
-        gamma=gamma,
-        config=config,
-        transforms=transforms,
-        training=data,
-        state=state,
-    )
-    return bundle, graph
-
-
 def _cmd_fit(args) -> int:
     raw = _load_features(args.input)
-    bundle, graph = _fit_bundle(
+    bundle, graph = fit_model(
         raw, args.method,
         gamma=args.gamma, metric=_METRICS[args.metric], preprocess=args.preprocess,
         q=args.q, k=args.k, sparsify=args.sparsify, start=args.start,
@@ -220,7 +149,7 @@ def _cmd_fit(args) -> int:
     )
     save_model(args.model, bundle)
     if args.train_scores:
-        _write_train_scores(args.train_scores, bundle)
+        write_csv(args.train_scores, *bundle.train_table())
     if args.dump_graph:
         dump_graph(graph, args.dump_graph)
     boundary = [tf.column for tf in bundle.transforms if tf.boundary]
@@ -232,29 +161,6 @@ def _cmd_fit(args) -> int:
         )
     print(f"fitted {args.method} model on {bundle.training.n} rows -> {args.model}")
     return 0
-
-
-def _write_train_scores(path, bundle: ModelBundle) -> None:
-    if bundle.method == "vertex_degree":
-        header = ["row_index", "vertex_degree", "stationary_probability"]
-        stationary = bundle.state.get("stationary")
-        rows = [
-            (i, vd, "" if stationary is None else stationary[i])
-            for i, vd in enumerate(bundle.state["vd"])
-        ]
-    elif bundle.method == "popularity":
-        header = ["row_index", "relative_anomaly", "dora"]
-        scores = bundle.train_scores_rowwise()
-        doras = bundle.dora_of(scores)
-        rows = list(zip(range(len(scores)), scores, doras))
-    else:
-        header = ["row_index", "ra_q", "dora", "is_normal_set"]
-        scores = bundle.train_scores_rowwise()
-        doras = bundle.dora_of(scores)
-        normal = np.zeros(len(scores), dtype=bool)
-        normal[bundle.state["normal_set"]] = True
-        rows = list(zip(range(len(scores)), scores, doras, normal))
-    write_csv(path, header, rows)
 
 
 def _cmd_score(args) -> int:
@@ -337,8 +243,8 @@ def _cmd_compare(args) -> int:
         "shortest_path": args.gamma_shortest_path,
     }
     report = []
-    for method in ("popularity", "vertex_degree", "shortest_path"):
-        bundle, _ = _fit_bundle(
+    for method in METHODS:
+        bundle, _ = fit_model(
             raw, method, gamma=gammas[method], preprocess=args.preprocess, q=args.q,
         )
         predicted = label_top_fraction(bundle.train_scores_rowwise(), args.top_fraction)

@@ -15,6 +15,7 @@ from enum import Enum
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import cdist
 
 from .dataset import Dataset
@@ -23,6 +24,8 @@ __all__ = [
     "DistanceMetric",
     "SimilarityGraph",
     "pairwise_distances",
+    "sq_distances",
+    "kernel_rows",
     "rbf_similarity_matrix",
     "knn_truncate",
     "threshold_sparsify",
@@ -74,6 +77,22 @@ def pairwise_distances(data: Dataset, metric: DistanceMetric = DistanceMetric.EU
     return cdist(data.values, data.values, metric=metric.cdist_name)
 
 
+def sq_distances(a: np.ndarray, b: np.ndarray, metric: DistanceMetric) -> np.ndarray:
+    """Squared distances d(a_i, b_j)^2 between the rows of ``a`` and ``b``."""
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    if metric is DistanceMetric.EUCLIDEAN:
+        return cdist(a, b, metric="sqeuclidean")
+    d = cdist(a, b, metric="cityblock")
+    return d * d
+
+
+def kernel_rows(
+    points: np.ndarray, training: np.ndarray, gamma: float, metric: DistanceMetric
+) -> np.ndarray:
+    """Kernel similarities exp(-d^2 / gamma) of each query point against the training rows."""
+    return np.exp(-sq_distances(points, training, metric) / gamma)
+
+
 def rbf_similarity_matrix(
     data: Dataset,
     gamma: float,
@@ -89,12 +108,7 @@ def rbf_similarity_matrix(
             f"n = {data.n} exceeds the dense limit of {DENSE_LIMIT}; "
             "construct a k-nearest-neighbor graph instead"
         )
-    if metric is DistanceMetric.EUCLIDEAN:
-        sq = cdist(data.values, data.values, metric="sqeuclidean")
-    else:
-        d = cdist(data.values, data.values, metric="cityblock")
-        sq = d * d
-    s = np.exp(-sq / gamma)
+    s = kernel_rows(data.values, data.values, gamma, metric)
     np.fill_diagonal(s, 1.0)
     return SimilarityGraph(s, gamma, metric, symmetric=True, source=data)
 
@@ -148,24 +162,18 @@ def threshold_sparsify(graph: SimilarityGraph, drop_fraction: float) -> Similari
     npairs = vals.size
     m_drop = int(math.floor(drop_fraction * npairs + 1e-9))
     order = np.lexsort((cols, rows, vals))  # ascending value, then (i, j)
+    if m_drop:
+        # Kept pairs are a suffix of ``order``.  The shortest connected
+        # suffix starts at the bottleneck: the lowest-ranked edge of the
+        # maximum spanning tree.  Weighting pairs by descending rank makes
+        # the weights distinct (the tree is unique) and that edge the tree's
+        # heaviest.
+        rank = np.empty(npairs)
+        rank[order] = np.arange(npairs, 0, -1)
+        tree = minimum_spanning_tree(sparse.csr_matrix((rank, (rows, cols)), shape=(n, n)))
+        m_drop = min(m_drop, npairs - int(tree.data.max()))
     kept = order[m_drop:]
-    dropped = order[:m_drop]
-
-    uf = _UnionFind(n)
-    for e in kept:
-        uf.union(int(rows[e]), int(cols[e]))
-    restored = 0
-    while uf.components > 1 and restored < dropped.size:
-        # Walk dropped pairs from the largest down, lowering the threshold.
-        restored += 1
-        e = dropped[dropped.size - restored]
-        uf.union(int(rows[e]), int(cols[e]))
-    if uf.components > 1:
-        raise ValueError("graph cannot be made connected")
-    if restored:
-        kept = np.concatenate((dropped[dropped.size - restored :], kept))
-        dropped = dropped[: dropped.size - restored]
-    threshold = float(vals[dropped[-1]]) if dropped.size else None
+    threshold = float(vals[order[m_drop - 1]]) if m_drop else None
 
     ki, kj = rows[kept], cols[kept]
     diag = np.arange(n)
@@ -188,25 +196,6 @@ def max_symmetrize(graph: SimilarityGraph) -> SimilarityGraph:
         m, graph.gamma, graph.metric, symmetric=True, source=graph.source,
         drop_threshold=graph.drop_threshold,
     )
-
-
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.components = n
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-            self.components -= 1
 
 
 def dump_graph(graph: SimilarityGraph, path) -> None:

@@ -1,10 +1,12 @@
-"""Versioned JSON persistence for fitted detectors.
+"""Fitting detectors into model bundles, and their versioned JSON persistence.
 
-A model file stores the per-column transforms, the graph parameters, the
-method state (eigenvector and denominator, vertex degrees, or shortest
-path distances and normal set), the model-space training data, and the
-sorted training scores used for DORA.  Floats are written at full
-round-trip precision, and every write is atomic (temp file + rename).
+``fit_model`` is the one place the method state is written; ``ModelBundle``
+and ``load_model`` read it.  A model file stores the per-column transforms,
+the graph parameters, the method state (eigenvector and denominator, vertex
+degrees, or shortest path distances and normal set), the model-space
+training data, and the sorted training scores used for DORA.  Floats are
+written at full round-trip precision, and every write is atomic (temp file
++ rename).
 """
 
 from __future__ import annotations
@@ -17,16 +19,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .graph import DistanceMetric
-from .popularity import kernel_rows
-from .preprocess import FeatureTransform, apply_preprocessor
+from .degree import vertex_degrees
+from .graph import DistanceMetric, kernel_rows, rbf_similarity_matrix
+from .popularity import fit_popularity, kernel_extension
+from .preprocess import FeatureTransform, apply_preprocessor, fit_preprocessor
 from .scoring import ScoreDistribution, dora_batch
+from .shortest_path import fit_shortest_path, one_hop_extension
 
-__all__ = ["FORMAT_VERSION", "ModelBundle", "save_model", "load_model", "atomic_write_text"]
+__all__ = [
+    "FORMAT_VERSION",
+    "DEFAULT_GAMMA",
+    "ModelBundle",
+    "fit_model",
+    "save_model",
+    "load_model",
+    "atomic_write_text",
+]
 
 FORMAT_VERSION = 1
 
-METHODS = ("popularity", "vertex_degree", "shortest_path")
+DEFAULT_GAMMA = {"popularity": 0.2, "vertex_degree": 0.5, "shortest_path": 0.2}
+
+METHODS = tuple(DEFAULT_GAMMA)
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -76,21 +90,14 @@ class ModelBundle:
 
     def score_model(self, points: np.ndarray) -> np.ndarray:
         """Score model-space points; larger = more anomalous."""
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        training, state = self.training.values, self.state
         if self.method == "popularity":
-            k = kernel_rows(pts, self.training.values, self.gamma, self.metric)
-            return -(k @ np.asarray(self.state["s_vec"])) / self.state["denom"]
+            return kernel_extension(
+                points, training, state["s_vec"], state["denom"], self.gamma, self.metric
+            )
         if self.method == "vertex_degree":
-            k = kernel_rows(pts, self.training.values, self.gamma, self.metric)
-            return -k.sum(axis=1)
-        from scipy.spatial.distance import cdist
-
-        if self.metric is DistanceMetric.EUCLIDEAN:
-            sq = cdist(pts, self.training.values, metric="sqeuclidean")
-        else:
-            d = cdist(pts, self.training.values, metric="cityblock")
-            sq = d * d
-        return np.min(sq / self.gamma + np.asarray(self.state["ra_q"]), axis=1)
+            return -kernel_rows(points, training, self.gamma, self.metric).sum(axis=1)
+        return one_hop_extension(points, training, state["ra_q"], self.gamma, self.metric)
 
     def score_raw(self, raw: Dataset) -> np.ndarray:
         return self.score_model(self.to_model_space(raw).values)
@@ -105,6 +112,99 @@ class ModelBundle:
             "vertex_degree": "vertex_degree",
             "shortest_path": "ra_q",
         }[self.method]
+
+    def train_table(self):
+        """Header and rows of the per-training-row score table."""
+        if self.method == "vertex_degree":
+            stationary = self.state.get("stationary")
+            rows = [
+                (i, vd, "" if stationary is None else stationary[i])
+                for i, vd in enumerate(self.state["vd"])
+            ]
+            return ["row_index", "vertex_degree", "stationary_probability"], rows
+        scores = self.train_scores_rowwise()
+        columns = [range(len(scores)), scores, self.dora_of(scores)]
+        if self.method == "popularity":
+            return ["row_index", "relative_anomaly", "dora"], list(zip(*columns))
+        normal = np.zeros(len(scores), dtype=bool)
+        normal[self.state["normal_set"]] = True
+        return ["row_index", "ra_q", "dora", "is_normal_set"], list(zip(*columns, normal))
+
+
+def fit_model(
+    raw: Dataset,
+    method: str,
+    *,
+    gamma: float | None = None,
+    metric: DistanceMetric = DistanceMetric.EUCLIDEAN,
+    preprocess: str = "box-cox",
+    q: float = 0.5,
+    k: int | None = None,
+    sparsify: float = 0.0,
+    start: str = "uniform",
+    rff_dim: int = 256,
+    tol: float = 1e-8,
+    max_iter: int = 10_000,
+    seed: int = 0,
+):
+    """Fit one method end to end on raw data; returns (bundle, fitted graph).
+
+    ``k`` (kNN path graph) applies only to shortest_path and ``sparsify``
+    (threshold sparsification) only to popularity; setting either for
+    another method is an error rather than silently ignored.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method '{method}'")
+    if k is not None and method != "shortest_path":
+        raise ValueError(f"k applies only to method shortest_path, not {method}")
+    if sparsify and method != "popularity":
+        raise ValueError(f"sparsify applies only to method popularity, not {method}")
+    if gamma is None:
+        gamma = DEFAULT_GAMMA[method]
+    transforms = fit_preprocessor(raw, preprocess)
+    data = apply_preprocessor(raw, transforms)
+    config = {"seed": seed, "tol": tol, "max_iter": max_iter}
+    if method == "popularity":
+        model = fit_popularity(
+            data, gamma, metric=metric, sparsify=sparsify, start=start,
+            rff_dim=rff_dim, seed=seed, tol=tol, max_iter=max_iter,
+        )
+        config.update({"sparsify": sparsify, "start": start,
+                       "rff_dim": rff_dim if start == "rff" else None})
+        state = {
+            "s_vec": model.s_vec,
+            "lambda1": model.lambda1,
+            "denom": model.denom,
+            "iterations": model.iterations,
+            "residual": model.residual,
+        }
+        graph = model.graph
+    elif method == "vertex_degree":
+        graph = rbf_similarity_matrix(data, gamma, metric)
+        vd = vertex_degrees(graph)
+        # symmetric dense S: the stationary distribution is exactly vd / sum(vd)
+        # (detailed balance); iterating would stall on well-separated clusters
+        state = {"vd": vd.vd, "stationary": vd.vd / vd.vd.sum()}
+    else:
+        model = fit_shortest_path(data, gamma, q, k, metric=metric)
+        config.update({"q": q, "k": k})
+        state = {
+            "vd": model.vd.vd,
+            "normal_set": model.normal_set,
+            "ra_q": model.ra_q,
+        }
+        graph = model.graph
+    bundle = ModelBundle(
+        method=method,
+        preprocess=preprocess,
+        metric=metric,
+        gamma=gamma,
+        config=config,
+        transforms=transforms,
+        training=data,
+        state=state,
+    )
+    return bundle, graph
 
 
 def _transform_to_dict(tf: FeatureTransform) -> dict:

@@ -12,12 +12,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .dataset import Dataset
 from .degree import ConvergenceError
-from .graph import DistanceMetric, SimilarityGraph, rbf_similarity_matrix, threshold_sparsify
-from .preprocess import FeatureTransform
+from .graph import (
+    DistanceMetric,
+    SimilarityGraph,
+    kernel_rows,
+    rbf_similarity_matrix,
+    threshold_sparsify,
+)
 
 __all__ = [
     "PowerResult",
@@ -27,6 +31,7 @@ __all__ = [
     "rff_warm_start",
     "fit_popularity",
     "relative_anomaly",
+    "kernel_extension",
     "score_new",
     "score_batch",
 ]
@@ -55,7 +60,6 @@ class PopularityModel:
     graph: SimilarityGraph
     iterations: int
     residual: float
-    transform: list[FeatureTransform] | None = None
 
 
 def power_iteration(
@@ -153,7 +157,6 @@ def fit_popularity(
     seed: int = 0,
     tol: float = 1e-8,
     max_iter: int = 10_000,
-    transform: list[FeatureTransform] | None = None,
 ) -> PopularityModel:
     """Build the similarity graph and run the power iteration.
 
@@ -189,7 +192,6 @@ def fit_popularity(
         graph=graph,
         iterations=result.iterations,
         residual=result.residual,
-        transform=transform,
     )
 
 
@@ -198,28 +200,30 @@ def relative_anomaly(model: PopularityModel) -> np.ndarray:
     return -model.s_vec
 
 
-def kernel_rows(
-    points: np.ndarray, training: np.ndarray, gamma: float, metric: DistanceMetric
+def kernel_extension(
+    points: np.ndarray,
+    training: np.ndarray,
+    s_vec: np.ndarray,
+    denom: float,
+    gamma: float,
+    metric: DistanceMetric,
 ) -> np.ndarray:
-    """Kernel similarities of each query point against the training rows."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if metric is DistanceMetric.EUCLIDEAN:
-        sq = cdist(pts, training, metric="sqeuclidean")
-    else:
-        d = cdist(pts, training, metric="cityblock")
-        sq = d * d
-    return np.exp(-sq / gamma)
+    """Out-of-sample scores -(k(x)' s) / (s' S s) of model-space points.
+
+    ``k(x)`` holds the kernel similarities of x to the training rows, so on
+    a training row this reproduces the training score up to the power
+    iteration residual.
+    """
+    return -(kernel_rows(points, training, gamma, metric) @ s_vec) / denom
 
 
 def score_batch(model: PopularityModel, points: np.ndarray) -> np.ndarray:
     """Out-of-sample scores via the kernel extension of the eigenvector.
 
     Points must already be mapped through the model's feature transforms.
-    On a training row this reproduces the training score up to the power
-    iteration residual.
     """
-    k = kernel_rows(points, model.graph.source.values, model.graph.gamma, model.graph.metric)
-    return -(k @ model.s_vec) / model.denom
+    g = model.graph
+    return kernel_extension(points, g.source.values, model.s_vec, model.denom, g.gamma, g.metric)
 
 
 def score_new(model: PopularityModel, x: np.ndarray) -> float:

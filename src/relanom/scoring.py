@@ -45,6 +45,11 @@ class ScoreDistribution:
     def n(self) -> int:
         return self.sorted_scores.size
 
+    def ecdf(self, t) -> np.ndarray | float:
+        """Right-continuous empirical CDF: F(t) = #{scores <= t} / n."""
+        out = np.searchsorted(self.sorted_scores, t, side="right") / self.n
+        return float(out) if np.isscalar(t) else out
+
 
 def dora(dist: ScoreDistribution, score: float) -> float:
     """Degree of relative anomaly of one score: #{training <= score}/(n+1).

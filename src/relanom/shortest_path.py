@@ -11,13 +11,11 @@ along any path into the normal set.
 from __future__ import annotations
 
 import heapq
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial.distance import cdist
 
 from .dataset import Dataset
 from .degree import VertexDegrees, vertex_degrees
@@ -27,46 +25,29 @@ from .graph import (
     knn_truncate,
     max_symmetrize,
     rbf_similarity_matrix,
+    sq_distances,
 )
-from .preprocess import FeatureTransform
+from .scoring import ScoreDistribution
 
 __all__ = [
-    "Ecdf",
     "ShortestPathModel",
     "select_normal_set",
     "path_weights",
     "multi_source_shortest_paths",
     "fit_shortest_path",
+    "one_hop_extension",
     "score_new_shortest_path",
     "score_batch_shortest_path",
 ]
 
 
 @dataclass(frozen=True)
-class Ecdf:
-    """Right-continuous empirical CDF: F(t) = #{values <= t} / n."""
-
-    sorted_values: np.ndarray
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "Ecdf":
-        return cls(np.sort(np.asarray(values, dtype=np.float64)))
-
-    def __call__(self, t) -> np.ndarray | float:
-        r = np.searchsorted(self.sorted_values, t, side="right")
-        out = r / self.sorted_values.size
-        return float(out) if np.isscalar(t) else out
-
-
-@dataclass(frozen=True)
 class ShortestPathModel:
     vd: VertexDegrees
-    ecdf: Ecdf
     q: float
     normal_set: np.ndarray
     ra_q: np.ndarray
     graph: SimilarityGraph
-    transform: list[FeatureTransform] | None = None
 
 
 def select_normal_set(vd: VertexDegrees | np.ndarray, q: float):
@@ -74,15 +55,15 @@ def select_normal_set(vd: VertexDegrees | np.ndarray, q: float):
 
     Membership: ecdf(vd_l) > 1 - q with the right-continuous ECDF, i.e.
     the top-q fraction by vertex degree, tied degrees entering or leaving
-    together.  Returns ``(ecdf, indices)``; the set is never empty since
-    the maximum always qualifies.
+    together.  Returns ``(distribution, indices)``; the set is never empty
+    since the maximum always qualifies.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must be in (0, 1)")
-    values = vd.vd if isinstance(vd, VertexDegrees) else np.asarray(vd, dtype=np.float64)
-    ecdf = Ecdf.from_values(values)
-    members = np.nonzero(ecdf(values) > 1.0 - q)[0]
-    return ecdf, members
+    values = vd.vd if isinstance(vd, VertexDegrees) else vd
+    dist = ScoreDistribution.from_scores(values)
+    members = np.nonzero(dist.ecdf(values) > 1.0 - q)[0]
+    return dist, members
 
 
 def path_weights(graph: SimilarityGraph):
@@ -153,7 +134,6 @@ def fit_shortest_path(
     k: int | None = None,
     *,
     metric: DistanceMetric = DistanceMetric.EUCLIDEAN,
-    transform: list[FeatureTransform] | None = None,
 ) -> ShortestPathModel:
     """Select the normal set by vertex degree, then run multi-source Dijkstra.
 
@@ -164,7 +144,7 @@ def fit_shortest_path(
     """
     dense = rbf_similarity_matrix(data, gamma, metric)
     vd = vertex_degrees(dense)
-    ecdf, normal = select_normal_set(vd, q)
+    _, normal = select_normal_set(vd, q)
     path_graph = dense if k is None else max_symmetrize(knn_truncate(dense, k))
     ra_q = multi_source_shortest_paths(path_weights(path_graph), normal)
     unreachable = int(np.sum(np.isinf(ra_q)))
@@ -174,28 +154,29 @@ def fit_shortest_path(
             "their scores are +inf",
             stacklevel=2,
         )
-    return ShortestPathModel(
-        vd=vd, ecdf=ecdf, q=q, normal_set=normal, ra_q=ra_q,
-        graph=path_graph, transform=transform,
-    )
+    return ShortestPathModel(vd=vd, q=q, normal_set=normal, ra_q=ra_q, graph=path_graph)
+
+
+def one_hop_extension(
+    points: np.ndarray,
+    training: np.ndarray,
+    ra_q: np.ndarray,
+    gamma: float,
+    metric: DistanceMetric,
+) -> np.ndarray:
+    """Out-of-sample scores: min over training rows of edge weight + ra_q.
+
+    A new observation connects to every training row with weight
+    -ln s(x, x_j) = d(x, x_j)^2 / gamma; its score is the cheapest entry
+    point into the fitted distances ``ra_q``.
+    """
+    return np.min(sq_distances(points, training, metric) / gamma + ra_q, axis=1)
 
 
 def score_batch_shortest_path(model: ShortestPathModel, points: np.ndarray) -> np.ndarray:
-    """One-hop extension: min over training rows of edge weight + ra_q.
-
-    The new observation connects to every training row with weight
-    -ln s(x, x_j) = d(x, x_j)^2 / gamma; its score is the cheapest entry
-    point into the fitted distances.  Points must be in model space.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    training = model.graph.source.values
-    gamma = model.graph.gamma
-    if model.graph.metric is DistanceMetric.EUCLIDEAN:
-        sq = cdist(pts, training, metric="sqeuclidean")
-    else:
-        d = cdist(pts, training, metric="cityblock")
-        sq = d * d
-    return np.min(sq / gamma + model.ra_q, axis=1)
+    """One-hop extension of the fitted distances; points must be in model space."""
+    g = model.graph
+    return one_hop_extension(points, g.source.values, model.ra_q, g.gamma, g.metric)
 
 
 def score_new_shortest_path(model: ShortestPathModel, x: np.ndarray) -> float:

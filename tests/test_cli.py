@@ -113,6 +113,22 @@ def test_fit_missing_input_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method, flag", [
+    ("shortest_path", ("--sparsify", "0.5")),
+    ("vertex_degree", ("--sparsify", "0.5")),
+    ("popularity", ("--k", "5")),
+    ("vertex_degree", ("--k", "5")),
+])
+def test_fit_rejects_a_flag_the_method_ignores(tmp_path, train_csv, capsys, method, flag):
+    model = tmp_path / "m.json"
+    assert run("fit", "--method", method, "--input", str(train_csv),
+               "--output", str(model), *flag) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert flag[0].lstrip("-") in err and method in err
+    assert not model.exists()
+
+
 def test_unknown_flag_exits_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("fit", "--method", "popularity", "--nonsense", "x")

@@ -12,8 +12,8 @@ import pytest
 from relanom.dataset import Dataset
 from relanom.degree import vertex_degrees
 from relanom.graph import rbf_similarity_matrix
+from relanom.scoring import ScoreDistribution
 from relanom.shortest_path import (
-    Ecdf,
     fit_shortest_path,
     multi_source_shortest_paths,
     path_weights,
@@ -32,11 +32,11 @@ def graph_from_matrix(s: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Ecdf / select_normal_set
+# ECDF / select_normal_set
 
 
 def test_ecdf_is_right_continuous_step():
-    e = Ecdf.from_values(np.array([1.0, 2.0, 2.0, 5.0]))
+    e = ScoreDistribution.from_scores(np.array([1.0, 2.0, 2.0, 5.0])).ecdf
     assert e(0.5) == 0.0
     assert e(1.0) == 0.25
     assert e(2.0) == 0.75

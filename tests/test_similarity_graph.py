@@ -8,7 +8,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from relanom.dataset import Dataset
 from relanom.graph import (
@@ -245,6 +248,42 @@ def test_sparsify_backs_off_to_stay_connected():
     g = rbf_similarity_matrix(data, 20.0)
     t = threshold_sparsify(g, 0.8)
     assert bfs_connected(t.matrix.toarray() > 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    points=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=12),
+    drop_fraction=st.floats(0.0, 0.99),
+    gamma=st.sampled_from([0.1, 1.0, 10.0]),
+)
+def test_sparsify_keeps_the_smallest_connected_suffix(points, drop_fraction, gamma):
+    # Integer-grid points, many of them duplicated, make the similarity ties
+    # that the (value, i, j) order has to break.
+    data = Dataset(np.array(points, dtype=float))
+    n = data.n
+    g = rbf_similarity_matrix(data, gamma)
+    rows, cols = np.triu_indices(n, k=1)
+    vals = g.matrix[rows, cols]
+    order = np.lexsort((cols, rows, vals))
+    start = int(math.floor(drop_fraction * vals.size + 1e-9))
+
+    def connected(kept):
+        adj = sparse.coo_matrix((np.ones(kept.size), (rows[kept], cols[kept])), shape=(n, n))
+        return connected_components(adj, directed=False)[0] == 1
+
+    while not connected(order[start:]):
+        start -= 1
+    expect = np.eye(n, dtype=bool)
+    expect[rows[order[start:]], cols[order[start:]]] = True
+    expect |= expect.T
+
+    t = threshold_sparsify(g, drop_fraction)
+    coo = t.matrix.tocoo()
+    stored = np.zeros((n, n), dtype=bool)
+    stored[coo.row, coo.col] = True
+    assert np.array_equal(stored, expect)
+    assert np.array_equal(coo.data, g.matrix[coo.row, coo.col])
+    assert t.drop_threshold == (float(vals[order[start - 1]]) if start else None)
 
 
 # ---------------------------------------------------------------------------
