@@ -42,15 +42,15 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--metric", choices=("l2", "l1"), default="l2")
     fit.add_argument("--preprocess", choices=("box-cox", "standardize"),
                      default="box-cox")
-    fit.add_argument("--q", type=float, default=0.5,
-                     help="normal-set fraction for shortest_path")
+    fit.add_argument("--q", type=float, default=None,
+                     help="normal-set fraction for shortest_path (default 0.5)")
     fit.add_argument("--k", type=int, default=None,
                      help="kNN sparsification for shortest_path graphs")
     fit.add_argument("--sparsify", type=float, default=0.0,
                      help="drop this fraction of smallest similarity pairs")
-    fit.add_argument("--start", choices=("uniform", "random", "rff"),
-                     default="uniform", help="power iteration start vector")
-    fit.add_argument("--rff-dim", type=int, default=256)
+    fit.add_argument("--start", choices=("uniform", "random", "rff"), default=None,
+                     help="popularity power iteration start vector (default uniform)")
+    fit.add_argument("--rff-dim", type=int, default=None, help="default 256")
     fit.add_argument("--tol", type=float, default=1e-8)
     fit.add_argument("--max-iter", type=int, default=10_000)
     fit.add_argument("--seed", type=int, default=0)
@@ -245,7 +245,8 @@ def _cmd_compare(args) -> int:
     report = []
     for method in METHODS:
         bundle, _ = fit_model(
-            raw, method, gamma=gammas[method], preprocess=args.preprocess, q=args.q,
+            raw, method, gamma=gammas[method], preprocess=args.preprocess,
+            q=args.q if method == "shortest_path" else None,
         )
         predicted = label_top_fraction(bundle.train_scores_rowwise(), args.top_fraction)
         precision, recall = _precision_recall(predicted, truth)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .graph import DistanceMetric, SimilarityGraph, pairwise_distances
+from .graph import DistanceMetric, SimilarityGraph, _top_k_columns, pairwise_distances
 
 __all__ = [
     "VertexDegrees",
@@ -101,20 +101,14 @@ def median_knn_distance(
     data: Dataset, k: int, metric: DistanceMetric = DistanceMetric.EUCLIDEAN
 ) -> float:
     """Median over all observations' k-nearest-neighbor distances."""
-    d = _knn_distances(data, k, metric)[0]
-    return float(np.median(d))
+    return float(np.median(_knn_distances(data, k, metric)))
 
 
-def _knn_distances(data: Dataset, k: int, metric: DistanceMetric):
-    n = data.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-    dist = pairwise_distances(data, metric)
-    np.fill_diagonal(dist, np.inf)
-    # Stable sort so distance ties resolve toward the smaller index.
-    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    knn = np.take_along_axis(dist, order, axis=1)
-    return knn, order
+def _knn_distances(data: Dataset, k: int, metric: DistanceMetric) -> np.ndarray:
+    """Each row's k nearest-neighbor distances, ascending (self excluded)."""
+    neg = -pairwise_distances(data, metric)
+    knn = -np.take_along_axis(neg, _top_k_columns(neg, k), axis=1)
+    return np.sort(knn, axis=1)[:, 1:]  # column 0 is the row's own distance 0
 
 
 def vd_knn_approx(
@@ -138,7 +132,7 @@ def vd_knn_approx(
     """
     if not (gamma > 0.0 and np.isfinite(gamma)):
         raise ValueError("gamma must be a positive finite real")
-    knn, _ = _knn_distances(data, k, metric)
+    knn = _knn_distances(data, k, metric)
     if v is None:
         v = float(np.median(knn))
     if not (v > 0.0 and np.isfinite(v)):

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 20_000
+_BLOCK_ROWS = 128  # rows per block of the kNN selection
 
 
 class DistanceMetric(str, Enum):
@@ -113,30 +114,41 @@ def rbf_similarity_matrix(
     return SimilarityGraph(s, gamma, metric, symmetric=True, source=data)
 
 
+def _top_k_columns(scores: np.ndarray, k: int) -> np.ndarray:
+    """Per row, ascending: the diagonal and the columns of the k largest other
+    entries, ties toward the smaller column.  Works on copies of row blocks."""
+    n = scores.shape[0]
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
+    cols = np.empty((n, k + 1), dtype=np.int64)
+    for lo in range(0, n, _BLOCK_ROWS):
+        block = scores[lo : lo + _BLOCK_ROWS].copy()
+        np.fill_diagonal(block[:, lo:], -np.inf)
+        kth = np.partition(block, n - k, axis=1)[:, n - k, None]
+        keep = block >= kth
+        # Rows with more ties at the k-th value than places keep the first ones.
+        tie_rows = np.nonzero(keep.sum(axis=1) > k)[0]
+        sub, at = block[tie_rows], kth[tie_rows]
+        greater, tied = sub > at, sub == at
+        keep[tie_rows] = greater | (tied & (greater.sum(1, keepdims=True) + tied.cumsum(1) <= k))
+        np.fill_diagonal(keep[:, lo:], True)
+        cols[lo : lo + len(block)] = np.nonzero(keep)[1].reshape(-1, k + 1)
+    return cols
+
+
 def knn_truncate(graph: SimilarityGraph, k: int) -> SimilarityGraph:
     """Directed sparsification: each row keeps its k most similar others.
 
     Ties break toward the smaller column index.  The diagonal is always
-    retained.  The result is generally asymmetric.
+    retained.  The result is generally asymmetric.  Rows are selected a
+    block at a time, in O(_BLOCK_ROWS * n) working memory.
     """
     if graph.is_sparse:
         raise ValueError("kNN truncation expects a dense graph")
-    n = graph.n
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-    s = graph.matrix
-    masked = s.copy()
-    np.fill_diagonal(masked, -np.inf)
-    indptr = np.arange(0, (k + 1) * n + 1, k + 1)
-    indices = np.empty(n * (k + 1), dtype=np.int64)
-    values = np.empty(n * (k + 1), dtype=np.float64)
-    for i in range(n):
-        order = np.argsort(-masked[i], kind="stable")[:k]
-        cols = np.sort(np.concatenate(([i], order)))
-        base = i * (k + 1)
-        indices[base : base + k + 1] = cols
-        values[base : base + k + 1] = s[i, cols]
-    mat = sparse.csr_matrix((values, indices, indptr), shape=(n, n))
+    cols = _top_k_columns(graph.matrix, k)
+    values = np.take_along_axis(graph.matrix, cols, axis=1).ravel()
+    indptr = np.arange(0, cols.size + 1, k + 1)
+    mat = sparse.csr_matrix((values, cols.ravel(), indptr), shape=graph.matrix.shape)
     return SimilarityGraph(mat, graph.gamma, graph.metric, symmetric=False, source=graph.source)
 
 
@@ -161,7 +173,8 @@ def threshold_sparsify(graph: SimilarityGraph, drop_fraction: float) -> Similari
     vals = s[rows, cols]
     npairs = vals.size
     m_drop = int(math.floor(drop_fraction * npairs + 1e-9))
-    order = np.lexsort((cols, rows, vals))  # ascending value, then (i, j)
+    # triu_indices lists pairs in (i, j) order: the stable sort breaks ties by (i, j)
+    order = np.argsort(vals, kind="stable")
     if m_drop:
         # Kept pairs are a suffix of ``order``.  The shortest connected
         # suffix starts at the bottleneck: the lowest-ranked edge of the
@@ -206,14 +219,10 @@ def dump_graph(graph: SimilarityGraph, path) -> None:
     """
     from .model_io import atomic_write_text
 
-    lines = []
     if graph.is_sparse:
         mat = graph.matrix.tocoo()
-        for i, j, v in zip(mat.row, mat.col, mat.data):
-            lines.append(f"{i},{j},{float(v)!r}")
+        lines = [f"{i},{j},{float(v)!r}" for i, j, v in zip(mat.row, mat.col, mat.data)]
     else:
-        for i in range(graph.n):
-            row = graph.matrix[i]
-            for j in range(graph.n):
-                lines.append(f"{i},{j},{float(row[j])!r}")
+        lines = [f"{i},{j},{v!r}" for i, row in enumerate(graph.matrix)
+                 for j, v in enumerate(row.tolist())]
     atomic_write_text(path, "\n".join(lines) + "\n")

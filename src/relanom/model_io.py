@@ -138,29 +138,33 @@ def fit_model(
     gamma: float | None = None,
     metric: DistanceMetric = DistanceMetric.EUCLIDEAN,
     preprocess: str = "box-cox",
-    q: float = 0.5,
+    q: float | None = None,
     k: int | None = None,
     sparsify: float = 0.0,
-    start: str = "uniform",
-    rff_dim: int = 256,
+    start: str | None = None,
+    rff_dim: int | None = None,
     tol: float = 1e-8,
     max_iter: int = 10_000,
     seed: int = 0,
 ):
     """Fit one method end to end on raw data; returns (bundle, fitted graph).
 
-    ``k`` (kNN path graph) applies only to shortest_path and ``sparsify``
-    (threshold sparsification) only to popularity; setting either for
-    another method is an error rather than silently ignored.
+    ``q`` (default 0.5) and ``k`` apply only to shortest_path; ``sparsify``,
+    ``start`` (default "uniform") and ``rff_dim`` (default 256) only to
+    popularity.  Setting one for another method is an error, not ignored.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}'")
-    if k is not None and method != "shortest_path":
-        raise ValueError(f"k applies only to method shortest_path, not {method}")
-    if sparsify and method != "popularity":
-        raise ValueError(f"sparsify applies only to method popularity, not {method}")
+    for name, value, owner in (("q", q, "shortest_path"), ("k", k, "shortest_path"),
+                               ("sparsify", sparsify or None, "popularity"),
+                               ("start", start, "popularity"), ("rff_dim", rff_dim, "popularity")):
+        if value is not None and method != owner:
+            raise ValueError(f"{name} applies only to method {owner}, not {method}")
     if gamma is None:
         gamma = DEFAULT_GAMMA[method]
+    q = 0.5 if q is None else q
+    start = "uniform" if start is None else start
+    rff_dim = 256 if rff_dim is None else rff_dim
     transforms = fit_preprocessor(raw, preprocess)
     data = apply_preprocessor(raw, transforms)
     config = {"seed": seed, "tol": tol, "max_iter": max_iter}

@@ -10,12 +10,12 @@ along any path into the normal set.
 
 from __future__ import annotations
 
-import heapq
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import dijkstra
 
 from .dataset import Dataset
 from .degree import VertexDegrees, vertex_degrees
@@ -92,38 +92,29 @@ def multi_source_shortest_paths(weights, sources: np.ndarray) -> np.ndarray:
 
     Equivalent to adding a virtual source with zero-weight edges to every
     listed vertex.  ``weights`` is a dense ndarray or CSR matrix of
-    nonnegative edge weights; absent sparse entries mean "no edge".
-    Unreachable vertices get +inf.
+    nonnegative edge weights; absent sparse entries mean "no edge" and
+    stored zeros are edges.  Unreachable vertices get +inf.  Dense weights
+    run an O(n^2) array Dijkstra; sparse ones run csgraph's, which would
+    drop the zero-weight edges of dense input.
     """
     n = weights.shape[0]
     sources = np.asarray(sources, dtype=np.int64)
     if sources.size == 0:
         raise ValueError("at least one source vertex is required")
+    if sparse.issparse(weights):
+        return dijkstra(weights, directed=True, indices=sources, min_only=True)
     dist = np.full(n, np.inf)
-    dist[sources] = 0.0
-    heap = [(0.0, int(s)) for s in sources]
-    heapq.heapify(heap)
+    key = dist.copy()  # tentative distances; +inf once settled
+    key[sources] = 0.0
     done = np.zeros(n, dtype=bool)
-    is_dense = not sparse.issparse(weights)
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u] or d > dist[u]:
-            continue
-        done[u] = True
-        if is_dense:
-            cand = d + weights[u]
-            better = cand < dist
-            better[u] = False
-            for v in np.nonzero(better)[0]:
-                dist[v] = cand[v]
-                heapq.heappush(heap, (float(cand[v]), int(v)))
-        else:
-            row = slice(weights.indptr[u], weights.indptr[u + 1])
-            for v, w in zip(weights.indices[row], weights.data[row]):
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (float(nd), int(v)))
+    for _ in range(n):
+        u = int(np.argmin(key))
+        if key[u] == np.inf:
+            break
+        dist[u], key[u], done[u] = key[u], np.inf, True
+        cand = dist[u] + weights[u]
+        cand[done] = np.inf
+        np.minimum(key, cand, out=key)
     return dist
 
 

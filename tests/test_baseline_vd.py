@@ -8,17 +8,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from relanom import graph as graph_module
 from relanom.dataset import Dataset
 from relanom.degree import (
     ConvergenceError,
+    _knn_distances,
     median_knn_distance,
     stationary_distribution,
     transition_matrix,
     vd_knn_approx,
     vertex_degrees,
 )
-from relanom.graph import knn_truncate, rbf_similarity_matrix
+from relanom.graph import DistanceMetric, knn_truncate, pairwise_distances, rbf_similarity_matrix
 
 from conftest import random_dataset
 
@@ -232,3 +236,29 @@ def test_invalid_parameters_rejected():
         vd_knn_approx(data, k=2, gamma=-1.0, v=1.0)
     with pytest.raises(ValueError):
         vd_knn_approx(data, k=2, gamma=1.0, v=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    points=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=14),
+    k_share=st.floats(0.0, 1.0),
+    metric=st.sampled_from(list(DistanceMetric)),
+    block_rows=st.integers(1, 5),
+)
+def test_knn_distances_match_full_stable_sort(points, k_share, metric, block_rows):
+    # Oracle: the full-row stable argsort of the distance matrix.  Duplicated
+    # integer-grid points tie distances (zeros included) at the k-th value.
+    data = Dataset(np.array(points, dtype=float))
+    k = 1 + int(k_share * (data.n - 2))
+    dist = pairwise_distances(data, metric)
+    np.fill_diagonal(dist, np.inf)
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    want = np.take_along_axis(dist, order, axis=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_BLOCK_ROWS", block_rows)
+        got = _knn_distances(data, k, metric)
+    assert np.array_equal(got, want)
+    v = float(np.median(want)) or 1.0
+    approx = vd_knn_approx(data, k, 1.0, v=v, metric=metric)
+    ev = np.exp(-v * v)
+    assert np.array_equal(approx, k * ev * (1.0 + 2.0 * v * v) - 2.0 * v * ev * want.sum(axis=1))

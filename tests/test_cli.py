@@ -118,6 +118,12 @@ def test_fit_missing_input_fails(tmp_path, capsys):
     ("vertex_degree", ("--sparsify", "0.5")),
     ("popularity", ("--k", "5")),
     ("vertex_degree", ("--k", "5")),
+    ("popularity", ("--q", "0.5")),
+    ("vertex_degree", ("--q", "0.3")),
+    ("shortest_path", ("--start", "uniform")),
+    ("vertex_degree", ("--start", "rff")),
+    ("shortest_path", ("--rff-dim", "256")),
+    ("vertex_degree", ("--rff-dim", "64")),
 ])
 def test_fit_rejects_a_flag_the_method_ignores(tmp_path, train_csv, capsys, method, flag):
     model = tmp_path / "m.json"
@@ -125,8 +131,22 @@ def test_fit_rejects_a_flag_the_method_ignores(tmp_path, train_csv, capsys, meth
                "--output", str(model), *flag) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-    assert flag[0].lstrip("-") in err and method in err
+    assert flag[0].lstrip("-").replace("-", "_") in err and method in err
     assert not model.exists()
+
+
+def test_default_fit_config_is_unchanged(tmp_path, train_csv):
+    # Unset method flags resolve to the defaults a model file has always stored.
+    stored = {}
+    for method in ("popularity", "shortest_path"):
+        model = tmp_path / f"{method}.json"
+        assert run("fit", "--method", method, "--input", str(train_csv),
+                   "--output", str(model)) == 0
+        stored[method] = json.loads(model.read_text())["config"]
+    assert stored["popularity"] == {"seed": 0, "tol": 1e-8, "max_iter": 10_000,
+                                    "sparsify": 0.0, "start": "uniform", "rff_dim": None}
+    assert stored["shortest_path"] == {"seed": 0, "tol": 1e-8, "max_iter": 10_000,
+                                       "q": 0.5, "k": None}
 
 
 def test_unknown_flag_exits_two(tmp_path):

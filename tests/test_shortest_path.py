@@ -4,14 +4,18 @@ Distances are verified against a brute-force enumeration of all simple
 paths, in both the min-sum and max-product forms.
 """
 
+import heapq
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from relanom.dataset import Dataset
 from relanom.degree import vertex_degrees
-from relanom.graph import rbf_similarity_matrix
+from relanom.graph import knn_truncate, max_symmetrize, rbf_similarity_matrix
 from relanom.scoring import ScoreDistribution
 from relanom.shortest_path import (
     fit_shortest_path,
@@ -132,6 +136,69 @@ def test_chain_distances_from_both_ends():
 def test_empty_sources_rejected():
     with pytest.raises(ValueError):
         multi_source_shortest_paths(np.zeros((2, 2)), np.array([], dtype=int))
+
+
+def oracle_dijkstra(weights, sources):
+    """Heap Dijkstra with a Python loop over each settled vertex's edges."""
+    n = weights.shape[0]
+    dist = np.full(n, np.inf)
+    dist[sources] = 0.0
+    heap = [(0.0, int(s)) for s in sources]
+    heapq.heapify(heap)
+    done = np.zeros(n, dtype=bool)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u] or d > dist[u]:
+            continue
+        done[u] = True
+        if sparse.issparse(weights):
+            row = slice(weights.indptr[u], weights.indptr[u + 1])
+            edges = zip(weights.indices[row], weights.data[row])
+        else:
+            edges = enumerate(weights[u])
+        for v, w in edges:
+            if d + w < dist[v]:
+                dist[v] = d + w
+                heapq.heappush(heap, (float(dist[v]), int(v)))
+    return dist
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), density=st.floats(0.0, 1.0))
+def test_dense_and_sparse_match_heap_dijkstra(seed, n, density):
+    # Weights that are not dyadic make sums along different paths differ in
+    # the last bits, zero weights tie distances, and repeated sources are
+    # allowed.  The sparse graph is directed and leaves vertices unreachable.
+    rng = np.random.default_rng(seed)
+    w = rng.choice([0.0, 0.1, 0.3, 0.7, 1.3, 2.9], size=(n, n))
+    sources = rng.choice(n, size=int(rng.integers(1, n + 1)))
+    assert np.array_equal(multi_source_shortest_paths(w, sources), oracle_dijkstra(w, sources))
+    kept = rng.random((n, n)) < density
+    csr = sparse.csr_matrix((w[kept], np.nonzero(kept)), shape=(n, n))
+    assert csr.nnz == kept.sum()  # zero weights are stored edges
+    assert np.array_equal(
+        multi_source_shortest_paths(csr, sources), oracle_dijkstra(csr, sources)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    points=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=3, max_size=14),
+    gamma=st.sampled_from([0.1, 1.0, 10.0]),
+    k_share=st.floats(0.0, 1.0),
+    q=st.floats(0.05, 0.95),
+)
+def test_path_graphs_match_heap_dijkstra(points, gamma, k_share, q):
+    # Duplicated points give zero path weights; kNN graphs, directed or
+    # symmetrized, can leave vertices unreachable from the normal set.
+    g = rbf_similarity_matrix(Dataset(np.array(points, dtype=float)), gamma)
+    _, normal = select_normal_set(vertex_degrees(g), q)
+    knn = knn_truncate(g, 1 + int(k_share * (g.n - 2)))
+    for graph in (g, knn, max_symmetrize(knn)):
+        weights = path_weights(graph)
+        assert np.array_equal(
+            multi_source_shortest_paths(weights, normal), oracle_dijkstra(weights, normal)
+        )
 
 
 def test_matches_enumeration_oracle():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
+from relanom import graph as graph_module
 from relanom.dataset import Dataset
 from relanom.graph import (
     DistanceMetric,
@@ -193,6 +194,42 @@ def test_max_symmetrize_keeps_either_direction():
     m = sym.matrix.toarray()
     assert m[3, 2] > 0.0 and m[2, 3] == m[3, 2]
     assert sym.symmetric
+
+
+def oracle_knn(s: np.ndarray, k: int):
+    """Per-row loop: a stable argsort keeps the k most similar others."""
+    n = s.shape[0]
+    masked = s.copy()
+    np.fill_diagonal(masked, -np.inf)
+    indices, values = [], []
+    for i in range(n):
+        order = np.argsort(-masked[i], kind="stable")[:k]
+        cols = np.sort(np.concatenate(([i], order)))
+        indices.append(cols)
+        values.append(s[i, cols])
+    return np.concatenate(indices), np.concatenate(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    points=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=14),
+    k_share=st.floats(0.0, 1.0),
+    gamma=st.sampled_from([0.1, 1.0, 10.0]),
+    block_rows=st.integers(1, 5),
+)
+def test_knn_matches_per_row_stable_argsort(points, k_share, gamma, block_rows):
+    # Duplicated integer-grid points tie many similarities at the k-th
+    # value; small row blocks split the rows across several blocks.
+    g = rbf_similarity_matrix(Dataset(np.array(points, dtype=float)), gamma)
+    n = g.n
+    k = 1 + int(k_share * (n - 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_BLOCK_ROWS", block_rows)
+        t = knn_truncate(g, k)
+    indices, values = oracle_knn(g.matrix, k)
+    assert np.array_equal(t.matrix.indptr, np.arange(0, n * (k + 1) + 1, k + 1))
+    assert np.array_equal(t.matrix.indices, indices)
+    assert np.array_equal(t.matrix.data, values)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ usage: python tools/byte_identity.py SRC_DIR WORK_DIR > manifest.txt
 SRC_DIR is the ``src`` directory of the checkout to test; WORK_DIR must not
 exist yet.  The script generates ``synth`` scraping and wifi data (n=1000,
 seed 0), fits every method with ``--metric l2`` and ``--metric l1``, plus
-popularity with ``--sparsify 0.5`` and ``--start rff`` and shortest_path with
-``--k 10`` (each fit with ``--train-scores`` and ``--dump-graph``), then runs
+popularity with ``--sparsify 0.5``, ``--sparsify 0.9`` and ``--start rff`` and
+shortest_path with ``--k 1``, ``--k 10`` and ``--metric l1 --k 10`` (each fit
+with ``--train-scores`` and ``--dump-graph``), then runs
 ``score`` (with and without ``--neg-log-display``), ``ecdf``, ``explain``
 (``--p-normal`` 0.5 and 0.95) and ``grid`` on every model, and ``compare`` on
 each data file.  It prints ``<sha256>  <name>`` for every output file and for
@@ -58,6 +59,9 @@ FITS = [
     ("pop_sparse", ["--method", "popularity", "--sparsify", "0.5"]),
     ("pop_rff", ["--method", "popularity", "--start", "rff"]),
     ("sp_k10", ["--method", "shortest_path", "--k", "10"]),
+    ("sp_k1", ["--method", "shortest_path", "--k", "1"]),
+    ("sp_l1_k10", ["--method", "shortest_path", "--metric", "l1", "--k", "10"]),
+    ("pop_sparse09", ["--method", "popularity", "--sparsify", "0.9"]),
 ]
 for ds in ("scraping", "wifi"):
     data = f"{ds}.csv"
