@@ -51,9 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--start", choices=("uniform", "random", "rff"), default=None,
                      help="popularity power iteration start vector (default uniform)")
     fit.add_argument("--rff-dim", type=int, default=None, help="default 256")
-    fit.add_argument("--tol", type=float, default=1e-8)
-    fit.add_argument("--max-iter", type=int, default=10_000)
-    fit.add_argument("--seed", type=int, default=0)
+    fit.add_argument("--tol", type=float, default=None, help="default 1e-8")
+    fit.add_argument("--max-iter", type=int, default=None, help="default 10000")
+    fit.add_argument("--seed", type=int, default=None, help="default 0")
     fit.add_argument("--train-scores", default=None,
                      help="also write per-row training scores to this CSV")
     fit.add_argument("--dump-graph", default=None,

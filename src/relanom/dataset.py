@@ -8,11 +8,13 @@ functions that require preprocessed input say so in their docstrings.
 from __future__ import annotations
 
 import csv
+import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Dataset", "load_csv", "write_csv"]
+__all__ = ["Dataset", "load_csv", "write_csv", "atomic_write_text"]
 
 
 @dataclass(frozen=True)
@@ -111,12 +113,25 @@ def load_csv(path, label_column: str | None = None):
 
 def write_csv(path, header: list[str], rows) -> None:
     """Write rows of mixed scalars, formatting floats at full precision."""
-    from .model_io import atomic_write_text
-
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_format_cell(c) for c in row))
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write a file atomically: temp file in the target directory, then rename."""
+    path = os.fspath(path)
+    directory = os.path.dirname(path) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _format_cell(cell) -> str:

@@ -44,10 +44,7 @@ class VertexDegrees:
 
 
 def vertex_degrees(graph: SimilarityGraph) -> VertexDegrees:
-    if graph.is_sparse:
-        vd = np.asarray(graph.matrix.sum(axis=1)).ravel()
-    else:
-        vd = graph.matrix.sum(axis=1)
+    vd = np.asarray(graph.matrix.sum(axis=1)).ravel()
     return VertexDegrees(vd=vd, gamma=graph.gamma)
 
 

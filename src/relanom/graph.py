@@ -18,7 +18,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import cdist
 
-from .dataset import Dataset
+from .dataset import Dataset, atomic_write_text
 
 __all__ = [
     "DistanceMetric",
@@ -52,9 +52,10 @@ class SimilarityGraph:
 
     ``matrix`` is a dense ndarray or a CSR matrix whose stored entries
     equal the dense kernel values exactly; absent entries in the sparse
-    case mean "no edge".  ``source`` keeps the (model-space) observations
-    the graph was built from, so downstream scorers can evaluate the
-    kernel against new points.
+    case mean "no edge", and for shortest paths so do zero entries (kernel
+    values below the float range).  ``source`` keeps the (model-space)
+    observations the graph was built from, so downstream scorers can
+    evaluate the kernel against new points.
     """
 
     matrix: np.ndarray | sparse.csr_matrix
@@ -217,8 +218,6 @@ def dump_graph(graph: SimilarityGraph, path) -> None:
     Indices are 0-based and values keep full precision; for sparse graphs
     only retained entries appear.
     """
-    from .model_io import atomic_write_text
-
     if graph.is_sparse:
         mat = graph.matrix.tocoo()
         lines = [f"{i},{j},{float(v)!r}" for i, j, v in zip(mat.row, mat.col, mat.data)]

@@ -12,13 +12,11 @@ written at full round-trip precision, and every write is atomic (temp file
 from __future__ import annotations
 
 import json
-import os
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, atomic_write_text
 from .degree import vertex_degrees
 from .graph import DistanceMetric, kernel_rows, rbf_similarity_matrix
 from .popularity import fit_popularity, kernel_extension
@@ -33,7 +31,6 @@ __all__ = [
     "fit_model",
     "save_model",
     "load_model",
-    "atomic_write_text",
 ]
 
 FORMAT_VERSION = 1
@@ -41,21 +38,6 @@ FORMAT_VERSION = 1
 DEFAULT_GAMMA = {"popularity": 0.2, "vertex_degree": 0.5, "shortest_path": 0.2}
 
 METHODS = tuple(DEFAULT_GAMMA)
-
-
-def atomic_write_text(path, text: str) -> None:
-    """Write a file atomically: temp file in the target directory, then rename."""
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 @dataclass
@@ -143,21 +125,25 @@ def fit_model(
     sparsify: float = 0.0,
     start: str | None = None,
     rff_dim: int | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
-    seed: int = 0,
+    tol: float | None = None,
+    max_iter: int | None = None,
+    seed: int | None = None,
 ):
     """Fit one method end to end on raw data; returns (bundle, fitted graph).
 
     ``q`` (default 0.5) and ``k`` apply only to shortest_path; ``sparsify``,
-    ``start`` (default "uniform") and ``rff_dim`` (default 256) only to
-    popularity.  Setting one for another method is an error, not ignored.
+    ``start`` (default "uniform"), ``rff_dim`` (default 256), ``tol``
+    (default 1e-8), ``max_iter`` (default 10000) and ``seed`` (default 0)
+    only to popularity.  Setting one for another method is an error, not
+    ignored.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}'")
     for name, value, owner in (("q", q, "shortest_path"), ("k", k, "shortest_path"),
                                ("sparsify", sparsify or None, "popularity"),
-                               ("start", start, "popularity"), ("rff_dim", rff_dim, "popularity")):
+                               ("start", start, "popularity"), ("rff_dim", rff_dim, "popularity"),
+                               ("tol", tol, "popularity"), ("max_iter", max_iter, "popularity"),
+                               ("seed", seed, "popularity")):
         if value is not None and method != owner:
             raise ValueError(f"{name} applies only to method {owner}, not {method}")
     if gamma is None:
@@ -165,6 +151,9 @@ def fit_model(
     q = 0.5 if q is None else q
     start = "uniform" if start is None else start
     rff_dim = 256 if rff_dim is None else rff_dim
+    tol = 1e-8 if tol is None else tol
+    max_iter = 10_000 if max_iter is None else max_iter
+    seed = 0 if seed is None else seed
     transforms = fit_preprocessor(raw, preprocess)
     data = apply_preprocessor(raw, transforms)
     config = {"seed": seed, "tol": tol, "max_iter": max_iter}
@@ -211,19 +200,6 @@ def fit_model(
     return bundle, graph
 
 
-def _transform_to_dict(tf: FeatureTransform) -> dict:
-    return {
-        "column": tf.column,
-        "delta": tf.delta,
-        "lam": tf.lam,
-        "mean": tf.mean,
-        "sd": tf.sd,
-        "boundary": tf.boundary,
-        "raw_min": tf.raw_min,
-        "raw_max": tf.raw_max,
-    }
-
-
 def save_model(path, bundle: ModelBundle) -> None:
     state = {
         key: (value.tolist() if isinstance(value, np.ndarray) else value)
@@ -237,7 +213,7 @@ def save_model(path, bundle: ModelBundle) -> None:
         "gamma": bundle.gamma,
         "config": bundle.config,
         "columns": bundle.training.columns,
-        "transforms": [_transform_to_dict(tf) for tf in bundle.transforms],
+        "transforms": [asdict(tf) for tf in bundle.transforms],
         "training": bundle.training.values.tolist(),
         "state": state,
         "train_scores": bundle.train_scores.sorted_scores.tolist(),

@@ -49,9 +49,9 @@ class PowerResult:
 class PopularityModel:
     """Fitted popularity scorer.
 
-    ``denom`` freezes s' S s on the fitted (possibly sparsified) graph,
-    so out-of-sample scores reproduce the training scores exactly on
-    training rows.
+    ``denom`` freezes the eigenvalue estimate ``lambda1`` = s' S s of the
+    returned unit vector on the fitted (possibly sparsified) graph, so
+    out-of-sample scores reproduce the training scores on training rows.
     """
 
     s_vec: np.ndarray
@@ -184,11 +184,10 @@ def fit_popularity(
             "dominant eigenvector is not strictly positive; the graph is "
             "effectively disconnected at this gamma"
         )
-    denom = float(result.s_vec @ (graph.matrix @ result.s_vec))
     return PopularityModel(
         s_vec=result.s_vec,
         lambda1=result.lambda1,
-        denom=denom,
+        denom=result.lambda1,
         graph=graph,
         iterations=result.iterations,
         residual=result.residual,

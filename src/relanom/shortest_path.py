@@ -3,9 +3,9 @@
 The top-q fraction of observations by vertex degree form the "normal
 set".  Every edge gets weight -ln s_ij, so a path's weight is the negated
 log of its similarity product; the score of an observation is its
-shortest-path distance to the normal set.  Normal observations score
-exactly 0, and exp(-score) is the best similarity product achievable
-along any path into the normal set.
+shortest-path distance to the normal set.  A zero similarity is no edge.
+Normal observations score exactly 0, and exp(-score) is the best
+similarity product achievable along any path into the normal set.
 """
 
 from __future__ import annotations
@@ -67,24 +67,23 @@ def select_normal_set(vd: VertexDegrees | np.ndarray, q: float):
 
 
 def path_weights(graph: SimilarityGraph):
-    """Edge-weight view -ln s_ij of a similarity graph.
+    """Edge-weight view -ln s_ij of a similarity graph; a zero similarity is no edge.
 
-    Weights are nonnegative because similarities lie in (0, 1]; stored
-    nonpositive similarities are rejected.
+    Negative similarities are rejected.  A zero weighs +inf, as an absent
+    sparse entry does.  A kernel entry exp(-d^2/gamma) loses precision only
+    past d^2/gamma ~708 and is zero past ~745, so distances below ~708 equal
+    those of the exact weights d^2/gamma up to rounding.
     """
-    if graph.is_sparse:
-        mat = graph.matrix
-        if np.any(mat.data <= 0.0):
-            raise ValueError("similarities must be strictly positive")
-        out = mat.copy()
-        out.data = -np.log(mat.data)
-        return out
-    if np.any(graph.matrix <= 0.0):
-        raise ValueError(
-            "similarities must be strictly positive; an entry underflowed "
-            "to zero at this gamma"
-        )
-    return -np.log(graph.matrix)
+    values = graph.matrix.data if graph.is_sparse else graph.matrix
+    if np.any(values < 0.0):
+        raise ValueError("similarities must be nonnegative")
+    with np.errstate(divide="ignore"):
+        weights = -np.log(values)
+    if not graph.is_sparse:
+        return weights
+    out = graph.matrix.copy()
+    out.data = weights
+    return out
 
 
 def multi_source_shortest_paths(weights, sources: np.ndarray) -> np.ndarray:

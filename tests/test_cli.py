@@ -10,6 +10,8 @@ import pytest
 
 from relanom.cli import main
 from relanom.dataset import Dataset, write_csv
+from relanom.graph import kernel_rows
+from relanom.model_io import load_model
 
 
 def run(*argv):
@@ -124,6 +126,12 @@ def test_fit_missing_input_fails(tmp_path, capsys):
     ("vertex_degree", ("--start", "rff")),
     ("shortest_path", ("--rff-dim", "256")),
     ("vertex_degree", ("--rff-dim", "64")),
+    ("vertex_degree", ("--tol", "0.5")),
+    ("shortest_path", ("--tol", "1e-6")),
+    ("vertex_degree", ("--max-iter", "1")),
+    ("shortest_path", ("--max-iter", "1")),
+    ("vertex_degree", ("--seed", "9")),
+    ("shortest_path", ("--seed", "9")),
 ])
 def test_fit_rejects_a_flag_the_method_ignores(tmp_path, train_csv, capsys, method, flag):
     model = tmp_path / "m.json"
@@ -196,6 +204,22 @@ def test_score_shortest_path_marks_normal_set(tmp_path, train_csv):
     assert header == ["row_index", "ra_q", "dora", "label", "is_normal_set"]
     normal_scores = [float(r[1]) for r in rows if r[4] == "1"]
     assert normal_scores and all(v == 0.0 for v in normal_scores)
+
+
+def test_dense_shortest_path_fit_with_underflowed_kernel_entries(tmp_path):
+    data = tmp_path / "train.csv"
+    assert run("synth", "--dataset", "scraping", "--n", "1000", "--seed", "0",
+               "--output", str(data)) == 0
+    model, scores = tmp_path / "sp.json", tmp_path / "train_scores.csv"
+    assert run("fit", "--method", "shortest_path", "--metric", "l1", "--input", str(data),
+               "--output", str(model), "--train-scores", str(scores)) == 0
+    bundle = load_model(model)
+    x = bundle.training.values
+    assert np.any(kernel_rows(x, x, bundle.gamma, bundle.metric) == 0.0)
+    _, rows = read_csv_rows(scores)
+    ra_q = np.array([float(r[1]) for r in rows])
+    normal = np.array([r[3] == "1" for r in rows])
+    assert normal.any() and np.all(ra_q[normal] == 0.0) and np.all(np.isfinite(ra_q))
 
 
 def test_score_neg_log_display_column(tmp_path, train_csv, pop_model):

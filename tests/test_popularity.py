@@ -141,6 +141,11 @@ def test_same_seed_is_bit_identical():
     b = fit_popularity(data, 0.5, start="random", seed=9)
     assert np.array_equal(a.s_vec, b.s_vec)
     assert a.lambda1 == b.lambda1 and a.denom == b.denom
+    for model in (a, fit_popularity(data, 0.5), fit_popularity(data, 0.5, sparsify=0.5),
+                  fit_popularity(data, 0.5, start="rff")):
+        # denom is the eigenvalue estimate s' S s of the returned vector
+        assert model.denom == model.lambda1
+        assert model.denom == float(model.s_vec @ (model.graph.matrix @ model.s_vec))
 
 
 def test_converges_quickly_on_clustered_data(scraping):

@@ -15,7 +15,13 @@ from scipy import sparse
 
 from relanom.dataset import Dataset
 from relanom.degree import vertex_degrees
-from relanom.graph import knn_truncate, max_symmetrize, rbf_similarity_matrix
+from relanom.graph import (
+    DistanceMetric,
+    knn_truncate,
+    max_symmetrize,
+    rbf_similarity_matrix,
+    sq_distances,
+)
 from relanom.scoring import ScoreDistribution
 from relanom.shortest_path import (
     fit_shortest_path,
@@ -29,10 +35,17 @@ from relanom.shortest_path import (
 from conftest import oracle_paths, random_dataset
 
 
-def graph_from_matrix(s: np.ndarray):
+def graph_from_matrix(s):
     data = Dataset(np.arange(s.shape[0], dtype=float)[:, None])
     g = rbf_similarity_matrix(data, 1.0)
     return type(g)(matrix=s, gamma=1.0, metric=g.metric, symmetric=True, source=data)
+
+
+def stored_csr(s: np.ndarray):
+    """CSR matrix that stores every entry of ``s``, zeros included."""
+    csr = sparse.csr_matrix(np.ones_like(s))
+    csr.data = s.ravel().copy()
+    return csr
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +122,26 @@ def test_kernel_weight_is_squared_distance_over_gamma():
     assert w[0, 1] == pytest.approx(8.0, rel=1e-12)
 
 
-def test_nonpositive_similarity_rejected():
-    s = np.array([[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="strictly positive"):
-        path_weights(graph_from_matrix(s))
+def test_negative_similarity_rejected():
+    s = np.array([[1.0, -0.5], [-0.5, 1.0]])
+    for matrix in (s, stored_csr(s)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            path_weights(graph_from_matrix(matrix))
+
+
+@pytest.mark.parametrize("as_matrix", [np.array, stored_csr], ids=["dense", "sparse"])
+def test_zero_similarity_is_no_edge(as_matrix):
+    # Vertex 2 is linked to the others only by zeros: unreachable.
+    s = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    w = path_weights(graph_from_matrix(as_matrix(s)))
+    assert w[0, 2] == np.inf and w[2, 1] == np.inf and w[2, 2] == 0.0
+    d = multi_source_shortest_paths(w, np.array([0]))
+    np.testing.assert_allclose(d, [0.0, math.log(2), np.inf])
+    # A zero direct link from 0 to 2 is routed around, through vertex 1.
+    s[1, 2] = s[2, 1] = 0.5
+    w = path_weights(graph_from_matrix(as_matrix(s)))
+    d = multi_source_shortest_paths(w, np.array([0]))
+    np.testing.assert_allclose(d, [0.0, math.log(2), 2 * math.log(2)], rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +228,32 @@ def test_path_graphs_match_heap_dijkstra(points, gamma, k_share, q):
         assert np.array_equal(
             multi_source_shortest_paths(weights, normal), oracle_dijkstra(weights, normal)
         )
+
+
+@pytest.mark.filterwarnings("ignore:.*unreachable")
+@settings(max_examples=200, deadline=None)
+@given(
+    points=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=12),
+    gamma=st.sampled_from([0.5, 1.0, 2.0]),
+    metric=st.sampled_from(list(DistanceMetric)),
+    q=st.floats(0.05, 0.95),
+)
+def test_underflowed_entries_keep_exact_weight_distances(points, gamma, metric, q):
+    # The two far corners make some kernel entries underflow to 0.  The
+    # oracle runs on the exact weights d^2/gamma.  A path below ~708 only
+    # uses entries in the normal float range, whose -ln is exact to
+    # rounding; past it a subnormal entry's -ln is off by up to ~0.7 and a
+    # zero is no edge, so there the only bound is ~708.
+    x = np.array(points + [(0, 0), (40, 40)], dtype=float)
+    model = fit_shortest_path(Dataset(x), gamma, q, metric=metric)
+    assert np.any(model.graph.matrix == 0.0)
+    oracle = multi_source_shortest_paths(sq_distances(x, x, metric) / gamma, model.normal_set)
+    near, floor = oracle < 700.0, np.minimum(oracle, 708.0) - 1e-9
+    np.testing.assert_allclose(model.ra_q[near], oracle[near], rtol=0, atol=1e-9)
+    assert np.all(model.ra_q >= floor)
+    one_hop = score_batch_shortest_path(model, x)
+    np.testing.assert_allclose(one_hop[near], model.ra_q[near], rtol=0, atol=1e-9)
+    assert np.all((floor <= one_hop) & (one_hop <= model.ra_q))
 
 
 def test_matches_enumeration_oracle():
