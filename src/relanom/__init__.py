@@ -7,27 +7,19 @@ matrix or through shortest similarity-paths to a selected normal set.
 """
 
 from .dataset import Dataset, load_csv
-from .degree import (
-    ConvergenceError,
-    VertexDegrees,
-    median_knn_distance,
-    stationary_distribution,
-    transition_matrix,
-    vd_knn_approx,
-    vertex_degrees,
-)
+from .degree import VertexDegrees, median_knn_distance, vd_knn_approx, vertex_degrees
 from .graph import (
     DistanceMetric,
     SimilarityGraph,
     dump_graph,
     knn_truncate,
     max_symmetrize,
-    pairwise_distances,
     rbf_similarity_matrix,
     threshold_sparsify,
 )
 from .model_io import ModelBundle, fit_model, load_model, save_model
 from .popularity import (
+    ConvergenceError,
     PopularityModel,
     PowerResult,
     fit_popularity,
@@ -35,7 +27,6 @@ from .popularity import (
     relative_anomaly,
     rff_warm_start,
     score_batch,
-    score_new,
 )
 from .preprocess import (
     FeatureTransform,
@@ -47,7 +38,6 @@ from .preprocess import (
 from .scoring import (
     Explanation,
     ScoreDistribution,
-    dora,
     dora_batch,
     explain_deviations,
     label_top_fraction,
@@ -58,7 +48,6 @@ from .shortest_path import (
     multi_source_shortest_paths,
     path_weights,
     score_batch_shortest_path,
-    score_new_shortest_path,
     select_normal_set,
 )
 from .synth import (

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import Dataset, load_csv, write_csv
 from .graph import DistanceMetric, dump_graph
-from .model_io import METHODS, ModelBundle, fit_model, load_model, save_model
+from .model_io import DEFAULT_GAMMA, METHODS, ModelBundle, fit_model, load_model, save_model
 from .scoring import explain_deviations, label_top_fraction
 from .synth import LABEL_ANOMALOUS, scraping_analogue, wifi_analogue
 
@@ -89,10 +89,10 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--top-fraction", type=float, default=0.2)
     compare.add_argument("--preprocess", choices=("box-cox", "standardize"),
                          default="box-cox")
-    compare.add_argument("--q", type=float, default=0.5)
-    compare.add_argument("--gamma-popularity", type=float, default=0.2)
-    compare.add_argument("--gamma-vertex-degree", type=float, default=0.5)
-    compare.add_argument("--gamma-shortest-path", type=float, default=0.2)
+    compare.add_argument("--q", type=float, default=None, help="default 0.5")
+    for method in METHODS:
+        compare.add_argument(f"--gamma-{method.replace('_', '-')}", type=float, default=None,
+                             help=f"default {DEFAULT_GAMMA[method]}")
     compare.add_argument("--output", default=None, help="optional CSV report")
 
     grid = sub.add_parser("grid", help="score a rectangular grid (2-D models)")
@@ -237,15 +237,10 @@ def _cmd_compare(args) -> int:
     truth = labels == LABEL_ANOMALOUS
     if not truth.any():
         raise ValueError("no rows labeled anomalous in the input")
-    gammas = {
-        "popularity": args.gamma_popularity,
-        "vertex_degree": args.gamma_vertex_degree,
-        "shortest_path": args.gamma_shortest_path,
-    }
     report = []
     for method in METHODS:
         bundle, _ = fit_model(
-            raw, method, gamma=gammas[method], preprocess=args.preprocess,
+            raw, method, gamma=getattr(args, f"gamma_{method}"), preprocess=args.preprocess,
             q=args.q if method == "shortest_path" else None,
         )
         predicted = label_top_fraction(bundle.train_scores_rowwise(), args.top_fraction)

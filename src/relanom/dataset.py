@@ -53,9 +53,6 @@ class Dataset:
     def d(self) -> int:
         return self.values.shape[1]
 
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.columns.index(name)]
-
 
 def load_csv(path, label_column: str | None = None):
     """Read a headed CSV of decimal reals.

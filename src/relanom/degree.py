@@ -3,8 +3,10 @@
 The vertex degree of an observation is the row sum of the similarity
 matrix, a kernel density estimate up to scale.  Ranking ascending vertex
 degree is the frequency-based baseline that relative methods improve on.
-The row-normalized similarity matrix is a transition matrix whose
-stationary distribution is proportional to the vertex degrees.
+The row-normalized similarity matrix is a transition matrix; for a
+symmetric similarity matrix its stationary distribution is exactly the
+vertex degrees divided by their sum (detailed balance), the closed form
+the vertex-degree fit stores.
 """
 
 from __future__ import annotations
@@ -12,27 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .dataset import Dataset
-from .graph import DistanceMetric, SimilarityGraph, _top_k_columns, pairwise_distances
+from .graph import DistanceMetric, SimilarityGraph, _top_k_columns
 
 __all__ = [
     "VertexDegrees",
-    "ConvergenceError",
     "vertex_degrees",
-    "transition_matrix",
-    "stationary_distribution",
     "median_knn_distance",
     "vd_knn_approx",
 ]
-
-
-class ConvergenceError(RuntimeError):
-    """Iteration budget exhausted; carries the last observed residual."""
-
-    def __init__(self, message: str, residual: float) -> None:
-        super().__init__(f"{message} (last residual {residual:.3e})")
-        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -48,64 +40,30 @@ def vertex_degrees(graph: SimilarityGraph) -> VertexDegrees:
     return VertexDegrees(vd=vd, gamma=graph.gamma)
 
 
-def transition_matrix(graph: SimilarityGraph) -> np.ndarray:
-    """Row-stochastic matrix P = diag(S 1)^-1 S for a dense graph."""
-    if graph.is_sparse:
-        raise ValueError(
-            "transition matrix requires a dense graph; truncated graphs "
-            "may be reducible"
-        )
-    s = graph.matrix
-    return s / s.sum(axis=1, keepdims=True)
-
-
-def stationary_distribution(
-    p: np.ndarray, tol: float = 1e-10, max_iter: int = 10_000
-) -> np.ndarray:
-    """Dominant left eigenvector of a strictly positive transition matrix.
-
-    Power iteration from the uniform distribution; the row-stochastic
-    structure keeps every iterate a probability vector.  Convergence is
-    declared when the L1 stationarity residual of the returned vector is
-    within ``tol``.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValueError("transition matrix must be square")
-    if np.any(p <= 0.0):
-        raise ValueError(
-            "stationary distribution requires strictly positive transitions; "
-            "build it from a dense similarity graph"
-        )
-    if np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-8:
-        raise ValueError("rows of the transition matrix must sum to 1")
-    n = p.shape[0]
-    pt = np.ascontiguousarray(p.T)
-    pi = np.full(n, 1.0 / n)
-    residual = np.inf
-    for _ in range(max_iter):
-        nxt = pt @ pi
-        nxt /= nxt.sum()
-        residual = float(np.abs(nxt - pi).sum())
-        if residual <= tol:
-            # residual is the L1 stationarity defect of pi itself
-            return pi
-        pi = nxt
-    raise ConvergenceError("stationary distribution did not converge", residual)
-
-
 def median_knn_distance(
     data: Dataset, k: int, metric: DistanceMetric = DistanceMetric.EUCLIDEAN
 ) -> float:
-    """Median over all observations' k-nearest-neighbor distances."""
-    return float(np.median(_knn_distances(data, k, metric)))
+    """Median of the positive k-nearest-neighbor distances of all observations.
+
+    Zero distances (duplicate rows) are left out; raises when no distance
+    is positive.
+    """
+    return _positive_median(_knn_distances(data, k, metric))
+
+
+def _positive_median(knn: np.ndarray) -> float:
+    positive = knn[knn > 0.0]
+    if positive.size == 0:
+        raise ValueError("every k-nearest-neighbor distance is 0; no expansion point")
+    return float(np.median(positive))
 
 
 def _knn_distances(data: Dataset, k: int, metric: DistanceMetric) -> np.ndarray:
-    """Each row's k nearest-neighbor distances, ascending (self excluded)."""
-    neg = -pairwise_distances(data, metric)
-    knn = -np.take_along_axis(neg, _top_k_columns(neg, k), axis=1)
-    return np.sort(knn, axis=1)[:, 1:]  # column 0 is the row's own distance 0
+    """Each row's k nearest-neighbor distances, ascending (self excluded),
+    computed a block of rows at a time, never as an n x n matrix."""
+    x = data.values
+    _, neg = _top_k_columns(lambda lo, hi: -cdist(x[lo:hi], x, metric.cdist_name), data.n, k)
+    return np.sort(-neg, axis=1)[:, 1:]  # column 0 is the row's own distance 0
 
 
 def vd_knn_approx(
@@ -122,16 +80,17 @@ def vd_knn_approx(
         k * e^(-v^2/gamma) * (1 + 2 v^2 / gamma)
         - (2 v e^(-v^2/gamma) / gamma) * sum of the k neighbor distances
 
-    ``v`` defaults to the median of all k-nearest-neighbor distances.
-    The approximation is affine in the distance sums, so it preserves the
-    ascending-vd ranking that the baseline thresholds; the diagonal
-    self-similarity is a rank-invariant constant and is omitted.
+    ``v`` defaults to ``median_knn_distance``, the median of the positive
+    k-nearest-neighbor distances.  The approximation is affine in the
+    distance sums, so it preserves the ascending-vd ranking that the
+    baseline thresholds; the diagonal self-similarity is a rank-invariant
+    constant and is omitted.
     """
     if not (gamma > 0.0 and np.isfinite(gamma)):
         raise ValueError("gamma must be a positive finite real")
     knn = _knn_distances(data, k, metric)
     if v is None:
-        v = float(np.median(knn))
+        v = _positive_median(knn)
     if not (v > 0.0 and np.isfinite(v)):
         raise ValueError("expansion point v must be a positive finite real")
     ev = np.exp(-v * v / gamma)

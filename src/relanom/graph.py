@@ -23,7 +23,6 @@ from .dataset import Dataset, atomic_write_text
 __all__ = [
     "DistanceMetric",
     "SimilarityGraph",
-    "pairwise_distances",
     "sq_distances",
     "kernel_rows",
     "rbf_similarity_matrix",
@@ -74,11 +73,6 @@ class SimilarityGraph:
         return sparse.issparse(self.matrix)
 
 
-def pairwise_distances(data: Dataset, metric: DistanceMetric = DistanceMetric.EUCLIDEAN) -> np.ndarray:
-    """Dense n x n distance matrix (zero diagonal, symmetric)."""
-    return cdist(data.values, data.values, metric=metric.cdist_name)
-
-
 def sq_distances(a: np.ndarray, b: np.ndarray, metric: DistanceMetric) -> np.ndarray:
     """Squared distances d(a_i, b_j)^2 between the rows of ``a`` and ``b``."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
@@ -111,30 +105,36 @@ def rbf_similarity_matrix(
             "construct a k-nearest-neighbor graph instead"
         )
     s = kernel_rows(data.values, data.values, gamma, metric)
-    np.fill_diagonal(s, 1.0)
     return SimilarityGraph(s, gamma, metric, symmetric=True, source=data)
 
 
-def _top_k_columns(scores: np.ndarray, k: int) -> np.ndarray:
+def _top_k_columns(rows, n: int, k: int):
     """Per row, ascending: the diagonal and the columns of the k largest other
-    entries, ties toward the smaller column.  Works on copies of row blocks."""
-    n = scores.shape[0]
+    entries, ties toward the smaller column; returns those columns and their
+    values.  ``rows(lo, hi)`` returns a fresh copy of score rows lo..hi-1, so
+    only one block of rows is held at a time."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
     cols = np.empty((n, k + 1), dtype=np.int64)
+    values = np.empty((n, k + 1))
     for lo in range(0, n, _BLOCK_ROWS):
-        block = scores[lo : lo + _BLOCK_ROWS].copy()
-        np.fill_diagonal(block[:, lo:], -np.inf)
-        kth = np.partition(block, n - k, axis=1)[:, n - k, None]
+        block = rows(lo, min(lo + _BLOCK_ROWS, n))
+        i = np.arange(len(block))
+        own = block[i, lo + i]
+        block[i, lo + i] = -np.inf
+        kth = np.partition(block, n - k, axis=1)[:, [n - k]]  # a copy: frees the partition
         keep = block >= kth
         # Rows with more ties at the k-th value than places keep the first ones.
         tie_rows = np.nonzero(keep.sum(axis=1) > k)[0]
         sub, at = block[tie_rows], kth[tie_rows]
         greater, tied = sub > at, sub == at
         keep[tie_rows] = greater | (tied & (greater.sum(1, keepdims=True) + tied.cumsum(1) <= k))
-        np.fill_diagonal(keep[:, lo:], True)
-        cols[lo : lo + len(block)] = np.nonzero(keep)[1].reshape(-1, k + 1)
-    return cols
+        keep[i, lo + i] = True
+        block[i, lo + i] = own
+        picked = np.nonzero(keep)[1].reshape(-1, k + 1)
+        cols[lo : lo + len(block)] = picked
+        values[lo : lo + len(block)] = np.take_along_axis(block, picked, axis=1)
+    return cols, values
 
 
 def knn_truncate(graph: SimilarityGraph, k: int) -> SimilarityGraph:
@@ -146,10 +146,9 @@ def knn_truncate(graph: SimilarityGraph, k: int) -> SimilarityGraph:
     """
     if graph.is_sparse:
         raise ValueError("kNN truncation expects a dense graph")
-    cols = _top_k_columns(graph.matrix, k)
-    values = np.take_along_axis(graph.matrix, cols, axis=1).ravel()
+    cols, values = _top_k_columns(lambda lo, hi: graph.matrix[lo:hi].copy(), graph.n, k)
     indptr = np.arange(0, cols.size + 1, k + 1)
-    mat = sparse.csr_matrix((values, cols.ravel(), indptr), shape=graph.matrix.shape)
+    mat = sparse.csr_matrix((values.ravel(), cols.ravel(), indptr), shape=graph.matrix.shape)
     return SimilarityGraph(mat, graph.gamma, graph.metric, symmetric=False, source=graph.source)
 
 

@@ -134,8 +134,9 @@ def fit_model(
     ``q`` (default 0.5) and ``k`` apply only to shortest_path; ``sparsify``,
     ``start`` (default "uniform"), ``rff_dim`` (default 256), ``tol``
     (default 1e-8), ``max_iter`` (default 10000) and ``seed`` (default 0)
-    only to popularity.  Setting one for another method is an error, not
-    ignored.
+    only to popularity, ``rff_dim`` only with start "rff" and ``seed`` only
+    with start "random" or "rff".  Setting one where it does not apply is an
+    error, not ignored.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}'")
@@ -146,6 +147,10 @@ def fit_model(
                                ("seed", seed, "popularity")):
         if value is not None and method != owner:
             raise ValueError(f"{name} applies only to method {owner}, not {method}")
+    if rff_dim is not None and start != "rff":
+        raise ValueError(f"rff_dim applies only to start rff, not {start or 'uniform'}")
+    if seed is not None and start in (None, "uniform"):
+        raise ValueError("seed applies only to start random or rff, not uniform")
     if gamma is None:
         gamma = DEFAULT_GAMMA[method]
     q = 0.5 if q is None else q

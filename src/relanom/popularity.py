@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .degree import ConvergenceError
 from .graph import (
     DistanceMetric,
     SimilarityGraph,
@@ -24,6 +23,7 @@ from .graph import (
 )
 
 __all__ = [
+    "ConvergenceError",
     "PowerResult",
     "PopularityModel",
     "power_iteration",
@@ -32,9 +32,16 @@ __all__ = [
     "fit_popularity",
     "relative_anomaly",
     "kernel_extension",
-    "score_new",
     "score_batch",
 ]
+
+
+class ConvergenceError(RuntimeError):
+    """Iteration budget exhausted; carries the last observed residual."""
+
+    def __init__(self, message: str, residual: float) -> None:
+        super().__init__(f"{message} (last residual {residual:.3e})")
+        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -162,11 +169,12 @@ def fit_popularity(
 
     ``start`` selects the initial vector: "uniform" (default), "random"
     (seeded positive entries), or "rff" (random Fourier feature warm
-    start of dimension ``rff_dim``).  ``sparsify`` > 0 drops that
-    fraction of the smallest off-diagonal similarity pairs first.
+    start of dimension ``rff_dim``).  A nonzero ``sparsify`` drops that
+    fraction of the smallest off-diagonal similarity pairs first; it must
+    lie in [0, 1).
     """
     graph = rbf_similarity_matrix(data, gamma, metric)
-    if sparsify > 0.0:
+    if sparsify:
         graph = threshold_sparsify(graph, sparsify)
     if start == "uniform":
         s0 = None
@@ -223,8 +231,3 @@ def score_batch(model: PopularityModel, points: np.ndarray) -> np.ndarray:
     """
     g = model.graph
     return kernel_extension(points, g.source.values, model.s_vec, model.denom, g.gamma, g.metric)
-
-
-def score_new(model: PopularityModel, x: np.ndarray) -> float:
-    """Score one new observation (model space); larger = more anomalous."""
-    return float(score_batch(model, np.atleast_2d(x))[0])

@@ -21,7 +21,6 @@ from .graph import DistanceMetric
 __all__ = [
     "ScoreDistribution",
     "Explanation",
-    "dora",
     "dora_batch",
     "label_top_fraction",
     "explain_deviations",
@@ -51,17 +50,13 @@ class ScoreDistribution:
         return float(out) if np.isscalar(t) else out
 
 
-def dora(dist: ScoreDistribution, score: float) -> float:
-    """Degree of relative anomaly of one score: #{training <= score}/(n+1).
+def dora_batch(dist: ScoreDistribution, scores: np.ndarray) -> np.ndarray:
+    """Degree of relative anomaly of each score: #{training <= score}/(n+1).
 
     Scores below the entire training distribution map to 1/(2(n+1)), so
-    the result is always strictly inside (0, 1) and weakly increasing in
-    the score.
+    every result is strictly inside (0, 1) and weakly increasing in the
+    score.
     """
-    return float(dora_batch(dist, np.asarray([score]))[0])
-
-
-def dora_batch(dist: ScoreDistribution, scores: np.ndarray) -> np.ndarray:
     arr = np.asarray(scores, dtype=np.float64)
     n = dist.n
     r = np.searchsorted(dist.sorted_scores, arr, side="right")

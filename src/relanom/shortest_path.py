@@ -36,7 +36,6 @@ __all__ = [
     "multi_source_shortest_paths",
     "fit_shortest_path",
     "one_hop_extension",
-    "score_new_shortest_path",
     "score_batch_shortest_path",
 ]
 
@@ -167,8 +166,3 @@ def score_batch_shortest_path(model: ShortestPathModel, points: np.ndarray) -> n
     """One-hop extension of the fitted distances; points must be in model space."""
     g = model.graph
     return one_hop_extension(points, g.source.values, model.ra_q, g.gamma, g.metric)
-
-
-def score_new_shortest_path(model: ShortestPathModel, x: np.ndarray) -> float:
-    """Score one new observation (model space); larger = more anomalous."""
-    return float(score_batch_shortest_path(model, np.atleast_2d(x))[0])

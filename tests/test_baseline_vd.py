@@ -1,28 +1,27 @@
-"""Vertex degree, transition matrix, stationary distribution, kNN linearization.
+"""Vertex degree, stationary distribution, kNN linearization.
 
-The stationary solver is checked against a matrix-power oracle: square P
-repeatedly until all rows agree, which is the limiting distribution.
+The closed-form stationary distribution vd / sum(vd) is checked against a
+matrix-power oracle: square P repeatedly until all rows agree, which is the
+limiting distribution.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from relanom import graph as graph_module
 from relanom.dataset import Dataset
-from relanom.degree import (
-    ConvergenceError,
-    _knn_distances,
-    median_knn_distance,
-    stationary_distribution,
-    transition_matrix,
-    vd_knn_approx,
-    vertex_degrees,
-)
-from relanom.graph import DistanceMetric, knn_truncate, pairwise_distances, rbf_similarity_matrix
+from relanom.degree import _knn_distances, median_knn_distance, vd_knn_approx, vertex_degrees
+from relanom.graph import DistanceMetric, knn_truncate, rbf_similarity_matrix
+from relanom.model_io import fit_model
+from relanom.popularity import ConvergenceError, power_iteration
+from relanom.preprocess import apply_preprocessor, fit_preprocessor
+from relanom.synth import scraping_analogue, wifi_analogue
 
 from conftest import random_dataset
 
@@ -89,44 +88,19 @@ def test_ranking_invariant_to_diagonal():
 
 
 # ---------------------------------------------------------------------------
-# transition_matrix
-
-
-def test_two_point_transition_rows():
-    s = np.array([[1.0, 0.5], [0.5, 1.0]])
-    p = transition_matrix(graph_from_matrix(s))
-    np.testing.assert_allclose(p, [[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
-
-
-def test_tiny_gamma_approaches_identity():
-    data = Dataset(np.array([[0.0], [1.0], [2.5]]))
-    p = transition_matrix(rbf_similarity_matrix(data, 1e-3))
-    np.testing.assert_allclose(p, np.eye(3), atol=1e-12)
-
-
-def test_rows_sum_to_one():
-    for seed in range(5):
-        data = random_dataset(30, 2, seed=seed)
-        p = transition_matrix(rbf_similarity_matrix(data, 0.4))
-        np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# stationary_distribution
+# stationary distribution (closed form)
 
 
 def test_symmetric_case_proportional_to_degree():
-    data = random_dataset(25, 2, seed=2)
-    g = rbf_similarity_matrix(data, 0.6)
-    vd = vertex_degrees(g).vd
-    pi = stationary_distribution(transition_matrix(g))
-    np.testing.assert_allclose(pi, vd / vd.sum(), atol=1e-8)
-
-
-def test_two_point_stationary_is_uniform():
-    s = np.array([[1.0, 0.5], [0.5, 1.0]])
-    pi = stationary_distribution(transition_matrix(graph_from_matrix(s)))
-    np.testing.assert_allclose(pi, [0.5, 0.5], atol=1e-12)
+    # The vertex-degree fit stores vd / sum(vd): check it is stationary for
+    # the random walk on the fitted model-space graph.
+    raw = random_dataset(25, 2, seed=2)
+    bundle, graph = fit_model(raw, "vertex_degree", gamma=0.6)
+    s = graph.matrix
+    pi = bundle.state["stationary"]
+    p = s / s.sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(pi @ p, pi, rtol=1e-12)
+    np.testing.assert_allclose(pi, oracle_stationary(p), atol=1e-9)
 
 
 def test_matches_matrix_power_oracle():
@@ -136,7 +110,8 @@ def test_matches_matrix_power_oracle():
         s = (s + s.T) / 2.0
         np.fill_diagonal(s, 1.0)
         p = s / s.sum(axis=1, keepdims=True)
-        pi = stationary_distribution(p)
+        vd = s.sum(axis=1)
+        pi = vd / vd.sum()
         np.testing.assert_allclose(pi, oracle_stationary(p), atol=1e-9)
         assert np.all(pi > 0.0)
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
@@ -157,24 +132,13 @@ def test_stationarity_identity_holds():
 
 
 def test_nonconvergence_raises_with_residual():
+    # The only iterative solver left is the power iteration on S; its
+    # failure must still carry the residual it stopped at.
     s = np.array([[1.0, 0.2, 0.9], [0.2, 1.0, 0.4], [0.9, 0.4, 1.0]])
-    p = s / s.sum(axis=1, keepdims=True)
     with pytest.raises(ConvergenceError) as exc:
-        stationary_distribution(p, tol=1e-15, max_iter=2)
+        power_iteration(s, tol=1e-15, max_iter=2)
     assert exc.value.residual > 0.0
     assert "residual" in str(exc.value)
-
-
-def test_requires_strictly_positive_transitions():
-    p = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(ValueError, match="strictly positive"):
-        stationary_distribution(p)
-
-
-def test_rejects_non_stochastic_rows():
-    p = np.array([[0.9, 0.3], [0.5, 0.5]])
-    with pytest.raises(ValueError):
-        stationary_distribution(p)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +190,43 @@ def test_default_expansion_point_is_median_distance():
     )
 
 
+@pytest.mark.parametrize("preprocess", ["box-cox", "standardize"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_default_expansion_point_skips_duplicate_rows(preprocess, seed):
+    # Most wifi rows repeat one typical row, so most kNN distances are 0;
+    # the default v is the median of the positive ones.
+    raw, _ = wifi_analogue(1000, seed)
+    data = apply_preprocessor(raw, fit_preprocessor(raw, preprocess))
+    knn = _knn_distances(data, 10, DistanceMetric.EUCLIDEAN)
+    assert np.median(knn) == 0.0
+    v = median_knn_distance(data, k=10)
+    assert v == np.median(knn[knn > 0.0])
+    approx = vd_knn_approx(data, k=10, gamma=0.5)
+    np.testing.assert_array_equal(approx, vd_knn_approx(data, k=10, gamma=0.5, v=v))
+    assert np.all(np.isfinite(approx))
+
+
+def test_expansion_point_needs_a_positive_distance():
+    data = Dataset(np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="no expansion point"):
+        median_knn_distance(data, k=2)
+    with pytest.raises(ValueError, match="no expansion point"):
+        vd_knn_approx(data, k=2, gamma=1.0)
+
+
+def test_knn_distances_hold_one_block_of_rows():
+    # A dense 3000 x 3000 distance matrix alone is 72 MB.
+    data = scraping_analogue(3000, 0)[0]
+    tracemalloc.start()
+    try:
+        knn = _knn_distances(data, 10, DistanceMetric.EUCLIDEAN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert knn.shape == (3000, 10)
+    assert peak < 10 * 2**20
+
+
 def test_invalid_parameters_rejected():
     data = random_dataset(6, 2, seed=6)
     with pytest.raises(ValueError):
@@ -250,7 +251,7 @@ def test_knn_distances_match_full_stable_sort(points, k_share, metric, block_row
     # integer-grid points tie distances (zeros included) at the k-th value.
     data = Dataset(np.array(points, dtype=float))
     k = 1 + int(k_share * (data.n - 2))
-    dist = pairwise_distances(data, metric)
+    dist = cdist(data.values, data.values, metric.cdist_name)
     np.fill_diagonal(dist, np.inf)
     order = np.argsort(dist, axis=1, kind="stable")[:, :k]
     want = np.take_along_axis(dist, order, axis=1)

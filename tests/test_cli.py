@@ -143,6 +143,25 @@ def test_fit_rejects_a_flag_the_method_ignores(tmp_path, train_csv, capsys, meth
     assert not model.exists()
 
 
+@pytest.mark.parametrize("flag, name", [
+    (("--sparsify", "-0.5"), "drop_fraction"),
+    (("--sparsify", "nan"), "drop_fraction"),
+    (("--rff-dim", "7"), "rff_dim"),
+    (("--rff-dim", "7", "--start", "random"), "rff_dim"),
+    (("--seed", "5"), "seed"),
+    (("--seed", "5", "--start", "uniform"), "seed"),
+])
+def test_fit_rejects_a_popularity_flag_out_of_range_or_ignored(
+    tmp_path, train_csv, capsys, flag, name
+):
+    model = tmp_path / "m.json"
+    assert run("fit", "--method", "popularity", "--input", str(train_csv),
+               "--output", str(model), *flag) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and name in err
+    assert not model.exists()
+
+
 def test_default_fit_config_is_unchanged(tmp_path, train_csv):
     # Unset method flags resolve to the defaults a model file has always stored.
     stored = {}

@@ -1,0 +1,39 @@
+"""Export contract of the package's modules.
+
+The span tracer in ``perfbench/tracing.py`` wraps a function listed in a
+module's ``__all__`` only when that module defines it, so a name that moves
+between modules must move in ``__all__`` too, or it silently loses its span.
+"""
+
+import ast
+import importlib
+import inspect
+import pathlib
+
+import pytest
+
+import relanom
+
+MODULES = sorted(
+    p.stem for p in pathlib.Path(relanom.__file__).parent.glob("*.py") if p.stem != "__init__"
+)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_exported_functions_and_classes_are_defined_in_their_module(name):
+    module = importlib.import_module(f"relanom.{name}")
+    for attr in module.__all__:
+        value = getattr(module, attr)
+        if inspect.isfunction(value) or inspect.isclass(value):
+            assert value.__module__ == module.__name__, f"{name}.{attr}"
+
+
+def test_package_imports_only_exported_names():
+    tree = ast.parse(pathlib.Path(relanom.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        assert node.level == 1, "the package imports only its own modules"
+        module = importlib.import_module(f"relanom.{node.module}")
+        for alias in node.names:
+            assert alias.name in module.__all__, f"{node.module}.{alias.name}"

@@ -10,7 +10,6 @@ from relanom.dataset import Dataset
 from relanom.graph import DistanceMetric
 from relanom.scoring import (
     ScoreDistribution,
-    dora,
     dora_batch,
     explain_deviations,
     label_top_fraction,
@@ -23,23 +22,23 @@ from relanom.scoring import (
 
 def test_rank_three_of_three():
     dist = ScoreDistribution.from_scores(np.array([-3.0, -2.0, -1.0]))
-    assert dora(dist, -1.0) == pytest.approx(3 / 4)
+    assert dora_batch(dist, [-1.0])[0] == pytest.approx(3 / 4)
 
 
 def test_below_all_training_scores():
     dist = ScoreDistribution.from_scores(np.array([-3.0, -2.0, -1.0]))
-    assert dora(dist, -10.0) == pytest.approx(1 / 8)  # 1 / (2 (n + 1))
+    assert dora_batch(dist, [-10.0])[0] == pytest.approx(1 / 8)  # 1 / (2 (n + 1))
 
 
 def test_single_training_score():
     dist = ScoreDistribution.from_scores(np.array([0.7]))
-    assert dora(dist, 0.7) == pytest.approx(0.5)
+    assert dora_batch(dist, [0.7])[0] == pytest.approx(0.5)
 
 
 def test_interior_rank():
     dist = ScoreDistribution.from_scores(np.array([-3.0, -2.0, -1.0]))
-    assert dora(dist, -2.5) == pytest.approx(1 / 4)
-    assert dora(dist, -1.5) == pytest.approx(2 / 4)
+    assert dora_batch(dist, [-2.5])[0] == pytest.approx(1 / 4)
+    assert dora_batch(dist, [-1.5])[0] == pytest.approx(2 / 4)
 
 
 def test_strictly_inside_unit_interval_and_monotone():

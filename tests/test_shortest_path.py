@@ -28,7 +28,6 @@ from relanom.shortest_path import (
     multi_source_shortest_paths,
     path_weights,
     score_batch_shortest_path,
-    score_new_shortest_path,
     select_normal_set,
 )
 
@@ -363,14 +362,14 @@ def test_training_points_score_their_fitted_values(small_data):
 def test_normal_training_point_scores_zero(small_data):
     model = fit_shortest_path(small_data, 1.0, q=0.5)
     x = small_data.values[model.normal_set[0]]
-    assert score_new_shortest_path(model, x) == 0.0
+    assert score_batch_shortest_path(model, x[None])[0] == 0.0
 
 
 def test_scores_increase_along_a_ray(small_data):
     model = fit_shortest_path(small_data, 1.0, q=0.5)
     center = small_data.values.mean(axis=0)
     direction = np.array([1.0, 0.5])
-    scores = [
-        score_new_shortest_path(model, center + t * direction) for t in np.linspace(2, 10, 9)
-    ]
+    scores = score_batch_shortest_path(
+        model, center + np.linspace(2, 10, 9)[:, None] * direction
+    )
     assert np.all(np.diff(scores) > 0.0)

@@ -20,8 +20,8 @@ from relanom.graph import (
     dump_graph,
     knn_truncate,
     max_symmetrize,
-    pairwise_distances,
     rbf_similarity_matrix,
+    sq_distances,
     threshold_sparsify,
 )
 
@@ -43,30 +43,28 @@ def bfs_connected(adj: np.ndarray) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# pairwise_distances
+# sq_distances
 
 
 def test_euclidean_three_four_five():
-    data = Dataset(np.array([[0.0, 0.0], [3.0, 4.0]]))
-    d = pairwise_distances(data, DistanceMetric.EUCLIDEAN)
-    assert d[0, 1] == pytest.approx(5.0)
+    x = np.array([[0.0, 0.0], [3.0, 4.0]])
+    assert sq_distances(x, x, DistanceMetric.EUCLIDEAN)[0, 1] == pytest.approx(25.0)
 
 
 def test_manhattan_three_four_seven():
-    data = Dataset(np.array([[0.0, 0.0], [3.0, 4.0]]))
-    d = pairwise_distances(data, DistanceMetric.MANHATTAN)
-    assert d[0, 1] == pytest.approx(7.0)
+    x = np.array([[0.0, 0.0], [3.0, 4.0]])
+    assert sq_distances(x, x, DistanceMetric.MANHATTAN)[0, 1] == pytest.approx(49.0)
 
 
 def test_distance_matrix_shape_properties():
-    data = random_dataset(20, 3, seed=1)
+    x = random_dataset(20, 3, seed=1).values
     for metric in DistanceMetric:
-        d = pairwise_distances(data, metric)
-        assert np.all(np.diag(d) == 0.0)
-        np.testing.assert_allclose(d, d.T, atol=1e-12)
-        # triangle inequality over all triples
-        n = data.n
-        for i in range(n):
+        d2 = sq_distances(x, x, metric)
+        assert np.all(np.diag(d2) == 0.0)
+        np.testing.assert_allclose(d2, d2.T, atol=1e-12)
+        # triangle inequality of the distances over all triples
+        d = np.sqrt(d2)
+        for i in range(len(x)):
             assert np.all(d[i, :, None] <= d[i, None, :].T + d + 1e-9)
 
 
