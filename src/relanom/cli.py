@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import Dataset, load_csv, write_csv
 from .graph import DistanceMetric, dump_graph
-from .model_io import DEFAULT_GAMMA, METHODS, ModelBundle, fit_model, load_model, save_model
+from .model_io import DEFAULT_GAMMA, METHODS, fit_model, load_model, save_model
 from .scoring import explain_deviations, label_top_fraction
 from .synth import LABEL_ANOMALOUS, scraping_analogue, wifi_analogue
 
@@ -169,11 +169,14 @@ def _cmd_score(args) -> int:
     scores = bundle.score_raw(raw)
     doras = bundle.dora_of(scores)
     labels = label_top_fraction(scores, args.top_fraction)
+    # The baseline's conventional export is the raw vertex degree
+    # (ascending = more anomalous); other methods export as-is.
+    exported = -scores if bundle.method == "vertex_degree" else scores
     header = ["row_index", bundle.score_column, "dora", "label"]
-    columns = [np.arange(raw.n), _export_scores(bundle, scores), doras, labels]
+    columns = [range(raw.n), exported.tolist(), doras.tolist(), labels.tolist()]
     if bundle.method == "shortest_path":
         header.append("is_normal_set")
-        columns.append(scores == 0.0)
+        columns.append((scores == 0.0).tolist())
     if args.neg_log_display:
         header.append("display_score")
         columns.append(_neg_log_display(scores))
@@ -182,17 +185,8 @@ def _cmd_score(args) -> int:
     return 0
 
 
-def _export_scores(bundle: ModelBundle, scores: np.ndarray) -> np.ndarray:
-    # The baseline's conventional export is the raw vertex degree
-    # (ascending = more anomalous); other methods export as-is.
-    return -scores if bundle.method == "vertex_degree" else scores
-
-
 def _neg_log_display(scores: np.ndarray):
-    out = []
-    for s in scores:
-        out.append(-math.log(-s) if s < 0.0 else "")
-    return out
+    return [-math.log(-s) if s < 0.0 else "" for s in scores.tolist()]
 
 
 def _cmd_explain(args) -> int:
@@ -254,10 +248,8 @@ def _cmd_compare(args) -> int:
 
 def _precision_recall(predicted: np.ndarray, truth: np.ndarray):
     tp = int(np.sum(predicted & truth))
-    fp = int(np.sum(predicted & ~truth))
-    fn = int(np.sum(~predicted & truth))
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
+    precision = tp / int(predicted.sum()) if predicted.any() else 0.0
+    recall = tp / int(truth.sum()) if truth.any() else 0.0
     return precision, recall
 
 
@@ -267,23 +259,17 @@ def _cmd_grid(args) -> int:
         raise ValueError("grid scoring requires a 2-D model")
     if args.resolution < 2:
         raise ValueError("resolution must be at least 2")
-    if args.bounds is None:
-        (x0, x1), (y0, y1) = (
-            (tf.raw_min, tf.raw_max) for tf in bundle.transforms
-        )
-    else:
-        x0, x1, y0, y1 = args.bounds
+    x0, x1, y0, y1 = args.bounds or [b for t in bundle.transforms for b in (t.raw_min, t.raw_max)]
     if not (x1 > x0 and y1 > y0):
         raise ValueError("bounds must satisfy xmax > xmin and ymax > ymin")
-    xs = np.linspace(x0, x1, args.resolution)
-    ys = np.linspace(y0, y1, args.resolution)
-    raw_points = np.array([(x, y) for x in xs for y in ys])
+    xs, ys = np.linspace(x0, x1, args.resolution), np.linspace(y0, y1, args.resolution)
+    raw_points = np.column_stack((np.repeat(xs, len(ys)), np.tile(ys, len(xs))))
     grid_raw = Dataset(raw_points, list(bundle.training.columns))
     scores = bundle.score_raw(grid_raw)
     write_csv(
         args.output,
         [bundle.training.columns[0], bundle.training.columns[1], "score"],
-        zip(raw_points[:, 0], raw_points[:, 1], scores),
+        zip(raw_points[:, 0].tolist(), raw_points[:, 1].tolist(), scores.tolist()),
     )
     print(f"scored {scores.size} grid points -> {args.output}")
     return 0

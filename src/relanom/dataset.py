@@ -111,8 +111,7 @@ def load_csv(path, label_column: str | None = None):
 def write_csv(path, header: list[str], rows) -> None:
     """Write rows of mixed scalars, formatting floats at full precision."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(c) for c in row))
+    lines += [",".join([_FORMAT.get(type(c), _format_cell)(c) for c in row]) for row in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -131,11 +130,12 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+# Formats by exact type, so a bool is no int; an np.float64 prints as its float.
+_FORMAT = {float: repr, np.float64: float.__repr__, int: str, str: str}
+_FORMAT.update(dict.fromkeys((bool, np.bool_), lambda cell: "1" if cell else "0"))
+
+
 def _format_cell(cell) -> str:
-    if isinstance(cell, (float, np.floating)):
-        return repr(float(cell))
-    if isinstance(cell, (bool, np.bool_)):
-        return "1" if cell else "0"
-    if isinstance(cell, (int, np.integer)):
-        return str(int(cell))
-    return str(cell)
+    """Format a cell of another type: a numpy scalar as its Python value."""
+    value = cell.item() if isinstance(cell, np.generic) else cell
+    return _FORMAT.get(type(value), str)(value)

@@ -62,7 +62,7 @@ def _knn_distances(data: Dataset, k: int, metric: DistanceMetric) -> np.ndarray:
     """Each row's k nearest-neighbor distances, ascending (self excluded),
     computed a block of rows at a time, never as an n x n matrix."""
     x = data.values
-    _, neg = _top_k_columns(lambda lo, hi: -cdist(x[lo:hi], x, metric.cdist_name), data.n, k)
+    _, neg = _top_k_columns(lambda rows: -cdist(x[rows], x, metric.cdist_name), data.n, k)
     return np.sort(-neg, axis=1)[:, 1:]  # column 0 is the row's own distance 0
 
 

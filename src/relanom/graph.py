@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 20_000
-_BLOCK_ROWS = 128  # rows per block of the kNN selection
+_BLOCK_ENTRIES = 1 << 19  # entries per row block (4 MB of float64)
 
 
 class DistanceMetric(str, Enum):
@@ -89,6 +89,12 @@ def kernel_rows(
     return np.exp(-sq_distances(points, training, metric) / gamma)
 
 
+def row_blocks(m: int, width: int) -> list[slice]:
+    """Row slices covering 0..m-1, each of max(1, _BLOCK_ENTRIES // width) rows but the last."""
+    step = max(1, _BLOCK_ENTRIES // width)
+    return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
+
+
 def rbf_similarity_matrix(
     data: Dataset,
     gamma: float,
@@ -104,21 +110,23 @@ def rbf_similarity_matrix(
             f"n = {data.n} exceeds the dense limit of {DENSE_LIMIT}; "
             "construct a k-nearest-neighbor graph instead"
         )
-    s = kernel_rows(data.values, data.values, gamma, metric)
+    x, s = data.values, np.empty((data.n, data.n))
+    for rows in row_blocks(data.n, data.n):
+        s[rows] = kernel_rows(x[rows], x, gamma, metric)
     return SimilarityGraph(s, gamma, metric, symmetric=True, source=data)
 
 
-def _top_k_columns(rows, n: int, k: int):
+def _top_k_columns(score_rows, n: int, k: int):
     """Per row, ascending: the diagonal and the columns of the k largest other
     entries, ties toward the smaller column; returns those columns and their
-    values.  ``rows(lo, hi)`` returns a fresh copy of score rows lo..hi-1, so
-    only one block of rows is held at a time."""
+    values.  ``score_rows(rows)`` returns a fresh copy of the score rows in the
+    slice ``rows``, so only one block of ``row_blocks(n, n)`` is held at a time."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
     cols = np.empty((n, k + 1), dtype=np.int64)
     values = np.empty((n, k + 1))
-    for lo in range(0, n, _BLOCK_ROWS):
-        block = rows(lo, min(lo + _BLOCK_ROWS, n))
+    for rows in row_blocks(n, n):
+        block, lo = score_rows(rows), rows.start
         i = np.arange(len(block))
         own = block[i, lo + i]
         block[i, lo + i] = -np.inf
@@ -132,8 +140,8 @@ def _top_k_columns(rows, n: int, k: int):
         keep[i, lo + i] = True
         block[i, lo + i] = own
         picked = np.nonzero(keep)[1].reshape(-1, k + 1)
-        cols[lo : lo + len(block)] = picked
-        values[lo : lo + len(block)] = np.take_along_axis(block, picked, axis=1)
+        cols[rows] = picked
+        values[rows] = np.take_along_axis(block, picked, axis=1)
     return cols, values
 
 
@@ -142,11 +150,11 @@ def knn_truncate(graph: SimilarityGraph, k: int) -> SimilarityGraph:
 
     Ties break toward the smaller column index.  The diagonal is always
     retained.  The result is generally asymmetric.  Rows are selected a
-    block at a time, in O(_BLOCK_ROWS * n) working memory.
+    block of ``row_blocks`` at a time, in O(_BLOCK_ENTRIES) working memory.
     """
     if graph.is_sparse:
         raise ValueError("kNN truncation expects a dense graph")
-    cols, values = _top_k_columns(lambda lo, hi: graph.matrix[lo:hi].copy(), graph.n, k)
+    cols, values = _top_k_columns(lambda rows: graph.matrix[rows].copy(), graph.n, k)
     indptr = np.arange(0, cols.size + 1, k + 1)
     mat = sparse.csr_matrix((values.ravel(), cols.ravel(), indptr), shape=graph.matrix.shape)
     return SimilarityGraph(mat, graph.gamma, graph.metric, symmetric=False, source=graph.source)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import Dataset, atomic_write_text
 from .degree import vertex_degrees
-from .graph import DistanceMetric, kernel_rows, rbf_similarity_matrix
+from .graph import DistanceMetric, kernel_rows, rbf_similarity_matrix, row_blocks
 from .popularity import fit_popularity, kernel_extension
 from .preprocess import FeatureTransform, apply_preprocessor, fit_preprocessor
 from .scoring import ScoreDistribution, dora_batch
@@ -71,15 +71,18 @@ class ModelBundle:
         return apply_preprocessor(raw, self.transforms)
 
     def score_model(self, points: np.ndarray) -> np.ndarray:
-        """Score model-space points; larger = more anomalous."""
-        training, state = self.training.values, self.state
-        if self.method == "popularity":
-            return kernel_extension(
-                points, training, state["s_vec"], state["denom"], self.gamma, self.metric
-            )
-        if self.method == "vertex_degree":
-            return -kernel_rows(points, training, self.gamma, self.metric).sum(axis=1)
-        return one_hop_extension(points, training, state["ra_q"], self.gamma, self.metric)
+        """Score model-space points a row block at a time; larger = more anomalous."""
+        t, state, g, m = self.training.values, self.state, self.gamma, self.metric
+        score = {
+            "popularity": lambda x: kernel_extension(x, t, state["s_vec"], state["denom"], g, m),
+            "vertex_degree": lambda x: -kernel_rows(x, t, g, m).sum(axis=1),
+            "shortest_path": lambda x: one_hop_extension(x, t, state["ra_q"], g, m),
+        }[self.method]
+        points = np.atleast_2d(points)
+        scores = np.empty(len(points))
+        for rows in row_blocks(len(points), len(t)):
+            scores[rows] = score(points[rows])
+        return scores
 
     def score_raw(self, raw: Dataset) -> np.ndarray:
         return self.score_model(self.to_model_space(raw).values)
@@ -147,6 +150,8 @@ def fit_model(
                                ("seed", seed, "popularity")):
         if value is not None and method != owner:
             raise ValueError(f"{name} applies only to method {owner}, not {method}")
+    if not 0.0 <= sparsify < 1.0:
+        raise ValueError(f"sparsify must be in [0, 1), got {sparsify}")
     if rff_dim is not None and start != "rff":
         raise ValueError(f"rff_dim applies only to start rff, not {start or 'uniform'}")
     if seed is not None and start in (None, "uniform"):

@@ -219,9 +219,10 @@ def kernel_extension(
 
     ``k(x)`` holds the kernel similarities of x to the training rows, so on
     a training row this reproduces the training score up to the power
-    iteration residual.
+    iteration residual.  Rows are summed one by one, unlike a BLAS matvec, so
+    a point's score does not depend on the other points scored with it.
     """
-    return -(kernel_rows(points, training, gamma, metric) @ s_vec) / denom
+    return -(kernel_rows(points, training, gamma, metric) * s_vec).sum(axis=1) / denom
 
 
 def score_batch(model: PopularityModel, points: np.ndarray) -> np.ndarray:

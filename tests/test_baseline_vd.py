@@ -256,7 +256,7 @@ def test_knn_distances_match_full_stable_sort(points, k_share, metric, block_row
     order = np.argsort(dist, axis=1, kind="stable")[:, :k]
     want = np.take_along_axis(dist, order, axis=1)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph_module, "_BLOCK_ROWS", block_rows)
+        mp.setattr(graph_module, "_BLOCK_ENTRIES", block_rows * data.n)
         got = _knn_distances(data, k, metric)
     assert np.array_equal(got, want)
     v = float(np.median(want)) or 1.0

@@ -144,12 +144,13 @@ def test_fit_rejects_a_flag_the_method_ignores(tmp_path, train_csv, capsys, meth
 
 
 @pytest.mark.parametrize("flag, name", [
-    (("--sparsify", "-0.5"), "drop_fraction"),
-    (("--sparsify", "nan"), "drop_fraction"),
+    (("--sparsify", "-0.5"), "sparsify"),
+    (("--sparsify", "nan"), "sparsify"),
     (("--rff-dim", "7"), "rff_dim"),
     (("--rff-dim", "7", "--start", "random"), "rff_dim"),
     (("--seed", "5"), "seed"),
     (("--seed", "5", "--start", "uniform"), "seed"),
+    (("--sparsify", "1.0"), "sparsify"),
 ])
 def test_fit_rejects_a_popularity_flag_out_of_range_or_ignored(
     tmp_path, train_csv, capsys, flag, name

@@ -1,10 +1,17 @@
 """Model bundles: out-of-sample scoring under both distance metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
+from relanom import graph as graph_module
+from relanom.dataset import Dataset
 from relanom.graph import DistanceMetric
-from relanom.model_io import fit_model
+from relanom.model_io import METHODS, ModelBundle, fit_model
 from relanom.popularity import fit_popularity, score_batch
 from relanom.shortest_path import fit_shortest_path, score_batch_shortest_path
 from relanom.synth import scraping_analogue
@@ -29,3 +36,67 @@ def test_bundle_scores_training_rows_like_the_fit(method, metric):
     else:
         return
     assert np.array_equal(bundle.score_model(points), expect)
+
+
+def unblocked_scores(method, state, training, points, gamma, metric):
+    """Test oracle: the whole query-by-training kernel at once."""
+    if metric is DistanceMetric.EUCLIDEAN:
+        sq = cdist(points, training, "sqeuclidean")
+    else:
+        d = cdist(points, training, "cityblock")
+        sq = d * d
+    if method == "shortest_path":
+        return np.min(sq / gamma + state["ra_q"], axis=1)
+    k = np.exp(-sq / gamma)
+    if method == "vertex_degree":
+        return -k.sum(axis=1)
+    return -(k * state["s_vec"]).sum(axis=1) / state["denom"]
+
+
+grid_points = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=17)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    train=grid_points.filter(lambda p: len(p) >= 2),
+    queries=grid_points,
+    method=st.sampled_from(METHODS),
+    metric=st.sampled_from(list(DistanceMetric)),
+    gamma=st.sampled_from([0.1, 1.0, 10.0]),
+    block_rows=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_blocked_scores_equal_the_unblocked_oracle(
+    train, queries, method, metric, gamma, block_rows, seed
+):
+    # Duplicated integer-grid points repeat distances; a query count that is
+    # not a multiple of the block size leaves a short last block.
+    assume(block_rows == 1 or len(queries) % block_rows)
+    training = np.array(train, dtype=float)
+    points = np.array(queries, dtype=float)
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.01, 1.0, len(training))
+    state = {"s_vec": weights / np.linalg.norm(weights), "denom": float(rng.uniform(1.0, 5.0)),
+             "vd": weights, "ra_q": np.where(rng.random(len(training)) < 0.2, np.inf, weights),
+             "normal_set": np.array([0])}
+    bundle = ModelBundle(method, "standardize", metric, gamma, {}, [], Dataset(training), state)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_BLOCK_ENTRIES", block_rows * len(training))
+        got = bundle.score_model(points)
+    assert np.array_equal(got, unblocked_scores(method, state, training, points, gamma, metric))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_scoring_holds_one_block_of_kernel_rows_at_a_time(method):
+    raw, _ = scraping_analogue(1000, seed=0)
+    bundle, _ = fit_model(raw, method)
+    rng = np.random.default_rng(0)
+    points = bundle.training.values[rng.integers(0, 1000, 5000)] + rng.normal(0.0, 0.1, (5000, 2))
+    tracemalloc.start()
+    try:
+        bundle.score_model(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One whole 5000 x 1000 float64 kernel would be 40 MB.
+    assert peak < 16e6

@@ -19,8 +19,10 @@ from relanom.graph import (
     DistanceMetric,
     dump_graph,
     knn_truncate,
+    kernel_rows,
     max_symmetrize,
     rbf_similarity_matrix,
+    row_blocks,
     sq_distances,
     threshold_sparsify,
 )
@@ -119,6 +121,33 @@ def test_dense_limit_enforced():
     data = Dataset(np.zeros((20_001, 1)) + np.arange(20_001)[:, None])
     with pytest.raises(ValueError, match="dense limit"):
         rbf_similarity_matrix(data, 1.0)
+
+
+@pytest.mark.parametrize("m, width, entries", [(0, 5, 8), (1, 1, 8), (10, 3, 7), (7, 9, 8)])
+def test_row_blocks_tile_the_rows_within_the_entry_budget(m, width, entries):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_BLOCK_ENTRIES", entries)
+        blocks = row_blocks(m, width)
+    assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(m))
+    assert all(0 < b.stop - b.start <= max(1, entries // width) for b in blocks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    points=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=14),
+    metric=st.sampled_from(list(DistanceMetric)),
+    gamma=st.sampled_from([0.1, 1.0, 10.0]),
+    block_rows=st.integers(1, 5),
+)
+def test_blocked_kernel_equals_kernel_rows(points, metric, gamma, block_rows):
+    # Duplicated integer-grid points repeat kernel values; blocks of 1-5 rows
+    # leave a short last block for most n.
+    x = np.array(points, dtype=float)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_BLOCK_ENTRIES", block_rows * len(x))
+        s = rbf_similarity_matrix(Dataset(x), gamma, metric).matrix
+    assert np.array_equal(s, kernel_rows(x, x, gamma, metric))
+    assert np.all(np.diag(s) == 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +251,7 @@ def test_knn_matches_per_row_stable_argsort(points, k_share, gamma, block_rows):
     n = g.n
     k = 1 + int(k_share * (n - 2))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph_module, "_BLOCK_ROWS", block_rows)
+        mp.setattr(graph_module, "_BLOCK_ENTRIES", block_rows * n)
         t = knn_truncate(g, k)
     indices, values = oracle_knn(g.matrix, k)
     assert np.array_equal(t.matrix.indptr, np.arange(0, n * (k + 1) + 1, k + 1))
