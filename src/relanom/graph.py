@@ -4,7 +4,7 @@ Observations become vertices; the edge weight between two observations is
 the radial basis similarity exp(-d(x_i, x_j)^2 / gamma).  Graphs are dense
 by default; two sparsifiers are provided, a per-row k-nearest-neighbor
 truncation and a global small-value threshold that preserves symmetry and
-connectivity.
+connectivity, found by a partition and an O(n^2) maximum spanning tree pass.
 """
 
 from __future__ import annotations
@@ -95,6 +95,15 @@ def row_blocks(m: int, width: int) -> list[slice]:
     return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
 
 
+def map_row_blocks(score_rows, points: np.ndarray, width: int) -> np.ndarray:
+    """``score_rows`` of ``points``, one slice of ``row_blocks(len(points), width)`` at a time."""
+    points = np.atleast_2d(points)
+    scores = np.empty(len(points))
+    for rows in row_blocks(len(points), width):
+        scores[rows] = score_rows(points[rows])
+    return scores
+
+
 def rbf_similarity_matrix(
     data: Dataset,
     gamma: float,
@@ -163,11 +172,11 @@ def knn_truncate(graph: SimilarityGraph, k: int) -> SimilarityGraph:
 def threshold_sparsify(graph: SimilarityGraph, drop_fraction: float) -> SimilarityGraph:
     """Drop the smallest symmetric off-diagonal pairs of a dense graph.
 
-    Exactly floor(drop_fraction * n*(n-1)/2) pairs are removed, smallest
-    values first (ties by index).  If removal disconnects the graph, the
-    drop threshold is reduced, restoring the largest dropped pairs, until
-    the graph is connected again.  The diagonal is always retained and
-    kept entries equal the dense entries exactly.
+    Exactly floor(drop_fraction * n*(n-1)/2) pairs are removed by ``np.partition``,
+    smallest values first, tied ones in (i, j) order.  If that disconnects the graph,
+    the largest dropped pairs are restored until it is connected: only when the cut
+    reaches the least edge of a maximum spanning tree, which an O(n^2) Prim pass
+    finds.  The diagonal is always kept; kept entries, zeros too, equal the dense ones.
     """
     if graph.is_sparse:
         raise ValueError("threshold sparsification expects a dense graph")
@@ -175,37 +184,37 @@ def threshold_sparsify(graph: SimilarityGraph, drop_fraction: float) -> Similari
         raise ValueError("threshold sparsification expects a symmetric graph")
     if not 0.0 <= drop_fraction < 1.0:
         raise ValueError("drop_fraction must be in [0, 1)")
-    n = graph.n
-    s = graph.matrix
-    rows, cols = np.triu_indices(n, k=1)
-    vals = s[rows, cols]
-    npairs = vals.size
-    m_drop = int(math.floor(drop_fraction * npairs + 1e-9))
-    # triu_indices lists pairs in (i, j) order: the stable sort breaks ties by (i, j)
-    order = np.argsort(vals, kind="stable")
-    if m_drop:
-        # Kept pairs are a suffix of ``order``.  The shortest connected
-        # suffix starts at the bottleneck: the lowest-ranked edge of the
-        # maximum spanning tree.  Weighting pairs by descending rank makes
-        # the weights distinct (the tree is unique) and that edge the tree's
-        # heaviest.
-        rank = np.empty(npairs)
-        rank[order] = np.arange(npairs, 0, -1)
-        tree = minimum_spanning_tree(sparse.csr_matrix((rank, (rows, cols)), shape=(n, n)))
-        m_drop = min(m_drop, npairs - int(tree.data.max()))
-    kept = order[m_drop:]
-    threshold = float(vals[order[m_drop - 1]]) if m_drop else None
-
-    ki, kj = rows[kept], cols[kept]
-    diag = np.arange(n)
-    coo_i = np.concatenate((ki, kj, diag))
-    coo_j = np.concatenate((kj, ki, diag))
-    coo_v = np.concatenate((vals[kept], vals[kept], s[diag, diag]))
-    mat = sparse.coo_matrix((coo_v, (coo_i, coo_j)), shape=(n, n)).tocsr()
-    return SimilarityGraph(
-        mat, graph.gamma, graph.metric, symmetric=True, source=graph.source,
-        drop_threshold=threshold,
-    )
+    n, s = graph.n, graph.matrix
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    vals = s[upper]  # the pairs in (i, j) order
+    drop = int(math.floor(drop_fraction * vals.size + 1e-9))
+    keep, threshold = upper, None
+    if drop:
+        key, parent, weight = s[0].copy(), np.zeros(n, dtype=np.int64), np.full(n, np.nan)
+        key[0] = weight[0] = -np.inf  # Prim from 0; weight[v]: v's edge into the tree, nan before
+        for _ in range(n - 1):
+            u = int(np.argmax(key))
+            weight[u], key[u] = key[u], -np.inf
+            better = (s[u] > key) & np.isnan(weight)
+            parent[better], key[better] = u, s[u, better]
+        vb = weight[1:].min()
+        # Kruskal in descending (value, i, j) order: tree edges above vb (weight 1) span what
+        # all pairs above vb do; pairs tied at vb join them, latest first.  The last it adds stays.
+        above, tied = np.flatnonzero(weight > vb), np.flatnonzero(upper & (s == vb))
+        tree = minimum_spanning_tree(sparse.csr_matrix(
+            (np.r_[np.ones(above.size), n * n + 1.0 - tied],
+             (np.r_[above, tied // n], np.r_[parent[above], tied % n])), shape=(n, n)))
+        drop = min(drop, (vals < vb).sum() + (tied <= n * n - tree.data.max()).sum())
+        threshold = float(np.partition(vals, drop - 1)[drop - 1])
+        ties = np.flatnonzero(upper & (s == threshold))  # dropped first in (i, j) order
+        keep = upper & (s > threshold)
+        keep.flat[ties[drop - np.count_nonzero(vals < threshold):]] = True
+    keep = keep | keep.T | np.eye(n, dtype=bool)
+    flat = np.flatnonzero(keep)  # row-major: sorted, canonical CSR indices
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1))))
+    mat = sparse.csr_matrix((s.ravel()[flat], flat % n, indptr), shape=(n, n))
+    return SimilarityGraph(mat, graph.gamma, graph.metric, symmetric=True,
+                           source=graph.source, drop_threshold=threshold)
 
 
 def max_symmetrize(graph: SimilarityGraph) -> SimilarityGraph:
@@ -226,8 +235,9 @@ def dump_graph(graph: SimilarityGraph, path) -> None:
     only retained entries appear.
     """
     if graph.is_sparse:
-        mat = graph.matrix.tocoo()
-        lines = [f"{i},{j},{float(v)!r}" for i, j, v in zip(mat.row, mat.col, mat.data)]
+        m = graph.matrix.tocoo()
+        lines = [f"{i},{j},{v!r}"
+                 for i, j, v in zip(m.row.tolist(), m.col.tolist(), m.data.tolist())]
     else:
         lines = [f"{i},{j},{v!r}" for i, row in enumerate(graph.matrix)
                  for j, v in enumerate(row.tolist())]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import Dataset, atomic_write_text
 from .degree import vertex_degrees
-from .graph import DistanceMetric, kernel_rows, rbf_similarity_matrix, row_blocks
+from .graph import DistanceMetric, kernel_rows, map_row_blocks, rbf_similarity_matrix
 from .popularity import fit_popularity, kernel_extension
 from .preprocess import FeatureTransform, apply_preprocessor, fit_preprocessor
 from .scoring import ScoreDistribution, dora_batch
@@ -78,11 +78,7 @@ class ModelBundle:
             "vertex_degree": lambda x: -kernel_rows(x, t, g, m).sum(axis=1),
             "shortest_path": lambda x: one_hop_extension(x, t, state["ra_q"], g, m),
         }[self.method]
-        points = np.atleast_2d(points)
-        scores = np.empty(len(points))
-        for rows in row_blocks(len(points), len(t)):
-            scores[rows] = score(points[rows])
-        return scores
+        return map_row_blocks(score, points, len(t))
 
     def score_raw(self, raw: Dataset) -> np.ndarray:
         return self.score_model(self.to_model_space(raw).values)

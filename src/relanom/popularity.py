@@ -18,6 +18,7 @@ from .graph import (
     DistanceMetric,
     SimilarityGraph,
     kernel_rows,
+    map_row_blocks,
     rbf_similarity_matrix,
     threshold_sparsify,
 )
@@ -231,4 +232,5 @@ def score_batch(model: PopularityModel, points: np.ndarray) -> np.ndarray:
     Points must already be mapped through the model's feature transforms.
     """
     g = model.graph
-    return kernel_extension(points, g.source.values, model.s_vec, model.denom, g.gamma, g.metric)
+    return map_row_blocks(lambda x: kernel_extension(
+        x, g.source.values, model.s_vec, model.denom, g.gamma, g.metric), points, g.n)

@@ -23,6 +23,7 @@ from .graph import (
     DistanceMetric,
     SimilarityGraph,
     knn_truncate,
+    map_row_blocks,
     max_symmetrize,
     rbf_similarity_matrix,
     sq_distances,
@@ -165,4 +166,5 @@ def one_hop_extension(
 def score_batch_shortest_path(model: ShortestPathModel, points: np.ndarray) -> np.ndarray:
     """One-hop extension of the fitted distances; points must be in model space."""
     g = model.graph
-    return one_hop_extension(points, g.source.values, model.ra_q, g.gamma, g.metric)
+    return map_row_blocks(lambda x: one_hop_extension(
+        x, g.source.values, model.ra_q, g.gamma, g.metric), points, g.n)

@@ -100,3 +100,26 @@ def test_scoring_holds_one_block_of_kernel_rows_at_a_time(method):
         tracemalloc.stop()
     # One whole 5000 x 1000 float64 kernel would be 40 MB.
     assert peak < 16e6
+
+
+@pytest.mark.parametrize("method", ["popularity", "shortest_path"])
+def test_batch_scorers_hold_one_block_of_kernel_rows_at_a_time(method):
+    raw, _ = scraping_analogue(1000, seed=0)
+    bundle, _ = fit_model(raw, method)
+    training, gamma, metric = bundle.training.values, bundle.gamma, bundle.metric
+    if method == "popularity":
+        model = fit_popularity(bundle.training, gamma, metric=metric)
+        state, score = {"s_vec": model.s_vec, "denom": model.denom}, score_batch
+    else:
+        model = fit_shortest_path(bundle.training, gamma, 0.5, metric=metric)
+        state, score = {"ra_q": model.ra_q}, score_batch_shortest_path
+    rng = np.random.default_rng(0)
+    points = training[rng.integers(0, 1000, 5000)] + rng.normal(0.0, 0.1, (5000, 2))
+    tracemalloc.start()
+    try:
+        got = score(model, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert np.array_equal(got, unblocked_scores(method, state, training, points, gamma, metric))

@@ -8,10 +8,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 from relanom import graph as graph_module
 from relanom.dataset import Dataset
@@ -26,6 +26,8 @@ from relanom.graph import (
     sq_distances,
     threshold_sparsify,
 )
+from relanom.preprocess import apply_preprocessor, fit_preprocessor
+from relanom.synth import scraping_analogue, wifi_analogue
 
 from conftest import random_dataset
 
@@ -348,6 +350,103 @@ def test_sparsify_keeps_the_smallest_connected_suffix(points, drop_fraction, gam
     assert np.array_equal(stored, expect)
     assert np.array_equal(coo.data, g.matrix[coo.row, coo.col])
     assert t.drop_threshold == (float(vals[order[start - 1]]) if start else None)
+
+
+def argsort_sparsify(graph, drop_fraction):
+    """Test oracle: the sparsifier as a full stable argsort of the pairs and a
+    spanning tree over their ranks; returns the CSR matrix and drop threshold."""
+    n, s = graph.n, graph.matrix
+    rows, cols = np.triu_indices(n, k=1)
+    vals = s[rows, cols]
+    npairs = vals.size
+    m_drop = int(math.floor(drop_fraction * npairs + 1e-9))
+    order = np.argsort(vals, kind="stable")  # ties by (i, j)
+    if m_drop:
+        # Descending ranks are distinct weights; the tree's heaviest edge is
+        # the lowest-ranked pair that keeps the kept suffix connected.
+        rank = np.empty(npairs)
+        rank[order] = np.arange(npairs, 0, -1)
+        tree = minimum_spanning_tree(sparse.csr_matrix((rank, (rows, cols)), shape=(n, n)))
+        m_drop = min(m_drop, npairs - int(tree.data.max()))
+    kept = order[m_drop:]
+    threshold = float(vals[order[m_drop - 1]]) if m_drop else None
+    ki, kj, diag = rows[kept], cols[kept], np.arange(n)
+    coo = sparse.coo_matrix(
+        (np.concatenate((vals[kept], vals[kept], s[diag, diag])),
+         (np.concatenate((ki, kj, diag)), np.concatenate((kj, ki, diag)))),
+        shape=(n, n),
+    )
+    return coo.tocsr(), threshold
+
+
+def assert_sparsify_matches_oracle(graph, drop_fraction):
+    got = threshold_sparsify(graph, drop_fraction)
+    expect, threshold = argsort_sparsify(graph, drop_fraction)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got.matrix, name), getattr(expect, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.drop_threshold == threshold
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    points=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=2, max_size=40),
+    drop_fraction=st.floats(0.0, 0.99),
+    gamma=st.sampled_from([0.02, 0.5, 5.0]),
+    metric=st.sampled_from(list(DistanceMetric)),
+)
+def test_sparsify_matches_the_argsort_oracle_on_duplicated_grids(
+    points, drop_fraction, gamma, metric
+):
+    # gamma=0.02 underflows the far pairs to exact zeros.
+    g = rbf_similarity_matrix(Dataset(np.array(points, dtype=float)), gamma, metric)
+    assert_sparsify_matches_oracle(g, drop_fraction)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    near=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=15),
+    far=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=15),
+    drop_fraction=st.floats(0.0, 0.99),
+)
+def test_sparsify_keeps_a_zero_bottleneck_pair_stored(near, far, drop_fraction):
+    # Two groups 100 apart: every cross pair underflows to 0, so the graph
+    # stays connected only through a zero pair, which must stay stored.
+    points = np.array(near + [(x + 100, y) for x, y in far], dtype=float)
+    g = rbf_similarity_matrix(Dataset(points), 1.0)
+    t = assert_sparsify_matches_oracle(g, drop_fraction)
+    a, n = len(near), g.n
+    assert np.count_nonzero(g.matrix == 0.0) == 2 * a * (n - a)
+    if int(math.floor(drop_fraction * n * (n - 1) / 2 + 1e-9)) >= a * (n - a):
+        # Every zero is cut; of the tied zero pairs the last in (i, j) order
+        # joins the groups and is stored back, both ways.
+        m = t.matrix
+        assert np.count_nonzero(m.data == 0.0) == 2
+        assert n - 1 in m.indices[m.indptr[a - 1]:m.indptr[a]]
+        assert a - 1 in m.indices[m.indptr[n - 1]:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=4, max_size=40),
+       data=st.data())
+def test_sparsify_cut_inside_a_tie_block_matches_the_argsort_oracle(points, data):
+    g = rbf_similarity_matrix(Dataset(np.array(points, dtype=float)), 1.0)
+    vals = np.sort(g.matrix[np.triu_indices(g.n, 1)])
+    # Drop counts m whose cut splits a tie block: vals[m - 1] == vals[m].
+    inside = np.flatnonzero(vals[:-1] == vals[1:]) + 1
+    assume(inside.size > 0)
+    m = int(data.draw(st.sampled_from(inside.tolist())))
+    assert_sparsify_matches_oracle(g, (m + 0.5) / vals.size)
+
+
+@pytest.mark.parametrize("drop_fraction", [0.5, 0.9])
+@pytest.mark.parametrize("metric", list(DistanceMetric))
+@pytest.mark.parametrize("generate", [wifi_analogue, scraping_analogue])
+def test_sparsify_matches_the_argsort_oracle_on_the_analogues(generate, metric, drop_fraction):
+    raw = generate(300, 0)[0]
+    data = apply_preprocessor(raw, fit_preprocessor(raw))
+    assert_sparsify_matches_oracle(rbf_similarity_matrix(data, 0.2, metric), drop_fraction)
 
 
 # ---------------------------------------------------------------------------

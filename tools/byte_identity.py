@@ -5,15 +5,16 @@ usage: python tools/byte_identity.py SRC_DIR WORK_DIR > manifest.txt
 SRC_DIR is the ``src`` directory of the checkout to test; WORK_DIR must not
 exist yet.  The script generates ``synth`` scraping and wifi data (n=1000,
 seed 0), fits every method with ``--metric l2`` and ``--metric l1``, plus
-popularity with ``--sparsify 0.5``, ``--sparsify 0.9`` and ``--start rff`` and
-shortest_path with ``--k 1``, ``--k 10``, ``--metric l1 --k 10`` and
-``--gamma 0.1`` (each fit with ``--train-scores`` and ``--dump-graph``), then runs
-``score`` (with and without ``--neg-log-display``), ``ecdf``, ``explain``
-(``--p-normal`` 0.5 and 0.95) and ``grid`` on every model, and ``compare`` on
-each data file.  It prints ``<sha256>  <name>`` for every output file and for
-every command's exit code, stdout and stderr.  Run it on two checkouts and
-diff the manifests.  Commands that fail are listed on stderr; a failure is
-hashed like any other output.
+popularity with ``--sparsify 0.5``, ``--sparsify 0.9``,
+``--metric l1 --sparsify 0.5`` and ``--start rff`` and shortest_path with
+``--k 1``, ``--k 10``, ``--metric l1 --k 10`` and ``--gamma 0.1`` (each fit
+with ``--train-scores`` and ``--dump-graph``), then runs ``score`` (with and
+without ``--neg-log-display``), ``ecdf``, ``explain`` (``--p-normal`` 0.5 and
+0.95) and ``grid`` on every model, and ``compare`` on each data file.  It
+prints ``<sha256>  <name>`` for every output file and for every command's
+exit code, stdout and stderr.  Run it on two checkouts and diff the
+manifests.  Commands that fail are listed on stderr; a failure is hashed like
+any other output.
 """
 
 import contextlib
@@ -63,6 +64,7 @@ FITS = [
     ("sp_l1_k10", ["--method", "shortest_path", "--metric", "l1", "--k", "10"]),
     ("pop_sparse09", ["--method", "popularity", "--sparsify", "0.9"]),
     ("sp_g01", ["--method", "shortest_path", "--gamma", "0.1"]),
+    ("pop_l1_sparse", ["--method", "popularity", "--metric", "l1", "--sparsify", "0.5"]),
 ]
 for ds in ("scraping", "wifi"):
     data = f"{ds}.csv"
