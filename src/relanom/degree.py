@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .dataset import Dataset
-from .graph import DistanceMetric, SimilarityGraph, _top_k_columns
+from .graph import DistanceMetric, SimilarityGraph, _top_k_columns, row_blocks
 
 __all__ = [
     "VertexDegrees",
@@ -36,7 +36,11 @@ class VertexDegrees:
 
 
 def vertex_degrees(graph: SimilarityGraph) -> VertexDegrees:
-    vd = np.asarray(graph.matrix.sum(axis=1)).ravel()
+    """Row sums of the graph; a kernel graph is summed a row block at a time."""
+    if graph.matrix is None:
+        vd = np.concatenate([graph.rows(r).sum(axis=1) for r in row_blocks(graph.n, graph.n)])
+    else:
+        vd = np.asarray(graph.matrix.sum(axis=1)).ravel()
     return VertexDegrees(vd=vd, gamma=graph.gamma)
 
 

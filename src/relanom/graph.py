@@ -1,16 +1,18 @@
 """Kernel similarity graphs over numeric observations.
 
 Observations become vertices; the edge weight between two observations is
-the radial basis similarity exp(-d(x_i, x_j)^2 / gamma).  Graphs are dense
-by default; two sparsifiers are provided, a per-row k-nearest-neighbor
-truncation and a global small-value threshold that preserves symmetry and
+the radial basis similarity exp(-d(x_i, x_j)^2 / gamma).  A kernel graph
+evaluates its rows a block at a time and has no size limit; a dense graph
+holds all n^2 entries, up to ``DENSE_LIMIT`` rows.  Two sparsifiers are
+provided, a per-row k-nearest-neighbor truncation of either and a global
+small-value threshold of a dense graph that preserves symmetry and
 connectivity, found by a partition and an O(n^2) maximum spanning tree pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -25,6 +27,7 @@ __all__ = [
     "SimilarityGraph",
     "sq_distances",
     "kernel_rows",
+    "kernel_graph",
     "rbf_similarity_matrix",
     "knn_truncate",
     "threshold_sparsify",
@@ -32,7 +35,7 @@ __all__ = [
     "dump_graph",
 ]
 
-DENSE_LIMIT = 20_000
+DENSE_LIMIT = 20_000  # most rows of a dense n x n graph (popularity, dense shortest path)
 _BLOCK_ENTRIES = 1 << 19  # entries per row block (4 MB of float64)
 
 
@@ -49,15 +52,16 @@ class DistanceMetric(str, Enum):
 class SimilarityGraph:
     """Similarity matrix plus the construction parameters.
 
-    ``matrix`` is a dense ndarray or a CSR matrix whose stored entries
-    equal the dense kernel values exactly; absent entries in the sparse
-    case mean "no edge", and for shortest paths so do zero entries (kernel
+    ``matrix`` is a dense ndarray, a CSR matrix whose stored entries
+    equal the dense kernel values exactly, or None for a kernel graph, whose
+    rows ``rows`` evaluates on demand.  Absent entries in the sparse case
+    mean "no edge", and for shortest paths so do zero entries (kernel
     values below the float range).  ``source`` keeps the (model-space)
     observations the graph was built from, so downstream scorers can
     evaluate the kernel against new points.
     """
 
-    matrix: np.ndarray | sparse.csr_matrix
+    matrix: np.ndarray | sparse.csr_matrix | None
     gamma: float
     metric: DistanceMetric
     symmetric: bool
@@ -66,11 +70,18 @@ class SimilarityGraph:
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.source.n
 
     @property
     def is_sparse(self) -> bool:
         return sparse.issparse(self.matrix)
+
+    def rows(self, rows: slice) -> np.ndarray:
+        """A fresh copy of the dense rows in ``rows``; a kernel graph evaluates them."""
+        if self.matrix is None:
+            x = self.source.values
+            return kernel_rows(x[rows], x, self.gamma, self.metric)
+        return self.matrix[rows].copy()
 
 
 def sq_distances(a: np.ndarray, b: np.ndarray, metric: DistanceMetric) -> np.ndarray:
@@ -104,25 +115,38 @@ def map_row_blocks(score_rows, points: np.ndarray, width: int) -> np.ndarray:
     return scores
 
 
+def kernel_graph(
+    data: Dataset,
+    gamma: float,
+    metric: DistanceMetric = DistanceMetric.EUCLIDEAN,
+) -> SimilarityGraph:
+    """Similarity graph S_ij = exp(-d(x_i, x_j)^2 / gamma) with no matrix:
+    its rows are evaluated when read, so it has no size limit."""
+    if not (gamma > 0.0 and math.isfinite(gamma)):
+        raise ValueError("gamma must be a positive finite real")
+    if data.n < 2:
+        raise ValueError("similarity graph needs at least 2 observations")
+    return SimilarityGraph(None, gamma, metric, symmetric=True, source=data)
+
+
 def rbf_similarity_matrix(
     data: Dataset,
     gamma: float,
     metric: DistanceMetric = DistanceMetric.EUCLIDEAN,
 ) -> SimilarityGraph:
-    """Dense similarity graph S_ij = exp(-d(x_i, x_j)^2 / gamma)."""
-    if not (gamma > 0.0 and math.isfinite(gamma)):
-        raise ValueError("gamma must be a positive finite real")
-    if data.n < 2:
-        raise ValueError("similarity graph needs at least 2 observations")
+    """Dense similarity graph S_ij = exp(-d(x_i, x_j)^2 / gamma), the rows of
+    ``kernel_graph`` in one n x n array; refused past ``DENSE_LIMIT`` rows."""
+    graph = kernel_graph(data, gamma, metric)
     if data.n > DENSE_LIMIT:
         raise ValueError(
-            f"n = {data.n} exceeds the dense limit of {DENSE_LIMIT}; "
-            "construct a k-nearest-neighbor graph instead"
+            f"n = {data.n} exceeds the dense limit of {DENSE_LIMIT} for popularity and "
+            "dense shortest paths; --method vertex_degree and --method shortest_path "
+            "--k K scale past it"
         )
-    x, s = data.values, np.empty((data.n, data.n))
+    s = np.empty((data.n, data.n))
     for rows in row_blocks(data.n, data.n):
-        s[rows] = kernel_rows(x[rows], x, gamma, metric)
-    return SimilarityGraph(s, gamma, metric, symmetric=True, source=data)
+        s[rows] = graph.rows(rows)
+    return replace(graph, matrix=s)
 
 
 def _top_k_columns(score_rows, n: int, k: int):
@@ -154,18 +178,21 @@ def _top_k_columns(score_rows, n: int, k: int):
     return cols, values
 
 
-def knn_truncate(graph: SimilarityGraph, k: int) -> SimilarityGraph:
+def knn_truncate(graph: SimilarityGraph, k: int, read_rows=None) -> SimilarityGraph:
     """Directed sparsification: each row keeps its k most similar others.
 
     Ties break toward the smaller column index.  The diagonal is always
     retained.  The result is generally asymmetric.  Rows are selected a
-    block of ``row_blocks`` at a time, in O(_BLOCK_ENTRIES) working memory.
+    block of ``row_blocks`` at a time, in O(_BLOCK_ENTRIES) working memory,
+    from a dense or a kernel graph.  ``read_rows`` (default ``graph.rows``)
+    reads each block once; a caller's reader may also record what it reads.
     """
     if graph.is_sparse:
-        raise ValueError("kNN truncation expects a dense graph")
-    cols, values = _top_k_columns(lambda rows: graph.matrix[rows].copy(), graph.n, k)
+        raise ValueError("kNN truncation expects a dense or kernel graph")
+    n = graph.n
+    cols, values = _top_k_columns(read_rows or graph.rows, n, k)
     indptr = np.arange(0, cols.size + 1, k + 1)
-    mat = sparse.csr_matrix((values.ravel(), cols.ravel(), indptr), shape=graph.matrix.shape)
+    mat = sparse.csr_matrix((values.ravel(), cols.ravel(), indptr), shape=(n, n))
     return SimilarityGraph(mat, graph.gamma, graph.metric, symmetric=False, source=graph.source)
 
 
@@ -178,7 +205,7 @@ def threshold_sparsify(graph: SimilarityGraph, drop_fraction: float) -> Similari
     reaches the least edge of a maximum spanning tree, which an O(n^2) Prim pass
     finds.  The diagonal is always kept; kept entries, zeros too, equal the dense ones.
     """
-    if graph.is_sparse:
+    if not isinstance(graph.matrix, np.ndarray):
         raise ValueError("threshold sparsification expects a dense graph")
     if not graph.symmetric:
         raise ValueError("threshold sparsification expects a symmetric graph")
@@ -232,13 +259,15 @@ def dump_graph(graph: SimilarityGraph, path) -> None:
     """Write stored entries as coordinate-format lines ``i,j,s_ij``.
 
     Indices are 0-based and values keep full precision; for sparse graphs
-    only retained entries appear.
+    only retained entries appear.  A kernel graph is evaluated here, a row
+    block at a time.
     """
     if graph.is_sparse:
         m = graph.matrix.tocoo()
         lines = [f"{i},{j},{v!r}"
                  for i, j, v in zip(m.row.tolist(), m.col.tolist(), m.data.tolist())]
     else:
-        lines = [f"{i},{j},{v!r}" for i, row in enumerate(graph.matrix)
-                 for j, v in enumerate(row.tolist())]
+        lines = [f"{i},{j},{v!r}" for rows in row_blocks(graph.n, graph.n)
+                 for i, row in enumerate(graph.rows(rows).tolist(), rows.start)
+                 for j, v in enumerate(row)]
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import Dataset, atomic_write_text
 from .degree import vertex_degrees
-from .graph import DistanceMetric, kernel_rows, map_row_blocks, rbf_similarity_matrix
+from .graph import DistanceMetric, kernel_graph, kernel_rows, map_row_blocks
 from .popularity import fit_popularity, kernel_extension
 from .preprocess import FeatureTransform, apply_preprocessor, fit_preprocessor
 from .scoring import ScoreDistribution, dora_batch
@@ -179,9 +179,9 @@ def fit_model(
         }
         graph = model.graph
     elif method == "vertex_degree":
-        graph = rbf_similarity_matrix(data, gamma, metric)
+        graph = kernel_graph(data, gamma, metric)
         vd = vertex_degrees(graph)
-        # symmetric dense S: the stationary distribution is exactly vd / sum(vd)
+        # symmetric full kernel S: the stationary distribution is exactly vd / sum(vd)
         # (detailed balance); iterating would stall on well-separated clusters
         state = {"vd": vd.vd, "stationary": vd.vd / vd.vd.sum()}
     else:

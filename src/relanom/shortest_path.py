@@ -22,6 +22,7 @@ from .degree import VertexDegrees, vertex_degrees
 from .graph import (
     DistanceMetric,
     SimilarityGraph,
+    kernel_graph,
     knn_truncate,
     map_row_blocks,
     max_symmetrize,
@@ -91,29 +92,40 @@ def multi_source_shortest_paths(weights, sources: np.ndarray) -> np.ndarray:
 
     Equivalent to adding a virtual source with zero-weight edges to every
     listed vertex.  ``weights`` is a dense ndarray or CSR matrix of
-    nonnegative edge weights; absent sparse entries mean "no edge" and
-    stored zeros are edges.  Unreachable vertices get +inf.  Dense weights
-    run an O(n^2) array Dijkstra; sparse ones run csgraph's, which would
-    drop the zero-weight edges of dense input.
+    nonnegative edge weights, or a dense SimilarityGraph, whose rows become
+    weights -ln s (``path_weights``) one settled row at a time.  Absent sparse
+    entries mean "no edge" and stored zeros are edges.  Unreachable vertices
+    get +inf.  Dense input runs an O(n^2) array Dijkstra; sparse input runs
+    csgraph's, which would drop the zero-weight edges of dense input.
     """
-    n = weights.shape[0]
     sources = np.asarray(sources, dtype=np.int64)
     if sources.size == 0:
         raise ValueError("at least one source vertex is required")
     if sparse.issparse(weights):
         return dijkstra(weights, directed=True, indices=sources, min_only=True)
+    if isinstance(weights, SimilarityGraph):
+        s = weights.matrix
+        if s.min() < 0.0:
+            raise ValueError("similarities must be nonnegative")
+
+        def row_weights(u):
+            return -np.log(s[u])
+    else:
+        s, row_weights = weights, weights.__getitem__
+    n = s.shape[0]
     dist = np.full(n, np.inf)
     key = dist.copy()  # tentative distances; +inf once settled
     key[sources] = 0.0
     done = np.zeros(n, dtype=bool)
-    for _ in range(n):
-        u = int(np.argmin(key))
-        if key[u] == np.inf:
-            break
-        dist[u], key[u], done[u] = key[u], np.inf, True
-        cand = dist[u] + weights[u]
-        cand[done] = np.inf
-        np.minimum(key, cand, out=key)
+    with np.errstate(divide="ignore"):  # -ln 0 = +inf: no edge
+        for _ in range(n):
+            u = int(np.argmin(key))
+            if key[u] == np.inf:
+                break
+            dist[u], key[u], done[u] = key[u], np.inf, True
+            cand = dist[u] + row_weights(u)
+            cand[done] = np.inf
+            np.minimum(key, cand, out=key)
     return dist
 
 
@@ -127,16 +139,28 @@ def fit_shortest_path(
 ) -> ShortestPathModel:
     """Select the normal set by vertex degree, then run multi-source Dijkstra.
 
-    Vertex degrees always come from the dense graph; when ``k`` is given
-    the paths run on the k-nearest-neighbor graph, symmetrized by keeping
-    an edge when either endpoint kept it.  Disconnected vertices score
-    +inf and trigger a warning.
+    Vertex degrees are the row sums of the full kernel.  Without ``k`` the
+    paths run on the dense graph.  With ``k`` they run on the
+    k-nearest-neighbor graph, symmetrized by keeping an edge when either
+    endpoint kept it; then one pass over kernel row blocks gives both the
+    degrees and the kNN selection, and no n x n matrix is built.
+    Disconnected vertices score +inf and trigger a warning.
     """
-    dense = rbf_similarity_matrix(data, gamma, metric)
-    vd = vertex_degrees(dense)
+    if k is None:
+        path_graph = weights = rbf_similarity_matrix(data, gamma, metric)
+        vd = vertex_degrees(path_graph)
+    else:
+        kernel, sums = kernel_graph(data, gamma, metric), np.empty(data.n)
+
+        def read_rows(rows):
+            block = kernel.rows(rows)
+            sums[rows] = block.sum(axis=1)  # before the kNN selection masks the diagonal
+            return block
+
+        path_graph = max_symmetrize(knn_truncate(kernel, k, read_rows))
+        vd, weights = VertexDegrees(sums, gamma), path_weights(path_graph)
     _, normal = select_normal_set(vd, q)
-    path_graph = dense if k is None else max_symmetrize(knn_truncate(dense, k))
-    ra_q = multi_source_shortest_paths(path_weights(path_graph), normal)
+    ra_q = multi_source_shortest_paths(weights, normal)
     unreachable = int(np.sum(np.isinf(ra_q)))
     if unreachable:
         warnings.warn(

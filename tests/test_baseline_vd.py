@@ -95,8 +95,8 @@ def test_symmetric_case_proportional_to_degree():
     # The vertex-degree fit stores vd / sum(vd): check it is stationary for
     # the random walk on the fitted model-space graph.
     raw = random_dataset(25, 2, seed=2)
-    bundle, graph = fit_model(raw, "vertex_degree", gamma=0.6)
-    s = graph.matrix
+    bundle, _ = fit_model(raw, "vertex_degree", gamma=0.6)
+    s = rbf_similarity_matrix(bundle.training, 0.6).matrix
     pi = bundle.state["stationary"]
     p = s / s.sum(axis=1, keepdims=True)
     np.testing.assert_allclose(pi @ p, pi, rtol=1e-12)

@@ -123,3 +123,46 @@ def test_batch_scorers_hold_one_block_of_kernel_rows_at_a_time(method):
         tracemalloc.stop()
     assert peak < 16e6
     assert np.array_equal(got, unblocked_scores(method, state, training, points, gamma, metric))
+
+
+def fitted_state(raw, method, **kwargs):
+    bundle, _ = fit_model(raw, method, **kwargs)
+    return bundle.state
+
+
+def test_row_block_fits_run_past_the_dense_limit():
+    raw, _ = scraping_analogue(60, seed=0)
+    want_vd = fitted_state(raw, "vertex_degree")
+    want_knn = fitted_state(raw, "shortest_path", k=10)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "DENSE_LIMIT", 20)
+        got_vd = fitted_state(raw, "vertex_degree")
+        got_knn = fitted_state(raw, "shortest_path", k=10)
+        for method in ("popularity", "shortest_path"):
+            with pytest.raises(ValueError, match="--method vertex_degree and --method "
+                                                 "shortest_path --k K scale past it"):
+                fit_model(raw, method)
+    for got, want in ((got_vd, want_vd), (got_knn, want_knn)):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key])
+
+
+def fit_peak_bytes(raw, method, **kwargs):
+    tracemalloc.start()
+    try:
+        fit_model(raw, method, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fits_hold_no_second_kernel():
+    n = 1500
+    raw, _ = scraping_analogue(n, seed=0)
+    kernel_bytes = n * n * 8
+    # Row-block fits: one block of kernel rows at a time, never the n x n kernel.
+    assert fit_peak_bytes(raw, "vertex_degree") < kernel_bytes
+    assert fit_peak_bytes(raw, "shortest_path", k=10) < kernel_bytes
+    # The dense fit holds the kernel, but no n x n array of -ln s beside it.
+    assert fit_peak_bytes(raw, "shortest_path") < 2 * kernel_bytes

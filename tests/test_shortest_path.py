@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from relanom import graph as graph_module
 from relanom.dataset import Dataset
 from relanom.degree import vertex_degrees
 from relanom.graph import (
     DistanceMetric,
+    kernel_graph,
     knn_truncate,
     max_symmetrize,
     rbf_similarity_matrix,
@@ -253,6 +255,67 @@ def test_underflowed_entries_keep_exact_weight_distances(points, gamma, metric, 
     one_hop = score_batch_shortest_path(model, x)
     np.testing.assert_allclose(one_hop[near], model.ra_q[near], rtol=0, atol=1e-9)
     assert np.all((floor <= one_hop) & (one_hop <= model.ra_q))
+
+
+def dense_route_oracle(data, gamma, q, k, metric):
+    """The shortest-path fit as a chain over the dense n x n graph: kernel
+    matrix, its row sums, kNN truncation and symmetrization, an n x n array
+    of -ln s weights, and the array Dijkstra on it."""
+    dense = rbf_similarity_matrix(data, gamma, metric)
+    vd = vertex_degrees(dense)
+    _, normal = select_normal_set(vd, q)
+    path_graph = dense if k is None else max_symmetrize(knn_truncate(dense, k))
+    return vd.vd, normal, multi_source_shortest_paths(path_weights(path_graph), normal), path_graph
+
+
+@pytest.mark.filterwarnings("ignore:.*unreachable")
+@settings(max_examples=200, deadline=None)
+@given(
+    points=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=14),
+    gamma=st.sampled_from([1e-4, 0.1, 1.0, 10.0]),
+    metric=st.sampled_from(list(DistanceMetric)),
+    k_share=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    q=st.floats(0.05, 0.95),
+    block_rows=st.integers(1, 4),
+)
+def test_row_block_fits_equal_the_dense_route(points, gamma, metric, k_share, q, block_rows):
+    # Integer-grid points repeat rows and tie similarities; gamma 1e-4 makes
+    # every off-diagonal similarity 0, a +inf weight.  Small blocks make the
+    # kernel pass and the kNN selection read several row blocks.
+    data = Dataset(np.array(points, dtype=float))
+    k = None if k_share is None else 1 + int(k_share * (data.n - 2))
+    vd, normal, ra_q, path_graph = dense_route_oracle(data, gamma, q, k, metric)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_BLOCK_ENTRIES", block_rows * data.n)
+        model = fit_shortest_path(data, gamma, q, k, metric=metric)
+        kernel_vd = vertex_degrees(kernel_graph(data, gamma, metric)).vd
+    assert np.array_equal(model.vd.vd, vd) and np.array_equal(kernel_vd, vd)
+    assert np.array_equal(model.normal_set, normal)
+    assert np.array_equal(model.ra_q, ra_q)
+    if k is None:
+        assert np.array_equal(model.graph.matrix, path_graph.matrix)
+    else:
+        got, want = model.graph.matrix, path_graph.matrix
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part), getattr(want, part))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12))
+def test_dense_graph_dijkstra_takes_weights_row_by_row(seed, n):
+    # Zero similarities are +inf weights (no edge), ones are zero weights.
+    rng = np.random.default_rng(seed)
+    s = rng.choice([0.0, 1e-300, 0.1, 0.5, 1.0], size=(n, n))
+    sources = rng.choice(n, size=int(rng.integers(1, n + 1)))
+    with np.errstate(divide="ignore"):
+        want = multi_source_shortest_paths(-np.log(s), sources)
+    assert np.array_equal(multi_source_shortest_paths(graph_from_matrix(s), sources), want)
+
+
+def test_dense_graph_dijkstra_rejects_negative_similarities():
+    s = np.array([[1.0, -0.1], [-0.1, 1.0]])
+    with pytest.raises(ValueError, match="nonnegative"):
+        multi_source_shortest_paths(graph_from_matrix(s), np.array([0]))
 
 
 def test_matches_enumeration_oracle():

@@ -18,6 +18,7 @@ from relanom.dataset import Dataset
 from relanom.graph import (
     DistanceMetric,
     dump_graph,
+    kernel_graph,
     knn_truncate,
     kernel_rows,
     max_symmetrize,
@@ -465,6 +466,14 @@ def test_dump_round_trips_dense(tmp_path):
         i, j, v = line.split(",")
         rebuilt[int(i), int(j)] = float(v)
     np.testing.assert_array_equal(rebuilt, g.matrix)
+
+
+def test_dump_of_a_kernel_graph_equals_the_dense_dump(tmp_path, monkeypatch):
+    data = random_dataset(7, 2, seed=15)
+    dump_graph(rbf_similarity_matrix(data, 1.0), tmp_path / "dense.txt")
+    monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", 2 * data.n)  # 2-row blocks, 1 left over
+    dump_graph(kernel_graph(data, 1.0), tmp_path / "kernel.txt")
+    assert (tmp_path / "kernel.txt").read_bytes() == (tmp_path / "dense.txt").read_bytes()
 
 
 def test_dump_sparse_lists_stored_entries_only(tmp_path):
