@@ -66,6 +66,48 @@ def load_csv(path, label_column: str | None = None):
     Returns ``Dataset`` or ``(Dataset, labels)`` when labels were split.
     """
     with open(path, newline="") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            text = ""  # the csv reader raises it as before
+    header, ncol, values, labels = (
+        _parse_plain(text, label_column) or _parse_rows(path, label_column))
+    data = Dataset(values, header[:ncol])
+    if labels is not None:
+        return data, labels
+    return data
+
+
+def _parse_plain(text: str, label_column: str | None):
+    """Parse CSV text with no quoting a column at a time; None wherever the csv
+    reader could read it differently or would raise (``_parse_rows`` then runs)."""
+    if not text or any(c in text for c in '"\r\0'):
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if "" in lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = [h.strip() for h in lines[0].split(",")]
+    width, body = len(header), lines[1:]
+    has_label = label_column is not None and header[-1] == label_column
+    ncol = width - 1 if has_label else width
+    if ncol < 1 or not body or any(line.count(",") != width - 1 for line in body):
+        return None
+    cells = ",".join(body).split(",")
+    values = np.empty((len(body), ncol))
+    try:
+        for j in range(ncol):
+            values[:, j] = np.fromiter(map(float, cells[j::width]), np.float64, len(body))
+    except ValueError:
+        return None
+    labels = np.array(list(map(str.strip, cells[width - 1::width]))) if has_label else None
+    return header, ncol, values, labels
+
+
+def _parse_rows(path, label_column: str | None):
+    """Parse with the csv reader a row at a time, naming the first bad row and cell."""
+    with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -102,10 +144,7 @@ def load_csv(path, label_column: str | None = None):
                 labels.append(raw[-1].strip())
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    data = Dataset(np.array(rows, dtype=np.float64), header[:ncol])
-    if has_label:
-        return data, np.array(labels)
-    return data
+    return header, ncol, np.array(rows, dtype=np.float64), np.array(labels) if has_label else None
 
 
 def write_csv(path, header: list[str], rows) -> None:
@@ -115,14 +154,16 @@ def write_csv(path, header: list[str], rows) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write a file atomically: temp file in the target directory, then rename."""
+def atomic_write_text(path, text) -> None:
+    """Write a file atomically: temp file in the target directory, then rename.
+
+    ``text`` is a string or an iterable of strings, written one at a time."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -12,6 +12,9 @@ connectivity, found by a partition and an O(n^2) maximum spanning tree pass.
 from __future__ import annotations
 
 import math
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -36,7 +39,21 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 20_000  # most rows of a dense n x n graph (popularity, dense shortest path)
-_BLOCK_ENTRIES = 1 << 19  # entries per row block (4 MB of float64)
+_BLOCK_ENTRIES = 1 << 19  # entries of the row blocks in flight together (4 MB of float64)
+# Kernel row blocks run on every core of the affinity mask; cdist, exp and numpy
+# reductions release the GIL.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def _start_pool() -> None:
+    global _POOL
+    _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="relanom-rows")
+
+
+_start_pool()
+if hasattr(os, "register_at_fork"):  # a forked child inherits the pool but not its threads
+    os.register_at_fork(after_in_child=_start_pool)
 
 
 class DistanceMetric(str, Enum):
@@ -76,28 +93,36 @@ class SimilarityGraph:
     def is_sparse(self) -> bool:
         return sparse.issparse(self.matrix)
 
-    def rows(self, rows: slice) -> np.ndarray:
-        """A fresh copy of the dense rows in ``rows``; a kernel graph evaluates them."""
+    def rows(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """The dense rows in ``rows``, a fresh copy or written into ``out``; a kernel
+        graph evaluates them."""
         if self.matrix is None:
             x = self.source.values
-            return kernel_rows(x[rows], x, self.gamma, self.metric)
-        return self.matrix[rows].copy()
+            return kernel_rows(x[rows], x, self.gamma, self.metric, out)
+        return np.positive(self.matrix[rows], out=out)  # a copy, into out when given
 
 
-def sq_distances(a: np.ndarray, b: np.ndarray, metric: DistanceMetric) -> np.ndarray:
-    """Squared distances d(a_i, b_j)^2 between the rows of ``a`` and ``b``."""
+def sq_distances(
+    a: np.ndarray, b: np.ndarray, metric: DistanceMetric, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Squared distances d(a_i, b_j)^2 between the rows of ``a`` and ``b``, written
+    into ``out`` (C-contiguous float64) when given."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     if metric is DistanceMetric.EUCLIDEAN:
-        return cdist(a, b, metric="sqeuclidean")
-    d = cdist(a, b, metric="cityblock")
-    return d * d
+        return cdist(a, b, metric="sqeuclidean", out=out)
+    d = cdist(a, b, metric="cityblock", out=out)
+    return np.multiply(d, d, out=d)
 
 
 def kernel_rows(
-    points: np.ndarray, training: np.ndarray, gamma: float, metric: DistanceMetric
+    points: np.ndarray, training: np.ndarray, gamma: float, metric: DistanceMetric,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Kernel similarities exp(-d^2 / gamma) of each query point against the training rows."""
-    return np.exp(-sq_distances(points, training, metric) / gamma)
+    """Kernel similarities exp(-d^2 / gamma) of each query point against the training
+    rows, computed in place in ``out`` when given."""
+    k = sq_distances(points, training, metric, out)
+    np.divide(k, -gamma, out=k)  # the bits of -d^2 / gamma
+    return np.exp(k, out=k)
 
 
 def row_blocks(m: int, width: int) -> list[slice]:
@@ -106,13 +131,30 @@ def row_blocks(m: int, width: int) -> list[slice]:
     return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
 
 
-def map_row_blocks(score_rows, points: np.ndarray, width: int) -> np.ndarray:
-    """``score_rows`` of ``points``, one slice of ``row_blocks(len(points), width)`` at a time."""
-    points = np.atleast_2d(points)
-    scores = np.empty(len(points))
-    for rows in row_blocks(len(points), width):
-        scores[rows] = score_rows(points[rows])
-    return scores
+def for_row_blocks(fn, m: int, width: int) -> list:
+    """``fn(rows, scratch)`` for every slice of ``row_blocks(m, width * _WORKERS)``, on
+    ``_WORKERS`` threads; returns the results in block order (one empty block if m is 0).
+
+    ``scratch`` is a C-contiguous float64 buffer of ``rows``' length by ``width`` that
+    ``fn`` may overwrite.  The buffers are allocated here, one per worker, and reused,
+    so the blocks in flight hold ``_BLOCK_ENTRIES`` entries together.  A single block
+    runs inline.  An exception raised by ``fn`` reaches the caller.
+    """
+    blocks = row_blocks(m, width * _WORKERS) or [slice(0, 0)]
+    if len(blocks) == 1:
+        return [fn(blocks[0], np.empty((m, width)))]
+    free = queue.SimpleQueue()
+    for _ in range(min(_WORKERS, len(blocks))):
+        free.put(np.empty((blocks[0].stop, width)))
+
+    def run(rows):
+        scratch = free.get()
+        try:
+            return fn(rows, scratch[: rows.stop - rows.start])
+        finally:
+            free.put(scratch)
+
+    return list(_POOL.map(run, blocks))
 
 
 def kernel_graph(
@@ -144,8 +186,7 @@ def rbf_similarity_matrix(
             "--k K scale past it"
         )
     s = np.empty((data.n, data.n))
-    for rows in row_blocks(data.n, data.n):
-        s[rows] = graph.rows(rows)
+    for_row_blocks(lambda rows, _: graph.rows(rows, s[rows]), data.n, data.n)
     return replace(graph, matrix=s)
 
 
@@ -259,15 +300,16 @@ def dump_graph(graph: SimilarityGraph, path) -> None:
     """Write stored entries as coordinate-format lines ``i,j,s_ij``.
 
     Indices are 0-based and values keep full precision; for sparse graphs
-    only retained entries appear.  A kernel graph is evaluated here, a row
-    block at a time.
+    only retained entries appear.  The lines are formatted and written a row
+    at a time; a dense or kernel graph is read, and a kernel graph evaluated,
+    a row block at a time.
     """
     if graph.is_sparse:
-        m = graph.matrix.tocoo()
-        lines = [f"{i},{j},{v!r}"
-                 for i, j, v in zip(m.row.tolist(), m.col.tolist(), m.data.tolist())]
+        m = graph.matrix.tocsr()
+        rows = (zip(m.indices[lo:hi].tolist(), m.data[lo:hi].tolist())
+                for lo, hi in zip(m.indptr[:-1].tolist(), m.indptr[1:].tolist()))
     else:
-        lines = [f"{i},{j},{v!r}" for rows in row_blocks(graph.n, graph.n)
-                 for i, row in enumerate(graph.rows(rows).tolist(), rows.start)
-                 for j, v in enumerate(row)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        rows = (enumerate(row) for block in row_blocks(graph.n, graph.n)
+                for row in graph.rows(block).tolist())
+    atomic_write_text(path, ("".join([f"{i},{j},{v!r}\n" for j, v in row])
+                             for i, row in enumerate(rows)))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import Dataset, atomic_write_text
 from .degree import vertex_degrees
-from .graph import DistanceMetric, kernel_graph, kernel_rows, map_row_blocks
+from .graph import DistanceMetric, for_row_blocks, kernel_graph, kernel_rows
 from .popularity import fit_popularity, kernel_extension
 from .preprocess import FeatureTransform, apply_preprocessor, fit_preprocessor
 from .scoring import ScoreDistribution, dora_batch
@@ -73,12 +73,14 @@ class ModelBundle:
     def score_model(self, points: np.ndarray) -> np.ndarray:
         """Score model-space points a row block at a time; larger = more anomalous."""
         t, state, g, m = self.training.values, self.state, self.gamma, self.metric
+        x = np.atleast_2d(points)
         score = {
-            "popularity": lambda x: kernel_extension(x, t, state["s_vec"], state["denom"], g, m),
-            "vertex_degree": lambda x: -kernel_rows(x, t, g, m).sum(axis=1),
-            "shortest_path": lambda x: one_hop_extension(x, t, state["ra_q"], g, m),
+            "popularity": lambda r, out: kernel_extension(
+                x[r], t, state["s_vec"], state["denom"], g, m, out),
+            "vertex_degree": lambda r, out: -kernel_rows(x[r], t, g, m, out).sum(axis=1),
+            "shortest_path": lambda r, out: one_hop_extension(x[r], t, state["ra_q"], g, m, out),
         }[self.method]
-        return map_row_blocks(score, points, len(t))
+        return np.concatenate(for_row_blocks(score, len(x), len(t)))
 
     def score_raw(self, raw: Dataset) -> np.ndarray:
         return self.score_model(self.to_model_space(raw).values)

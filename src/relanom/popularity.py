@@ -17,8 +17,8 @@ from .dataset import Dataset
 from .graph import (
     DistanceMetric,
     SimilarityGraph,
+    for_row_blocks,
     kernel_rows,
-    map_row_blocks,
     rbf_similarity_matrix,
     threshold_sparsify,
 )
@@ -215,6 +215,7 @@ def kernel_extension(
     denom: float,
     gamma: float,
     metric: DistanceMetric,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Out-of-sample scores -(k(x)' s) / (s' S s) of model-space points.
 
@@ -222,8 +223,10 @@ def kernel_extension(
     a training row this reproduces the training score up to the power
     iteration residual.  Rows are summed one by one, unlike a BLAS matvec, so
     a point's score does not depend on the other points scored with it.
+    ``out``, a points x training buffer, holds the kernel rows when given.
     """
-    return -(kernel_rows(points, training, gamma, metric) * s_vec).sum(axis=1) / denom
+    k = kernel_rows(points, training, gamma, metric, out)
+    return -np.multiply(k, s_vec, out=k).sum(axis=1) / denom
 
 
 def score_batch(model: PopularityModel, points: np.ndarray) -> np.ndarray:
@@ -231,6 +234,6 @@ def score_batch(model: PopularityModel, points: np.ndarray) -> np.ndarray:
 
     Points must already be mapped through the model's feature transforms.
     """
-    g = model.graph
-    return map_row_blocks(lambda x: kernel_extension(
-        x, g.source.values, model.s_vec, model.denom, g.gamma, g.metric), points, g.n)
+    g, x = model.graph, np.atleast_2d(points)
+    return np.concatenate(for_row_blocks(lambda rows, out: kernel_extension(
+        x[rows], g.source.values, model.s_vec, model.denom, g.gamma, g.metric, out), len(x), g.n))

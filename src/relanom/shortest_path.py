@@ -22,9 +22,9 @@ from .degree import VertexDegrees, vertex_degrees
 from .graph import (
     DistanceMetric,
     SimilarityGraph,
+    for_row_blocks,
     kernel_graph,
     knn_truncate,
-    map_row_blocks,
     max_symmetrize,
     rbf_similarity_matrix,
     sq_distances,
@@ -146,6 +146,8 @@ def fit_shortest_path(
     degrees and the kNN selection, and no n x n matrix is built.
     Disconnected vertices score +inf and trigger a warning.
     """
+    if not 0.0 < q < 1.0:  # before the kernel pass, which can take seconds
+        raise ValueError("q must be in (0, 1)")
     if k is None:
         path_graph = weights = rbf_similarity_matrix(data, gamma, metric)
         vd = vertex_degrees(path_graph)
@@ -177,18 +179,22 @@ def one_hop_extension(
     ra_q: np.ndarray,
     gamma: float,
     metric: DistanceMetric,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Out-of-sample scores: min over training rows of edge weight + ra_q.
 
     A new observation connects to every training row with weight
     -ln s(x, x_j) = d(x, x_j)^2 / gamma; its score is the cheapest entry
-    point into the fitted distances ``ra_q``.
+    point into the fitted distances ``ra_q``.  ``out``, a points x training
+    buffer, holds the weights when given.
     """
-    return np.min(sq_distances(points, training, metric) / gamma + ra_q, axis=1)
+    w = sq_distances(points, training, metric, out)
+    np.divide(w, gamma, out=w)
+    return np.add(w, ra_q, out=w).min(axis=1)
 
 
 def score_batch_shortest_path(model: ShortestPathModel, points: np.ndarray) -> np.ndarray:
     """One-hop extension of the fitted distances; points must be in model space."""
-    g = model.graph
-    return map_row_blocks(lambda x: one_hop_extension(
-        x, g.source.values, model.ra_q, g.gamma, g.metric), points, g.n)
+    g, x = model.graph, np.atleast_2d(points)
+    return np.concatenate(for_row_blocks(lambda rows, out: one_hop_extension(
+        x[rows], g.source.values, model.ra_q, g.gamma, g.metric, out), len(x), g.n))

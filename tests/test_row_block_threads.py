@@ -1,0 +1,128 @@
+"""Kernel row blocks on worker threads: same bits for any worker count and block size."""
+
+import multiprocessing
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+from scipy.spatial.distance import cdist
+
+from relanom import graph as graph_module
+from relanom.degree import vertex_degrees
+from relanom.graph import DistanceMetric, for_row_blocks, kernel_graph, rbf_similarity_matrix
+from relanom.model_io import METHODS, fit_model
+from relanom.popularity import fit_popularity, score_batch
+from relanom.shortest_path import fit_shortest_path, score_batch_shortest_path
+from relanom.synth import scraping_analogue
+
+from test_model_io import unblocked_scores
+
+
+def oracle_kernel(x, gamma, metric):
+    """The whole n x n kernel at once."""
+    if metric is DistanceMetric.EUCLIDEAN:
+        sq = cdist(x, x, "sqeuclidean")
+    else:
+        d = cdist(x, x, "cityblock")
+        sq = d * d
+    return np.exp(-sq / gamma)
+
+
+@pytest.mark.parametrize("metric", list(DistanceMetric))
+@pytest.mark.parametrize("workers", [1, 3])
+def test_threaded_blocks_give_the_unblocked_bits(workers, metric, monkeypatch):
+    raw, _ = scraping_analogue(150, seed=3)
+    bundles = {method: fit_model(raw, method, metric=metric)[0] for method in METHODS}
+    training = bundles["popularity"].training
+    x, rng = training.values, np.random.default_rng(1)
+    points = x[rng.integers(0, len(x), 101)] + rng.normal(0.0, 0.1, (101, x.shape[1]))
+    gamma = bundles["popularity"].gamma
+    monkeypatch.setattr(graph_module, "_WORKERS", workers)
+    # 7 rows of entries for all workers: blocks of 7 // workers rows, a short last one
+    monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", 7 * len(x))
+    for method, bundle in bundles.items():
+        want = unblocked_scores(method, bundle.state, x, points, bundle.gamma, metric)
+        assert np.array_equal(bundle.score_model(points), want)
+        assert bundle.score_model(points[:0]).shape == (0,)
+    popularity = fit_popularity(training, gamma, metric=metric)
+    assert np.array_equal(popularity.graph.matrix, oracle_kernel(x, gamma, metric))
+    state = {"s_vec": popularity.s_vec, "denom": popularity.denom}
+    assert np.array_equal(score_batch(popularity, points),
+                          unblocked_scores("popularity", state, x, points, gamma, metric))
+    paths = fit_shortest_path(training, gamma, 0.5, metric=metric)
+    assert np.array_equal(score_batch_shortest_path(paths, points), unblocked_scores(
+        "shortest_path", {"ra_q": paths.ra_q}, x, points, gamma, metric))
+    vd = vertex_degrees(kernel_graph(training, gamma, metric)).vd
+    assert np.array_equal(vd, oracle_kernel(x, gamma, metric).sum(axis=1))
+    dense = rbf_similarity_matrix(training, gamma, metric)
+    assert np.array_equal(dense.matrix, popularity.graph.matrix)
+    out = np.empty((3, len(x)))
+    assert dense.rows(slice(2, 5), out) is out and np.array_equal(out, dense.matrix[2:5])
+
+
+def test_results_come_back_in_block_order_with_block_sized_scratch(monkeypatch):
+    monkeypatch.setattr(graph_module, "_WORKERS", 3)
+    monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", 6 * 4)  # 2-row blocks of width 4
+    got = for_row_blocks(lambda rows, scratch: (rows, scratch.shape), 11, 4)
+    assert [r for r, _ in got] == graph_module.row_blocks(11, 12)
+    assert [shape for _, shape in got] == [(2, 4)] * 5 + [(1, 4)]
+
+
+def test_a_single_block_runs_inline():
+    got = for_row_blocks(lambda rows, scratch: (threading.current_thread(), scratch.shape), 3, 4)
+    assert got == [(threading.current_thread(), (3, 4))]
+    assert for_row_blocks(lambda rows, scratch: (rows, scratch.shape), 0, 4) == [
+        (slice(0, 0), (0, 4))]
+
+
+def test_a_worker_exception_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", graph_module._WORKERS * 5)
+
+    def fail_on_the_third_block(rows, scratch):
+        if rows.start == 2:
+            raise ZeroDivisionError("block 3")
+        return rows.start
+
+    with pytest.raises(ZeroDivisionError, match="block 3"):
+        for_row_blocks(fail_on_the_third_block, 10, 5)
+
+
+def test_each_scratch_buffer_serves_one_block_at_a_time(monkeypatch):
+    # More threads than cores, switching every microsecond: a buffer handed to two
+    # blocks at once is overwritten under one of them.
+    pool = ThreadPoolExecutor(8)
+    monkeypatch.setattr(graph_module, "_POOL", pool)
+    monkeypatch.setattr(graph_module, "_WORKERS", 8)
+    monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", 8 * 3)  # 1-row blocks of width 3
+
+    def fill_then_check(rows, scratch):
+        scratch[:] = rows.start
+        return all((scratch == rows.start).all() for _ in range(20))
+
+    got, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(
+            target=lambda: got.append(for_row_blocks(fill_then_check, 500, 3)))
+        caller.start()
+        caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown(wait=False, cancel_futures=True)
+    assert not caller.is_alive()
+    assert got == [[True] * 500]
+
+
+def block_starts():
+    return for_row_blocks(lambda rows, scratch: rows.start, 10, 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_runs_blocks_on_a_pool_of_its_own(monkeypatch):
+    monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", 8)  # several blocks for any worker count
+    want = block_starts()  # starts the parent's worker threads, which a child does not inherit
+    with multiprocessing.get_context("fork").Pool(1) as children:
+        assert children.apply_async(block_starts).get(timeout=60) == want

@@ -85,6 +85,17 @@ def test_q_out_of_range_rejected():
             select_normal_set(vals, q)
 
 
+@pytest.mark.parametrize("k", [None, 3])
+def test_fit_rejects_q_before_the_kernel_pass(k, small_data, monkeypatch):
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("kernel evaluated before q was checked")
+
+    monkeypatch.setattr(graph_module, "kernel_rows", no_kernel)
+    for q in (0.0, 1.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"q must be in \(0, 1\)"):
+            fit_shortest_path(small_data, 0.2, q, k)
+
+
 def test_normal_set_grows_with_q():
     rng = np.random.default_rng(0)
     vd = rng.uniform(1.0, 5.0, size=50)

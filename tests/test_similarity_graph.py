@@ -5,6 +5,7 @@ connectivity, against a breadth-first search written here.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -474,6 +475,23 @@ def test_dump_of_a_kernel_graph_equals_the_dense_dump(tmp_path, monkeypatch):
     monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", 2 * data.n)  # 2-row blocks, 1 left over
     dump_graph(kernel_graph(data, 1.0), tmp_path / "kernel.txt")
     assert (tmp_path / "kernel.txt").read_bytes() == (tmp_path / "dense.txt").read_bytes()
+
+
+def test_dump_holds_one_row_block_of_lines_at_a_time(tmp_path, monkeypatch):
+    data = random_dataset(150, 2, seed=16)
+    dense = rbf_similarity_matrix(data, 1.0).matrix
+    monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", 10 * data.n)
+    tracemalloc.start()
+    try:
+        dump_graph(kernel_graph(data, 1.0), tmp_path / "kernel.txt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # All 22,500 lines of the 0.7 MB file at once take about 3 MB.
+    assert peak < 1e6
+    want = "".join(f"{i},{j},{v!r}\n" for i, row in enumerate(dense.tolist())
+                   for j, v in enumerate(row))
+    assert (tmp_path / "kernel.txt").read_text() == want
 
 
 def test_dump_sparse_lists_stored_entries_only(tmp_path):
