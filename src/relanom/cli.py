@@ -159,6 +159,12 @@ def _cmd_fit(args) -> int:
             + ", ".join(boundary),
             file=sys.stderr,
         )
+    if args.sparsify:  # threshold_sparsify drops floor(F * pairs) unless connectivity needs some
+        pairs = graph.n * (graph.n - 1) // 2
+        dropped = pairs - (graph.matrix.nnz - graph.n) // 2
+        if dropped < math.floor(args.sparsify * pairs + 1e-9):
+            print(f"warning: --sparsify {args.sparsify:g} dropped only {dropped / pairs:.4f} of "
+                  "the pairs; the rest keep the graph connected", file=sys.stderr)
     print(f"fitted {args.method} model on {bundle.training.n} rows -> {args.model}")
     return 0
 

@@ -190,32 +190,37 @@ def rbf_similarity_matrix(
     return replace(graph, matrix=s)
 
 
-def _top_k_columns(score_rows, n: int, k: int):
+def _top_k_columns(read_rows, n: int, k: int):
     """Per row, ascending: the diagonal and the columns of the k largest other
     entries, ties toward the smaller column; returns those columns and their
-    values.  ``score_rows(rows)`` returns a fresh copy of the score rows in the
-    slice ``rows``, so only one block of ``row_blocks(n, n)`` is held at a time."""
+    values.  ``read_rows(rows, out)`` writes the score rows in ``rows`` into ``out``: half
+    of a ``for_row_blocks`` scratch block, whose other half holds partition and tie counts."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
-    cols = np.empty((n, k + 1), dtype=np.int64)
-    values = np.empty((n, k + 1))
-    for rows in row_blocks(n, n):
-        block, lo = score_rows(rows), rows.start
-        i = np.arange(len(block))
+    cols, values = np.empty((n, k + 1), dtype=np.int64), np.empty((n, k + 1))
+
+    def select(rows, scratch):
+        lo, i = rows.start, np.arange(rows.stop - rows.start)
+        block, work = scratch.reshape(2, len(i), n)
+        read_rows(rows, block)
         own = block[i, lo + i]
         block[i, lo + i] = -np.inf
-        kth = np.partition(block, n - k, axis=1)[:, [n - k]]  # a copy: frees the partition
+        np.copyto(work, block)
+        work.partition(n - k, axis=1)
+        kth = work[:, [n - k]]  # a copy: work holds the tie counts below
         keep = block >= kth
-        # Rows with more ties at the k-th value than places keep the first ones.
-        tie_rows = np.nonzero(keep.sum(axis=1) > k)[0]
-        sub, at = block[tie_rows], kth[tie_rows]
-        greater, tied = sub > at, sub == at
-        keep[tie_rows] = greater | (tied & (greater.sum(1, keepdims=True) + tied.cumsum(1) <= k))
+        tie = np.flatnonzero((counts := keep.sum(axis=1)) > k)  # more ties than places
+        cum = np.take(block, tie, axis=0, out=work[: tie.size], mode="clip")  # "raise" buffers
+        drop = cum == kth[tie]
+        np.cumsum(np.equal(cum, kth[tie], out=cum), axis=1, out=cum)
+        drop &= cum > cum[:, -1:] + (k - counts[tie, None])  # ties past the places left
+        keep[tie] ^= drop  # clears them: every one is kept
         keep[i, lo + i] = True
         block[i, lo + i] = own
-        picked = np.nonzero(keep)[1].reshape(-1, k + 1)
-        cols[rows] = picked
-        values[rows] = np.take_along_axis(block, picked, axis=1)
+        cols[rows] = (np.flatnonzero(keep) % n).reshape(-1, k + 1)
+        values[rows] = np.take_along_axis(block, cols[rows], axis=1)
+
+    for_row_blocks(select, n, 2 * n)
     return cols, values
 
 
@@ -223,10 +228,10 @@ def knn_truncate(graph: SimilarityGraph, k: int, read_rows=None) -> SimilarityGr
     """Directed sparsification: each row keeps its k most similar others.
 
     Ties break toward the smaller column index.  The diagonal is always
-    retained.  The result is generally asymmetric.  Rows are selected a
-    block of ``row_blocks`` at a time, in O(_BLOCK_ENTRIES) working memory,
-    from a dense or a kernel graph.  ``read_rows`` (default ``graph.rows``)
-    reads each block once; a caller's reader may also record what it reads.
+    retained.  The result is generally asymmetric.  Rows are selected from a
+    dense or a kernel graph on every core, in the pool's ``_BLOCK_ENTRIES`` of
+    working memory.  ``read_rows(rows, out)`` (default ``graph.rows``) writes each
+    block into ``out`` once; a caller's reader may also record what it reads.
     """
     if graph.is_sparse:
         raise ValueError("kNN truncation expects a dense or kernel graph")

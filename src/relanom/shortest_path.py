@@ -154,10 +154,8 @@ def fit_shortest_path(
     else:
         kernel, sums = kernel_graph(data, gamma, metric), np.empty(data.n)
 
-        def read_rows(rows):
-            block = kernel.rows(rows)
-            sums[rows] = block.sum(axis=1)  # before the kNN selection masks the diagonal
-            return block
+        def read_rows(rows, out):
+            sums[rows] = kernel.rows(rows, out).sum(axis=1)  # before the diagonal is masked
 
         path_graph = max_symmetrize(knn_truncate(kernel, k, read_rows))
         vd, weights = VertexDegrees(sums, gamma), path_weights(path_graph)

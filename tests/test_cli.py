@@ -109,6 +109,29 @@ def test_fit_warns_on_boundary_transform(tmp_path, capsys):
     assert "boundary" in capsys.readouterr().err
 
 
+def test_fit_warns_when_sparsify_keeps_pairs_for_connectivity(tmp_path, capsys):
+    # The wifi analogue's repeated rows make the connectivity bottleneck a tie
+    # block: past about 0.4 every --sparsify drops the same pairs.
+    data, model = tmp_path / "wifi.csv", tmp_path / "m.json"
+    assert run("synth", "--dataset", "wifi", "--n", "300", "--seed", "0",
+               "--output", str(data)) == 0
+    warned, dropped = {}, {}
+    for fraction in ("0.1", "0.9"):
+        dump = tmp_path / f"graph{fraction}.csv"
+        capsys.readouterr()
+        assert run("fit", "--method", "popularity", "--sparsify", fraction, "--input",
+                   str(data), "--output", str(model), "--dump-graph", str(dump)) == 0
+        warned[fraction] = [line for line in capsys.readouterr().err.splitlines()
+                            if "--sparsify" in line]
+        nnz = len(dump.read_text().splitlines())  # the diagonal and both halves of each pair
+        dropped[fraction] = 300 * 299 // 2 - (nnz - 300) // 2
+    pairs = 300 * 299 // 2
+    assert dropped["0.1"] == int(0.1 * pairs) and warned["0.1"] == []
+    assert dropped["0.9"] < 0.5 * pairs
+    assert warned["0.9"] == [f"warning: --sparsify 0.9 dropped only {dropped['0.9'] / pairs:.4f} "
+                             "of the pairs; the rest keep the graph connected"]
+
+
 def test_fit_missing_input_fails(tmp_path, capsys):
     assert run("fit", "--method", "popularity", "--input",
                str(tmp_path / "nope.csv"), "--output", str(tmp_path / "m.json")) == 1

@@ -10,15 +10,34 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from dataclasses import replace
+
+from scipy import sparse
+
 from relanom import graph as graph_module
-from relanom.degree import vertex_degrees
-from relanom.graph import DistanceMetric, for_row_blocks, kernel_graph, rbf_similarity_matrix
+from relanom.degree import _knn_distances, median_knn_distance, vd_knn_approx, vertex_degrees
+from relanom.graph import (
+    DistanceMetric,
+    for_row_blocks,
+    kernel_graph,
+    knn_truncate,
+    max_symmetrize,
+    rbf_similarity_matrix,
+)
 from relanom.model_io import METHODS, fit_model
 from relanom.popularity import fit_popularity, score_batch
-from relanom.shortest_path import fit_shortest_path, score_batch_shortest_path
-from relanom.synth import scraping_analogue
+from relanom.preprocess import apply_preprocessor, fit_preprocessor
+from relanom.shortest_path import (
+    fit_shortest_path,
+    multi_source_shortest_paths,
+    path_weights,
+    score_batch_shortest_path,
+    select_normal_set,
+)
+from relanom.synth import scraping_analogue, wifi_analogue
 
 from test_model_io import unblocked_scores
+from test_similarity_graph import oracle_knn
 
 
 def oracle_kernel(x, gamma, metric):
@@ -61,6 +80,68 @@ def test_threaded_blocks_give_the_unblocked_bits(workers, metric, monkeypatch):
     assert np.array_equal(dense.matrix, popularity.graph.matrix)
     out = np.empty((3, len(x)))
     assert dense.rows(slice(2, 5), out) is out and np.array_equal(out, dense.matrix[2:5])
+
+
+def oracle_knn_distances(x, k, metric):
+    """Each row's k nearest distances by a full-row stable argsort, self excluded."""
+    dist = cdist(x, x, metric.cdist_name)
+    np.fill_diagonal(dist, np.inf)
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(dist, order, axis=1)
+
+
+@pytest.mark.filterwarnings("ignore:.*unreachable")
+@pytest.mark.parametrize("gamma", [1e-4, 0.2])
+@pytest.mark.parametrize("metric", list(DistanceMetric))
+@pytest.mark.parametrize("workers", [1, 3])
+def test_threaded_knn_selection_gives_the_serial_bits(workers, metric, gamma, monkeypatch):
+    # 151 wifi rows, 44 distinct: most rows have more ties at the k-th value than
+    # places.  Gamma 1e-4 makes every similarity between distinct rows 0.
+    raw, _ = wifi_analogue(150, seed=3)
+    data = apply_preprocessor(raw, fit_preprocessor(raw))
+    x, n = data.values, data.n
+    s = oracle_kernel(x, gamma, metric)
+    dense = rbf_similarity_matrix(data, gamma, metric)
+    monkeypatch.setattr(graph_module, "_WORKERS", workers)
+    # 4 rows of 2n-wide scratch per worker: 37 blocks of 4 rows and a last one of 3
+    monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", 4 * 2 * n * workers)
+    for k in (1, 10, n - 1):
+        indices, values = oracle_knn(s, k)
+        for graph in (kernel_graph(data, gamma, metric), dense):
+            t = knn_truncate(graph, k).matrix
+            assert np.array_equal(t.indptr, np.arange(0, n * (k + 1) + 1, k + 1))
+            assert np.array_equal(t.indices, indices) and np.array_equal(t.data, values)
+        knn = sparse.csr_matrix((values, indices, t.indptr), shape=(n, n))
+        want = max_symmetrize(replace(dense, matrix=knn, symmetric=False)).matrix
+        vd = s.sum(axis=1)
+        _, normal = select_normal_set(vd, 0.5)
+        model = fit_shortest_path(data, gamma, 0.5, k, metric=metric)
+        assert np.array_equal(model.vd.vd, vd) and np.array_equal(model.normal_set, normal)
+        assert np.array_equal(model.ra_q, multi_source_shortest_paths(
+            path_weights(replace(dense, matrix=want)), normal))
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(model.graph.matrix, part), getattr(want, part))
+        near = oracle_knn_distances(x, k, metric)
+        assert np.array_equal(_knn_distances(data, k, metric), near)
+        v = float(np.median(near[near > 0.0]))
+        assert median_knn_distance(data, k, metric) == v
+        ev = np.exp(-v * v / gamma)
+        approx = k * ev * (1.0 + 2.0 * v * v / gamma) - 2.0 * v * ev / gamma * near.sum(axis=1)
+        assert np.array_equal(vd_knn_approx(data, k, gamma, metric=metric), approx)
+
+
+def test_a_row_reader_exception_reaches_the_knn_caller(monkeypatch):
+    monkeypatch.setattr(graph_module, "_WORKERS", 3)
+    monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", 2 * 20 * 3)  # 1-row blocks
+    graph = kernel_graph(scraping_analogue(20, seed=0)[0], 1.0)
+
+    def fail_on_row_5(rows, out):
+        if rows.start <= 5 < rows.stop:
+            raise ZeroDivisionError("row 5")
+        return graph.rows(rows, out)
+
+    with pytest.raises(ZeroDivisionError, match="row 5"):
+        knn_truncate(graph, 3, fail_on_row_5)
 
 
 def test_results_come_back_in_block_order_with_block_sized_scratch(monkeypatch):

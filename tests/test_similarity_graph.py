@@ -263,6 +263,23 @@ def test_knn_matches_per_row_stable_argsort(points, k_share, gamma, block_rows):
     assert np.array_equal(t.matrix.data, values)
 
 
+def test_knn_selection_holds_the_pool_scratch_and_its_output():
+    # 2,000 wifi rows, 72% of them one repeated row: most rows take the tie path.
+    # The selection of the whole n x n kernel held 18.8 MB.
+    raw, _ = wifi_analogue(2000, seed=0)
+    graph = kernel_graph(apply_preprocessor(raw, fit_preprocessor(raw)), 0.2)
+    k = 10
+    tracemalloc.start()
+    try:
+        t = knn_truncate(graph, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.matrix.nnz == graph.n * (k + 1)
+    output = 4 * graph.n * (k + 1) * 8  # columns and values, and their CSR copies
+    assert peak < 2 * graph_module._BLOCK_ENTRIES * 8 + output
+
+
 # ---------------------------------------------------------------------------
 # threshold_sparsify
 
