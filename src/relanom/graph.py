@@ -6,7 +6,8 @@ evaluates its rows a block at a time and has no size limit; a dense graph
 holds all n^2 entries, up to ``DENSE_LIMIT`` rows.  Two sparsifiers are
 provided, a per-row k-nearest-neighbor truncation of either and a global
 small-value threshold of a dense graph that preserves symmetry and
-connectivity, found by a partition and an O(n^2) maximum spanning tree pass.
+connectivity, found by an in-place partition of the pairs and an O(n^2)
+maximum spanning tree pass.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ def _top_k_columns(read_rows, n: int, k: int):
     """Per row, ascending: the diagonal and the columns of the k largest other
     entries, ties toward the smaller column; returns those columns and their
     values.  ``read_rows(rows, out)`` writes the score rows in ``rows`` into ``out``: half
-    of a ``for_row_blocks`` scratch block, whose other half holds partition and tie counts."""
+    of a ``for_row_blocks`` scratch block, whose other half holds the partition and tie rows."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
     cols, values = np.empty((n, k + 1), dtype=np.int64), np.empty((n, k + 1))
@@ -207,14 +208,16 @@ def _top_k_columns(read_rows, n: int, k: int):
         block[i, lo + i] = -np.inf
         np.copyto(work, block)
         work.partition(n - k, axis=1)
-        kth = work[:, [n - k]]  # a copy: work holds the tie counts below
+        kth = work[:, [n - k]]  # a copy: work holds the tie rows below
         keep = block >= kth
         tie = np.flatnonzero((counts := keep.sum(axis=1)) > k)  # more ties than places
-        cum = np.take(block, tie, axis=0, out=work[: tie.size], mode="clip")  # "raise" buffers
-        drop = cum == kth[tie]
-        np.cumsum(np.equal(cum, kth[tie], out=cum), axis=1, out=cum)
-        drop &= cum > cum[:, -1:] + (k - counts[tie, None])  # ties past the places left
-        keep[tie] ^= drop  # clears them: every one is kept
+        eq = np.take(block, tie, axis=0, out=work[: tie.size], mode="clip") == kth[tie]
+        at = np.flatnonzero(eq)  # the ties row by row; take's "raise" mode would buffer
+        first = np.searchsorted(at, np.arange(tie.size + 1) * n)
+        room = k - counts[tie] + np.diff(first)  # the places the entries above kth leave
+        at = at[np.repeat(first[:-1] - np.cumsum(room) + room, room) + np.arange(room.sum())]
+        keep[tie] ^= eq  # keeps only the entries above kth, then the first ties that fit
+        keep[tie[at // n], at % n] = True
         keep[i, lo + i] = True
         block[i, lo + i] = own
         cols[rows] = (np.flatnonzero(keep) % n).reshape(-1, k + 1)
@@ -242,14 +245,20 @@ def knn_truncate(graph: SimilarityGraph, k: int, read_rows=None) -> SimilarityGr
     return SimilarityGraph(mat, graph.gamma, graph.metric, symmetric=False, source=graph.source)
 
 
+def _upper_flat(mask: np.ndarray) -> np.ndarray:
+    """Flat indices i * n + j, i < j, of the true entries of an n x n mask, in (i, j) order."""
+    flat = np.flatnonzero(mask)
+    return flat[flat // len(mask) < flat % len(mask)]
+
+
 def threshold_sparsify(graph: SimilarityGraph, drop_fraction: float) -> SimilarityGraph:
     """Drop the smallest symmetric off-diagonal pairs of a dense graph.
 
-    Exactly floor(drop_fraction * n*(n-1)/2) pairs are removed by ``np.partition``,
+    Exactly floor(drop_fraction * n*(n-1)/2) pairs are removed by an in-place partition,
     smallest values first, tied ones in (i, j) order.  If that disconnects the graph,
     the largest dropped pairs are restored until it is connected: only when the cut
-    reaches the least edge of a maximum spanning tree, which an O(n^2) Prim pass
-    finds.  The diagonal is always kept; kept entries, zeros too, equal the dense ones.
+    reaches the least edge of a maximum spanning tree, which an O(n^2) Prim pass finds.
+    The diagonal is always kept; kept entries, zeros too, equal the dense ones (int32 CSR).
     """
     if not isinstance(graph.matrix, np.ndarray):
         raise ValueError("threshold sparsification expects a dense graph")
@@ -258,36 +267,40 @@ def threshold_sparsify(graph: SimilarityGraph, drop_fraction: float) -> Similari
     if not 0.0 <= drop_fraction < 1.0:
         raise ValueError("drop_fraction must be in [0, 1)")
     n, s = graph.n, graph.matrix
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    vals = s[upper]  # the pairs in (i, j) order
-    drop = int(math.floor(drop_fraction * vals.size + 1e-9))
-    keep, threshold = upper, None
+    drop = int(math.floor(drop_fraction * (n * (n - 1) // 2) + 1e-9))
+    keep, threshold = np.ones((n, n), dtype=bool), None
     if drop:
         key, parent, weight = s[0].copy(), np.zeros(n, dtype=np.int64), np.full(n, np.nan)
         key[0] = weight[0] = -np.inf  # Prim from 0; weight[v]: v's edge into the tree, nan before
+        # open_: not in the tree; better: the open vertices u is closer to (False once closed)
+        open_, better = np.arange(n) > 0, np.zeros(n, dtype=bool)
         for _ in range(n - 1):
-            u = int(np.argmax(key))
-            weight[u], key[u] = key[u], -np.inf
-            better = (s[u] > key) & np.isnan(weight)
-            parent[better], key[better] = u, s[u, better]
+            u = key.argmax()
+            weight[u], key[u], open_[u], better[u] = key[u], -np.inf, False, False
+            np.greater(s[u], key, out=better, where=open_)
+            np.copyto(parent, u, where=better)
+            np.copyto(key, s[u], where=better)
         vb = weight[1:].min()
         # Kruskal in descending (value, i, j) order: tree edges above vb (weight 1) span what
         # all pairs above vb do; pairs tied at vb join them, latest first.  The last it adds stays.
-        above, tied = np.flatnonzero(weight > vb), np.flatnonzero(upper & (s == vb))
+        above, tied = np.flatnonzero(weight > vb), _upper_flat(s == vb)
         tree = minimum_spanning_tree(sparse.csr_matrix(
             (np.r_[np.ones(above.size), n * n + 1.0 - tied],
              (np.r_[above, tied // n], np.r_[parent[above], tied % n])), shape=(n, n)))
-        drop = min(drop, (vals < vb).sum() + (tied <= n * n - tree.data.max()).sum())
-        threshold = float(np.partition(vals, drop - 1)[drop - 1])
-        ties = np.flatnonzero(upper & (s == threshold))  # dropped first in (i, j) order
-        keep = upper & (s > threshold)
-        keep.flat[ties[drop - np.count_nonzero(vals < threshold):]] = True
-    keep = keep | keep.T | np.eye(n, dtype=bool)
-    flat = np.flatnonzero(keep)  # row-major: sorted, canonical CSR indices
-    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=1))))
-    mat = sparse.csr_matrix((s.ravel()[flat], flat % n, indptr), shape=(n, n))
-    return SimilarityGraph(mat, graph.gamma, graph.metric, symmetric=True,
-                           source=graph.source, drop_threshold=threshold)
+        vals = np.concatenate([s[i, i + 1:] for i in range(n - 1)])  # the pairs, row by row
+        drop = min(drop, np.count_nonzero(vals < vb) + (tied <= n * n - tree.data.max()).sum())
+        vals.partition(drop - 1)
+        threshold = float(vals[drop - 1])
+        below = np.count_nonzero(vals[: drop - 1] < threshold)  # the dropped pairs under it
+        del vals
+        ties = _upper_flat(s == threshold)[drop - below:]  # ties are dropped in (i, j) order
+        keep = np.greater(s, threshold)  # symmetric: kernel values are bitwise symmetric
+        keep.flat[ties] = keep.T.flat[ties] = True
+        np.fill_diagonal(keep, True)
+    indptr = np.r_[0, np.count_nonzero(keep, axis=1)].cumsum(dtype=np.int32)
+    cols = np.broadcast_to(np.arange(n, dtype=np.int32), (n, n))[keep]  # row-major: canonical
+    return replace(graph, matrix=sparse.csr_matrix((s[keep], cols, indptr), shape=(n, n)),
+                   drop_threshold=threshold)
 
 
 def max_symmetrize(graph: SimilarityGraph) -> SimilarityGraph:

@@ -82,7 +82,8 @@ def power_iteration(
     ``|| S s - (s' S s) s ||`` of the current unit iterate is within
     ``tol``; that iterate is returned, so the reported residual is the
     residual of the returned vector.  The sign is fixed to the
-    all-positive orientation.
+    all-positive orientation.  A dense matrix's products run on BLAS and its
+    threads, a sparse one's in scipy's CSR kernel on one core.
     """
     n = s_matrix.shape[0]
     if s_matrix.shape[0] != s_matrix.shape[1]:

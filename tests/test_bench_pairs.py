@@ -1,6 +1,7 @@
-"""Summary arithmetic of tools/bench_pairs.py on fixed numbers."""
+"""Summary arithmetic and result-file reading of tools/bench_pairs.py on fixed inputs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,24 @@ def test_pairs_must_match():
         bench_pairs.summarize([1.0], [1.0, 2.0], "lower")
     with pytest.raises(ValueError):
         bench_pairs.summarize([], [], "lower")
+
+
+def test_the_per_command_metrics_are_read_from_the_run_result_file(tmp_path):
+    out = tmp_path / "perfbench" / "_out"
+    out.mkdir(parents=True)
+    doc = {"workload": "wifi_graph", "end_to_end": {"command_gmean_s": 0.12},
+           "commands_metrics": {"fit_shortest_path_s": 0.09, "fit_popularity_sparse_s": 0.25,
+                                "fail_ratio": 0.0, "f1_shortest_path": None}}
+    (out / "wifi_graph-seed3-trace0.json").write_text(json.dumps(doc))
+    (out / "wifi_graph-seed3-trace1.json").write_text("not read")
+    got = bench_pairs.commands_metrics(tmp_path, "wifi_graph", 3)
+    assert got == {"fit_shortest_path_s": 0.09, "fit_popularity_sparse_s": 0.25,
+                   "fail_ratio": 0.0}
+    with pytest.raises(FileNotFoundError):
+        bench_pairs.commands_metrics(tmp_path, "wifi_graph", 4)
+
+
+def test_command_medians_take_each_metric_over_the_runs_that_report_it():
+    runs = [{"a_s": 3.0, "b_s": 1.0}, {"a_s": 1.0}, {"a_s": 2.0, "b_s": 4.0}]
+    assert bench_pairs.command_medians(runs) == {"a_s": 2.0, "b_s": 2.5}
+    assert bench_pairs.command_medians([]) == {}

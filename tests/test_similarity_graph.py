@@ -468,6 +468,23 @@ def test_sparsify_matches_the_argsort_oracle_on_the_analogues(generate, metric, 
     assert_sparsify_matches_oracle(rbf_similarity_matrix(data, 0.2, metric), drop_fraction)
 
 
+@pytest.mark.parametrize("drop_fraction", [0.05, 0.5])
+@pytest.mark.parametrize("generate", [wifi_analogue, scraping_analogue])
+def test_sparsify_holds_at_most_18_bytes_per_matrix_entry(generate, drop_fraction):
+    # The kept mask, the pairs gathered for the partition and the CSR arrays, which hold
+    # 12 bytes per kept entry.  Slicing the pairs through an n x n triu mask, with int64
+    # flat indices, peaked at 22.8 to 32.7 bytes per entry.
+    raw = generate(1000, 0)[0]
+    graph = rbf_similarity_matrix(apply_preprocessor(raw, fit_preprocessor(raw)), 0.2)
+    tracemalloc.start()
+    try:
+        threshold_sparsify(graph, drop_fraction)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18 * graph.n**2
+
+
 # ---------------------------------------------------------------------------
 # dump_graph
 

@@ -13,6 +13,9 @@ in even pairs and the change in odd ones.  For every end-to-end metric of
 the pairs the change won, lost and tied.  A metric is marked as a gain when the
 change wins at least nine tenths of the pairs, ties counting for neither side,
 and its median beats the parent's by more than the parent's interquartile range.
+It then prints each side's median of every per-command metric, read from the
+``commands_metrics`` of each run's ``perfbench/_out/<workload>-seed<K>-trace0.json``;
+these are for information and never marked as a gain.
 The script writes nothing under ``perfbench/`` or to ``BENCHMARK.json``; the
 runs themselves write their results to ``perfbench/_out/``, which git ignores.
 """
@@ -53,6 +56,20 @@ def summarize(parent, change, better: str) -> dict:
     }
 
 
+def commands_metrics(root: Path, workload: str, seed: int) -> dict:
+    """The per-command metrics of the untraced run of ``workload`` at ``seed`` whose result
+    file lies under the checkout ``root``, those never measured (None) left out."""
+    path = root / "perfbench" / "_out" / f"{workload}-seed{seed}-trace0.json"
+    metrics = json.loads(path.read_text())["commands_metrics"]
+    return {name: value for name, value in metrics.items() if value is not None}
+
+
+def command_medians(runs) -> dict:
+    """Per-command metric name -> its median over the runs (dicts) that report it."""
+    names = dict.fromkeys(name for run in runs for name in run)
+    return {name: statistics.median(run[name] for run in runs if name in run) for name in names}
+
+
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """The result line of one untraced benchmark run in the checkout ``root``, each
     metric reduced to its value."""
@@ -66,6 +83,7 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"benchmark run in {root} exited {proc.returncode}")
     doc = json.loads(lines[-1])
     doc["metrics"] = {name: m["value"] for name, m in doc["metrics"].items()}
+    doc["commands"] = commands_metrics(root, workload, seed)
     return doc
 
 
@@ -114,6 +132,12 @@ def main(argv=None) -> int:
         print(f"  {name:<16} parent {p[1]:.6g} [{p[0]:.6g}, {p[2]:.6g}]  change {c[1]:.6g} "
               f"[{c[0]:.6g}, {c[2]:.6g}] {m['unit']}  change won {s['wins']}, lost "
               f"{s['losses']}, tied {s['ties']}{'  GAIN' if s['gain'] else ''}")
+    medians = {side: command_medians([r["commands"] for r in runs[side]]) for side in runs}
+    print("  per command (median; for information, outside the gain rule):")
+    for name in dict.fromkeys([*medians["parent"], *medians["change"]]):
+        shown = [f"{medians[side][name]:.6g}" if name in medians[side] else "absent"
+                 for side in ("parent", "change")]
+        print(f"    {name:<28} parent {shown[0]}  change {shown[1]}")
     bad = [f"{side} pair {i + 1}" for side, r in runs.items() for i, doc in enumerate(r)
            if not doc["correct"] or doc["failed"]]
     print("  every run correct with 0 failed" if not bad else "  NOT CORRECT: " + ", ".join(bad))
