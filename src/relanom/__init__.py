@@ -7,7 +7,7 @@ matrix or through shortest similarity-paths to a selected normal set.
 """
 
 from .dataset import Dataset, load_csv
-from .degree import VertexDegrees, median_knn_distance, vd_knn_approx, vertex_degrees
+from .degree import median_knn_distance, vd_knn_approx, vertex_degrees
 from .graph import (
     DistanceMetric,
     SimilarityGraph,
@@ -26,7 +26,6 @@ from .popularity import (
     power_iteration,
     relative_anomaly,
     rff_warm_start,
-    score_batch,
 )
 from .preprocess import (
     FeatureTransform,
@@ -47,7 +46,6 @@ from .shortest_path import (
     fit_shortest_path,
     multi_source_shortest_paths,
     path_weights,
-    score_batch_shortest_path,
     select_normal_set,
 )
 from .synth import (

@@ -11,8 +11,6 @@ the vertex-degree fit stores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial.distance import cdist
 
@@ -20,29 +18,19 @@ from .dataset import Dataset
 from .graph import DistanceMetric, SimilarityGraph, _top_k_columns, for_row_blocks
 
 __all__ = [
-    "VertexDegrees",
     "vertex_degrees",
     "median_knn_distance",
     "vd_knn_approx",
 ]
 
 
-@dataclass(frozen=True)
-class VertexDegrees:
-    """Row sums of a similarity graph, diagonal included."""
-
-    vd: np.ndarray
-    gamma: float
-
-
-def vertex_degrees(graph: SimilarityGraph) -> VertexDegrees:
-    """Row sums of the graph; a kernel graph is summed a row block at a time."""
+def vertex_degrees(graph: SimilarityGraph) -> np.ndarray:
+    """Row sums of the graph, diagonal included; a kernel graph is summed a row
+    block at a time."""
     if graph.matrix is None:
-        vd = np.concatenate(for_row_blocks(
+        return np.concatenate(for_row_blocks(
             lambda rows, out: graph.rows(rows, out).sum(axis=1), graph.n, graph.n))
-    else:
-        vd = np.asarray(graph.matrix.sum(axis=1)).ravel()
-    return VertexDegrees(vd=vd, gamma=graph.gamma)
+    return np.asarray(graph.matrix.sum(axis=1)).ravel()
 
 
 def median_knn_distance(

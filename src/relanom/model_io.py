@@ -39,6 +39,12 @@ DEFAULT_GAMMA = {"popularity": 0.2, "vertex_degree": 0.5, "shortest_path": 0.2}
 
 METHODS = tuple(DEFAULT_GAMMA)
 
+# What load_model reads: the document's keys, and the state keys of each method.
+_KEYS = ("method", "preprocess", "metric", "gamma", "config", "columns", "transforms",
+         "training", "state", "train_scores")
+_STATE_KEYS = {"popularity": ("s_vec", "denom"), "vertex_degree": ("vd",),
+               "shortest_path": ("ra_q", "normal_set")}
+
 
 @dataclass
 class ModelBundle:
@@ -162,6 +168,8 @@ def fit_model(
     tol = 1e-8 if tol is None else tol
     max_iter = 10_000 if max_iter is None else max_iter
     seed = 0 if seed is None else seed
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     transforms = fit_preprocessor(raw, preprocess)
     data = apply_preprocessor(raw, transforms)
     config = {"seed": seed, "tol": tol, "max_iter": max_iter}
@@ -172,28 +180,19 @@ def fit_model(
         )
         config.update({"sparsify": sparsify, "start": start,
                        "rff_dim": rff_dim if start == "rff" else None})
-        state = {
-            "s_vec": model.s_vec,
-            "lambda1": model.lambda1,
-            "denom": model.denom,
-            "iterations": model.iterations,
-            "residual": model.residual,
-        }
+        state = {"s_vec": model.s_vec, "lambda1": model.lambda1, "denom": model.lambda1,
+                 "iterations": model.iterations, "residual": model.residual}
         graph = model.graph
     elif method == "vertex_degree":
         graph = kernel_graph(data, gamma, metric)
         vd = vertex_degrees(graph)
         # symmetric full kernel S: the stationary distribution is exactly vd / sum(vd)
         # (detailed balance); iterating would stall on well-separated clusters
-        state = {"vd": vd.vd, "stationary": vd.vd / vd.vd.sum()}
+        state = {"vd": vd, "stationary": vd / vd.sum()}
     else:
         model = fit_shortest_path(data, gamma, q, k, metric=metric)
         config.update({"q": q, "k": k})
-        state = {
-            "vd": model.vd.vd,
-            "normal_set": model.normal_set,
-            "ra_q": model.ra_q,
-        }
+        state = {"vd": model.vd, "normal_set": model.normal_set, "ra_q": model.ra_q}
         graph = model.graph
     bundle = ModelBundle(
         method=method,
@@ -238,11 +237,19 @@ def load_model(path) -> ModelBundle:
             f"model file format version {version} is not supported "
             f"(expected {FORMAT_VERSION})"
         )
+    missing = [key for key in _KEYS if key not in doc] or [
+        f"state.{key}" for key in _STATE_KEYS.get(doc["method"], ()) if key not in doc["state"]]
+    if missing:
+        raise ValueError(f"{path}: model file has no '{missing[0]}' key")
     transforms = [FeatureTransform(**t) for t in doc["transforms"]]
     state = {
         key: (np.asarray(value, dtype=np.float64) if isinstance(value, list) else value)
         for key, value in doc["state"].items()
     }
+    n = len(doc["training"])
+    for key in ("s_vec", "vd", "ra_q", "stationary"):
+        if key in state and np.shape(state[key]) != (n,):
+            raise ValueError(f"{path}: state.{key} needs one entry per training row ({n})")
     if "normal_set" in state:
         state["normal_set"] = np.asarray(state["normal_set"], dtype=np.int64)
     bundle = ModelBundle(

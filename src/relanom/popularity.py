@@ -17,7 +17,6 @@ from .dataset import Dataset
 from .graph import (
     DistanceMetric,
     SimilarityGraph,
-    for_row_blocks,
     kernel_rows,
     rbf_similarity_matrix,
     threshold_sparsify,
@@ -33,7 +32,6 @@ __all__ = [
     "fit_popularity",
     "relative_anomaly",
     "kernel_extension",
-    "score_batch",
 ]
 
 
@@ -57,14 +55,13 @@ class PowerResult:
 class PopularityModel:
     """Fitted popularity scorer.
 
-    ``denom`` freezes the eigenvalue estimate ``lambda1`` = s' S s of the
-    returned unit vector on the fitted (possibly sparsified) graph, so
-    out-of-sample scores reproduce the training scores on training rows.
+    ``lambda1`` = s' S s of the returned unit vector on the fitted (possibly
+    sparsified) graph is the out-of-sample denominator, so out-of-sample
+    scores reproduce the training scores on training rows.
     """
 
     s_vec: np.ndarray
     lambda1: float
-    denom: float
     graph: SimilarityGraph
     iterations: int
     residual: float
@@ -91,8 +88,8 @@ def power_iteration(
     diag = s_matrix.diagonal()
     if np.any(diag <= 0.0):
         raise ValueError("matrix must have a strictly positive diagonal")
-    if tol <= 0.0 or max_iter < 1:
-        raise ValueError("tol must be positive and max_iter at least 1")
+    if not (tol > 0.0 and math.isfinite(tol)) or max_iter < 1:
+        raise ValueError("tol must be a positive finite real and max_iter at least 1")
     if s0 is None:
         s = np.full(n, 1.0 / math.sqrt(n))
     else:
@@ -197,7 +194,6 @@ def fit_popularity(
     return PopularityModel(
         s_vec=result.s_vec,
         lambda1=result.lambda1,
-        denom=result.lambda1,
         graph=graph,
         iterations=result.iterations,
         residual=result.residual,
@@ -228,13 +224,3 @@ def kernel_extension(
     """
     k = kernel_rows(points, training, gamma, metric, out)
     return -np.multiply(k, s_vec, out=k).sum(axis=1) / denom
-
-
-def score_batch(model: PopularityModel, points: np.ndarray) -> np.ndarray:
-    """Out-of-sample scores via the kernel extension of the eigenvector.
-
-    Points must already be mapped through the model's feature transforms.
-    """
-    g, x = model.graph, np.atleast_2d(points)
-    return np.concatenate(for_row_blocks(lambda rows, out: kernel_extension(
-        x[rows], g.source.values, model.s_vec, model.denom, g.gamma, g.metric, out), len(x), g.n))

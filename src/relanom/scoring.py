@@ -94,7 +94,6 @@ class Explanation:
     difference: np.ndarray
     feature_order: list[int]
     columns: list[str]
-    p: float
 
     def rows(self):
         """(feature, anomalous value, closest normal value, difference),
@@ -148,5 +147,4 @@ def explain_deviations(
         difference=diff,
         feature_order=[int(j) for j in order],
         columns=list(training.columns),
-        p=p,
     )

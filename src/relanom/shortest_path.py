@@ -18,11 +18,10 @@ from scipy import sparse
 from scipy.sparse.csgraph import dijkstra
 
 from .dataset import Dataset
-from .degree import VertexDegrees, vertex_degrees
+from .degree import vertex_degrees
 from .graph import (
     DistanceMetric,
     SimilarityGraph,
-    for_row_blocks,
     kernel_graph,
     knn_truncate,
     max_symmetrize,
@@ -38,20 +37,18 @@ __all__ = [
     "multi_source_shortest_paths",
     "fit_shortest_path",
     "one_hop_extension",
-    "score_batch_shortest_path",
 ]
 
 
 @dataclass(frozen=True)
 class ShortestPathModel:
-    vd: VertexDegrees
-    q: float
+    vd: np.ndarray
     normal_set: np.ndarray
     ra_q: np.ndarray
     graph: SimilarityGraph
 
 
-def select_normal_set(vd: VertexDegrees | np.ndarray, q: float):
+def select_normal_set(vd: np.ndarray, q: float):
     """Indices whose vertex degree exceeds that of a 1-q share of the data.
 
     Membership: ecdf(vd_l) > 1 - q with the right-continuous ECDF, i.e.
@@ -61,9 +58,8 @@ def select_normal_set(vd: VertexDegrees | np.ndarray, q: float):
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must be in (0, 1)")
-    values = vd.vd if isinstance(vd, VertexDegrees) else vd
-    dist = ScoreDistribution.from_scores(values)
-    members = np.nonzero(dist.ecdf(values) > 1.0 - q)[0]
+    dist = ScoreDistribution.from_scores(vd)
+    members = np.nonzero(dist.ecdf(vd) > 1.0 - q)[0]
     return dist, members
 
 
@@ -152,13 +148,13 @@ def fit_shortest_path(
         path_graph = weights = rbf_similarity_matrix(data, gamma, metric)
         vd = vertex_degrees(path_graph)
     else:
-        kernel, sums = kernel_graph(data, gamma, metric), np.empty(data.n)
+        kernel, vd = kernel_graph(data, gamma, metric), np.empty(data.n)
 
         def read_rows(rows, out):
-            sums[rows] = kernel.rows(rows, out).sum(axis=1)  # before the diagonal is masked
+            vd[rows] = kernel.rows(rows, out).sum(axis=1)  # before the diagonal is masked
 
         path_graph = max_symmetrize(knn_truncate(kernel, k, read_rows))
-        vd, weights = VertexDegrees(sums, gamma), path_weights(path_graph)
+        weights = path_weights(path_graph)
     _, normal = select_normal_set(vd, q)
     ra_q = multi_source_shortest_paths(weights, normal)
     unreachable = int(np.sum(np.isinf(ra_q)))
@@ -168,7 +164,7 @@ def fit_shortest_path(
             "their scores are +inf",
             stacklevel=2,
         )
-    return ShortestPathModel(vd=vd, q=q, normal_set=normal, ra_q=ra_q, graph=path_graph)
+    return ShortestPathModel(vd=vd, normal_set=normal, ra_q=ra_q, graph=path_graph)
 
 
 def one_hop_extension(
@@ -189,10 +185,3 @@ def one_hop_extension(
     w = sq_distances(points, training, metric, out)
     np.divide(w, gamma, out=w)
     return np.add(w, ra_q, out=w).min(axis=1)
-
-
-def score_batch_shortest_path(model: ShortestPathModel, points: np.ndarray) -> np.ndarray:
-    """One-hop extension of the fitted distances; points must be in model space."""
-    g, x = model.graph, np.atleast_2d(points)
-    return np.concatenate(for_row_blocks(lambda rows, out: one_hop_extension(
-        x[rows], g.source.values, model.ra_q, g.gamma, g.metric, out), len(x), g.n))

@@ -20,7 +20,6 @@ from relanom.popularity import (
     relative_anomaly,
     rff_feature_map,
     rff_warm_start,
-    score_batch,
 )
 from relanom.preprocess import apply_preprocessor, fit_box_cox, fit_preprocessor
 from relanom.scoring import ScoreDistribution, dora_batch, label_top_fraction
@@ -73,7 +72,7 @@ def test_ac01_relative_beats_frequency_on_scraping(capsys):
     data = apply_preprocessor(raw, fit_preprocessor(raw, "box-cox"))
     ra = relative_anomaly(fit_popularity(data, GAMMA_POPULARITY))
     precision, recall = precision_recall(label_top_fraction(ra, 0.2), truth)
-    vd = vertex_degrees(rbf_similarity_matrix(data, GAMMA_BASELINE)).vd
+    vd = vertex_degrees(rbf_similarity_matrix(data, GAMMA_BASELINE))
     _, vd_recall = precision_recall(label_top_fraction(-vd, 0.2), truth)
     elapsed = time.perf_counter() - start
     ok = precision >= 0.95 and recall >= 0.95 and vd_recall < recall and elapsed <= 10.0
@@ -87,7 +86,7 @@ def test_ac02_far_cluster_on_wifi(capsys, wifi_fit):
     pop_labels = label_top_fraction(relative_anomaly(model), 0.13)
     far_rate = float(pop_labels[far].mean())
     medium_rate = float(pop_labels[medium].mean())
-    vd = vertex_degrees(rbf_similarity_matrix(data, GAMMA_BASELINE)).vd
+    vd = vertex_degrees(rbf_similarity_matrix(data, GAMMA_BASELINE))
     vd_labels = label_top_fraction(-vd, 0.13)
     vd_medium_rate = float(vd_labels[medium].mean())
     ok = far_rate >= 0.95 and medium_rate <= 0.05 and vd_medium_rate >= 0.5
@@ -153,8 +152,15 @@ def test_ac05_stationarity_identity(capsys):
 
 def test_ac06_out_of_sample_consistency(capsys, scraping_fit, wifi_fit):
     errs = {}
-    for name, (_, _, data, model) in (("scraping", scraping_fit), ("wifi", wifi_fit)):
-        scores = score_batch(model, data.values)
+    # The scorer that `score` runs, on the fitted eigenvector and model-space rows
+    for name, prep, (_, _, data, model) in (("scraping", "box-cox", scraping_fit),
+                                            ("wifi", "standardize", wifi_fit)):
+        bundle = ModelBundle(
+            method="popularity", preprocess=prep, metric=model.graph.metric,
+            gamma=GAMMA_POPULARITY, config={}, transforms=[], training=data,
+            state={"s_vec": model.s_vec, "denom": model.lambda1},
+        )
+        scores = bundle.score_model(data.values)
         errs[name] = float(np.max(np.abs(scores + model.s_vec)))
     ok = all(err <= 1e-6 for err in errs.values())
     report(capsys, "AC6 training-row consistency: "
@@ -260,14 +266,14 @@ def test_ac10_structural_invariants(capsys, tmp_path):
         method = methods[case % 3]
         if method == "popularity":
             m = fit_popularity(data, 1.0)
-            state = {"s_vec": m.s_vec, "lambda1": m.lambda1, "denom": m.denom,
+            state = {"s_vec": m.s_vec, "lambda1": m.lambda1, "denom": m.lambda1,
                      "iterations": m.iterations, "residual": m.residual}
         elif method == "vertex_degree":
             vd = vertex_degrees(rbf_similarity_matrix(data, 1.0))
-            state = {"vd": vd.vd, "stationary": vd.vd / vd.vd.sum()}
+            state = {"vd": vd, "stationary": vd / vd.sum()}
         else:
             m = fit_shortest_path(data, 1.0, q=0.5)
-            state = {"vd": m.vd.vd, "normal_set": m.normal_set, "ra_q": m.ra_q}
+            state = {"vd": m.vd, "normal_set": m.normal_set, "ra_q": m.ra_q}
         bundle = ModelBundle(
             method=method, preprocess="standardize",
             metric=rbf_similarity_matrix(data, 1.0).metric, gamma=1.0,

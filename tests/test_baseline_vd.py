@@ -51,7 +51,7 @@ def graph_from_matrix(s: np.ndarray):
 def test_two_point_degrees():
     s = np.array([[1.0, 0.5], [0.5, 1.0]])
     vd = vertex_degrees(graph_from_matrix(s))
-    np.testing.assert_allclose(vd.vd, [1.5, 1.5])
+    np.testing.assert_allclose(vd, [1.5, 1.5])
 
 
 def test_far_point_has_smallest_degree():
@@ -61,14 +61,14 @@ def test_far_point_has_smallest_degree():
     d2 = np.array([[0, 1, 100], [1, 0, 81], [100, 81, 0]], dtype=float)
     expected = np.exp(-d2).sum(axis=1)
     vd = vertex_degrees(g)
-    np.testing.assert_allclose(vd.vd, expected, rtol=1e-12)
-    assert np.argmin(vd.vd) == 2
+    np.testing.assert_allclose(vd, expected, rtol=1e-12)
+    assert np.argmin(vd) == 2
 
 
 def test_identical_points_degree_n():
     data = Dataset(np.zeros((7, 2)))
     vd = vertex_degrees(rbf_similarity_matrix(data, 1.0))
-    np.testing.assert_array_equal(vd.vd, np.full(7, 7.0))
+    np.testing.assert_array_equal(vd, np.full(7, 7.0))
 
 
 def test_degrees_of_sparse_graph_sum_stored_entries():
@@ -76,13 +76,13 @@ def test_degrees_of_sparse_graph_sum_stored_entries():
     g = rbf_similarity_matrix(data, 1.0)
     t = knn_truncate(g, 3)
     vd = vertex_degrees(t)
-    np.testing.assert_allclose(vd.vd, t.matrix.toarray().sum(axis=1))
+    np.testing.assert_allclose(vd, t.matrix.toarray().sum(axis=1))
 
 
 def test_ranking_invariant_to_diagonal():
     data = random_dataset(40, 3, seed=1)
     g = rbf_similarity_matrix(data, 0.7)
-    vd = vertex_degrees(g).vd
+    vd = vertex_degrees(g)
     vd_nodiag = vd - 1.0
     assert np.array_equal(np.argsort(vd, kind="stable"), np.argsort(vd_nodiag, kind="stable"))
 

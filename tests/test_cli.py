@@ -174,6 +174,9 @@ def test_fit_rejects_a_flag_the_method_ignores(tmp_path, train_csv, capsys, meth
     (("--seed", "5"), "seed"),
     (("--seed", "5", "--start", "uniform"), "seed"),
     (("--sparsify", "1.0"), "sparsify"),
+    (("--tol", "nan"), "tol"),
+    (("--tol", "inf"), "tol"),
+    (("--seed", "-1", "--start", "rff"), "seed"),
 ])
 def test_fit_rejects_a_popularity_flag_out_of_range_or_ignored(
     tmp_path, train_csv, capsys, flag, name
@@ -437,3 +440,23 @@ def test_unsupported_format_version_rejected(tmp_path, pop_model, capsys):
     assert run("score", "--model", str(bad), "--input", str(pop_model),
                "--output", str(tmp_path / "out.csv")) == 1
     assert "format version" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corrupt, key", [
+    (lambda doc: doc["state"].pop("s_vec"), "state.s_vec"),
+    (lambda doc: doc.pop("transforms"), "transforms"),
+    (lambda doc: doc["training"].pop(), "state.s_vec"),  # one row fewer than s_vec entries
+], ids=["no-s_vec", "no-transforms", "short-training"])
+def test_malformed_model_file_gives_one_error_line(tmp_path, train_csv, pop_model, capsys,
+                                                   corrupt, key):
+    doc = json.loads(pop_model.read_text())
+    corrupt(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out.csv"
+    assert run("score", "--model", str(bad), "--input", str(train_csv),
+               "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(bad) in err and key in err
+    assert not out.exists()

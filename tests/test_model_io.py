@@ -12,8 +12,6 @@ from relanom import graph as graph_module
 from relanom.dataset import Dataset
 from relanom.graph import DistanceMetric
 from relanom.model_io import METHODS, ModelBundle, fit_model
-from relanom.popularity import fit_popularity, score_batch
-from relanom.shortest_path import fit_shortest_path, score_batch_shortest_path
 from relanom.synth import scraping_analogue
 
 
@@ -26,16 +24,6 @@ def test_bundle_scores_training_rows_like_the_fit(method, metric):
     # AC6 tolerance: out-of-sample scores reproduce the training scores.
     np.testing.assert_allclose(
         bundle.score_model(train), bundle.train_scores_rowwise(), rtol=0.0, atol=1e-6)
-    points = np.vstack([train, train + 0.1])
-    if method == "popularity":
-        model = fit_popularity(bundle.training, bundle.gamma, metric=metric)
-        expect = score_batch(model, points)
-    elif method == "shortest_path":
-        model = fit_shortest_path(bundle.training, bundle.gamma, 0.5, metric=metric)
-        expect = score_batch_shortest_path(model, points)
-    else:
-        return
-    assert np.array_equal(bundle.score_model(points), expect)
 
 
 def unblocked_scores(method, state, training, points, gamma, metric):
@@ -90,39 +78,19 @@ def test_blocked_scores_equal_the_unblocked_oracle(
 def test_scoring_holds_one_block_of_kernel_rows_at_a_time(method):
     raw, _ = scraping_analogue(1000, seed=0)
     bundle, _ = fit_model(raw, method)
+    training = bundle.training.values
     rng = np.random.default_rng(0)
-    points = bundle.training.values[rng.integers(0, 1000, 5000)] + rng.normal(0.0, 0.1, (5000, 2))
+    points = training[rng.integers(0, 1000, 5000)] + rng.normal(0.0, 0.1, (5000, 2))
     tracemalloc.start()
     try:
-        bundle.score_model(points)
+        got = bundle.score_model(points)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # One whole 5000 x 1000 float64 kernel would be 40 MB.
     assert peak < 16e6
-
-
-@pytest.mark.parametrize("method", ["popularity", "shortest_path"])
-def test_batch_scorers_hold_one_block_of_kernel_rows_at_a_time(method):
-    raw, _ = scraping_analogue(1000, seed=0)
-    bundle, _ = fit_model(raw, method)
-    training, gamma, metric = bundle.training.values, bundle.gamma, bundle.metric
-    if method == "popularity":
-        model = fit_popularity(bundle.training, gamma, metric=metric)
-        state, score = {"s_vec": model.s_vec, "denom": model.denom}, score_batch
-    else:
-        model = fit_shortest_path(bundle.training, gamma, 0.5, metric=metric)
-        state, score = {"ra_q": model.ra_q}, score_batch_shortest_path
-    rng = np.random.default_rng(0)
-    points = training[rng.integers(0, 1000, 5000)] + rng.normal(0.0, 0.1, (5000, 2))
-    tracemalloc.start()
-    try:
-        got = score(model, points)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
-    assert np.array_equal(got, unblocked_scores(method, state, training, points, gamma, metric))
+    assert np.array_equal(got, unblocked_scores(
+        method, bundle.state, training, points, bundle.gamma, bundle.metric))
 
 
 def fitted_state(raw, method, **kwargs):

@@ -14,11 +14,11 @@ from relanom.graph import rbf_similarity_matrix
 from relanom.popularity import (
     ConvergenceError,
     fit_popularity,
+    kernel_extension,
     power_iteration,
     relative_anomaly,
     rff_feature_map,
     rff_warm_start,
-    score_batch,
 )
 from relanom.preprocess import apply_preprocessor, fit_preprocessor
 
@@ -108,8 +108,10 @@ def test_rejects_malformed_inputs():
         power_iteration(np.ones((2, 3)))
     with pytest.raises(ValueError, match="diagonal"):
         power_iteration(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(ValueError, match="tol"):
-        power_iteration(np.eye(2), tol=0.0)
+    # NaN would run out the iteration budget; inf would return the start vector.
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            power_iteration(np.eye(2), tol=tol)
     with pytest.raises(ValueError, match="starting vector"):
         power_iteration(np.eye(2), s0=np.zeros(2))
     with pytest.raises(FloatingPointError):
@@ -141,12 +143,11 @@ def test_same_seed_is_bit_identical():
     a = fit_popularity(data, 0.5, start="random", seed=9)
     b = fit_popularity(data, 0.5, start="random", seed=9)
     assert np.array_equal(a.s_vec, b.s_vec)
-    assert a.lambda1 == b.lambda1 and a.denom == b.denom
+    assert a.lambda1 == b.lambda1
     for model in (a, fit_popularity(data, 0.5), fit_popularity(data, 0.5, sparsify=0.5),
                   fit_popularity(data, 0.5, start="rff")):
-        # denom is the eigenvalue estimate s' S s of the returned vector
-        assert model.denom == model.lambda1
-        assert model.denom == float(model.s_vec @ (model.graph.matrix @ model.s_vec))
+        # lambda1, the out-of-sample denominator, is s' S s of the returned vector
+        assert model.lambda1 == float(model.s_vec @ (model.graph.matrix @ model.s_vec))
 
 
 def test_converges_quickly_on_clustered_data(scraping):
@@ -219,28 +220,35 @@ def test_feature_map_rejects_bad_arguments(small_data):
 
 
 # ---------------------------------------------------------------------------
-# score_batch
+# out-of-sample scoring: the kernel extension
+
+
+def extension_scores(model, points):
+    """Kernel extension of the fitted eigenvector to model-space points."""
+    g = model.graph
+    return kernel_extension(
+        np.atleast_2d(points), g.source.values, model.s_vec, model.lambda1, g.gamma, g.metric)
 
 
 def test_training_rows_score_their_own_entries(small_data):
     model = fit_popularity(small_data, 1.0, tol=1e-10)
     for i in range(small_data.n):
-        got = score_batch(model, small_data.values[i][None])[0]
+        got = extension_scores(model, small_data.values[i][None])[0]
         assert got == pytest.approx(-model.s_vec[i], abs=1e-6)
 
 
 def test_batch_matches_scalar_scoring(small_data):
     model = fit_popularity(small_data, 1.0)
     pts = random_dataset(5, 2, seed=9).values
-    batch = score_batch(model, pts)
+    batch = extension_scores(model, pts)
     for i, x in enumerate(pts):
         # BLAS may sum a one-row product in another order than the full one
-        assert score_batch(model, x[None])[0] == pytest.approx(batch[i], rel=1e-12)
+        assert extension_scores(model, x[None])[0] == pytest.approx(batch[i], rel=1e-12)
 
 
 def test_far_point_scores_near_zero(small_data):
     model = fit_popularity(small_data, 1.0, tol=1e-10)
-    far = score_batch(model, np.array([[1e4, 1e4]]))[0]
+    far = extension_scores(model, np.array([[1e4, 1e4]]))[0]
     assert -1e-300 < far <= 0.0
     assert far > relative_anomaly(model).max()
 
@@ -253,4 +261,4 @@ def test_mode_point_scores_as_typical(scraping):
     mode_raw = Dataset(np.array([[0.0, 0.0]]), list(raw.columns))
     mode = apply_preprocessor(mode_raw, tfs).values[0]
     ra = relative_anomaly(model)
-    assert score_batch(model, mode[None])[0] < np.quantile(ra, 0.2)
+    assert extension_scores(model, mode[None])[0] < np.quantile(ra, 0.2)

@@ -25,13 +25,12 @@ from relanom.graph import (
     rbf_similarity_matrix,
 )
 from relanom.model_io import METHODS, fit_model
-from relanom.popularity import fit_popularity, score_batch
+from relanom.popularity import fit_popularity
 from relanom.preprocess import apply_preprocessor, fit_preprocessor
 from relanom.shortest_path import (
     fit_shortest_path,
     multi_source_shortest_paths,
     path_weights,
-    score_batch_shortest_path,
     select_normal_set,
 )
 from relanom.synth import scraping_analogue, wifi_analogue
@@ -68,13 +67,7 @@ def test_threaded_blocks_give_the_unblocked_bits(workers, metric, monkeypatch):
         assert bundle.score_model(points[:0]).shape == (0,)
     popularity = fit_popularity(training, gamma, metric=metric)
     assert np.array_equal(popularity.graph.matrix, oracle_kernel(x, gamma, metric))
-    state = {"s_vec": popularity.s_vec, "denom": popularity.denom}
-    assert np.array_equal(score_batch(popularity, points),
-                          unblocked_scores("popularity", state, x, points, gamma, metric))
-    paths = fit_shortest_path(training, gamma, 0.5, metric=metric)
-    assert np.array_equal(score_batch_shortest_path(paths, points), unblocked_scores(
-        "shortest_path", {"ra_q": paths.ra_q}, x, points, gamma, metric))
-    vd = vertex_degrees(kernel_graph(training, gamma, metric)).vd
+    vd = vertex_degrees(kernel_graph(training, gamma, metric))
     assert np.array_equal(vd, oracle_kernel(x, gamma, metric).sum(axis=1))
     dense = rbf_similarity_matrix(training, gamma, metric)
     assert np.array_equal(dense.matrix, popularity.graph.matrix)
@@ -116,7 +109,7 @@ def test_threaded_knn_selection_gives_the_serial_bits(workers, metric, gamma, mo
         vd = s.sum(axis=1)
         _, normal = select_normal_set(vd, 0.5)
         model = fit_shortest_path(data, gamma, 0.5, k, metric=metric)
-        assert np.array_equal(model.vd.vd, vd) and np.array_equal(model.normal_set, normal)
+        assert np.array_equal(model.vd, vd) and np.array_equal(model.normal_set, normal)
         assert np.array_equal(model.ra_q, multi_source_shortest_paths(
             path_weights(replace(dense, matrix=want)), normal))
         for part in ("indptr", "indices", "data"):

@@ -28,8 +28,8 @@ from relanom.scoring import ScoreDistribution
 from relanom.shortest_path import (
     fit_shortest_path,
     multi_source_shortest_paths,
+    one_hop_extension,
     path_weights,
-    score_batch_shortest_path,
     select_normal_set,
 )
 
@@ -263,7 +263,7 @@ def test_underflowed_entries_keep_exact_weight_distances(points, gamma, metric, 
     near, floor = oracle < 700.0, np.minimum(oracle, 708.0) - 1e-9
     np.testing.assert_allclose(model.ra_q[near], oracle[near], rtol=0, atol=1e-9)
     assert np.all(model.ra_q >= floor)
-    one_hop = score_batch_shortest_path(model, x)
+    one_hop = one_hop_scores(model, x)
     np.testing.assert_allclose(one_hop[near], model.ra_q[near], rtol=0, atol=1e-9)
     assert np.all((floor <= one_hop) & (one_hop <= model.ra_q))
 
@@ -276,7 +276,7 @@ def dense_route_oracle(data, gamma, q, k, metric):
     vd = vertex_degrees(dense)
     _, normal = select_normal_set(vd, q)
     path_graph = dense if k is None else max_symmetrize(knn_truncate(dense, k))
-    return vd.vd, normal, multi_source_shortest_paths(path_weights(path_graph), normal), path_graph
+    return vd, normal, multi_source_shortest_paths(path_weights(path_graph), normal), path_graph
 
 
 @pytest.mark.filterwarnings("ignore:.*unreachable")
@@ -299,8 +299,8 @@ def test_row_block_fits_equal_the_dense_route(points, gamma, metric, k_share, q,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph_module, "_BLOCK_ENTRIES", block_rows * data.n)
         model = fit_shortest_path(data, gamma, q, k, metric=metric)
-        kernel_vd = vertex_degrees(kernel_graph(data, gamma, metric)).vd
-    assert np.array_equal(model.vd.vd, vd) and np.array_equal(kernel_vd, vd)
+        kernel_vd = vertex_degrees(kernel_graph(data, gamma, metric))
+    assert np.array_equal(model.vd, vd) and np.array_equal(kernel_vd, vd)
     assert np.array_equal(model.normal_set, normal)
     assert np.array_equal(model.ra_q, ra_q)
     if k is None:
@@ -417,9 +417,9 @@ def test_knn_graph_can_leave_nodes_unreachable():
 
 def test_degrees_come_from_dense_graph_even_with_knn():
     data = random_dataset(15, 2, seed=6)
-    dense_vd = vertex_degrees(rbf_similarity_matrix(data, 1.0)).vd
+    dense_vd = vertex_degrees(rbf_similarity_matrix(data, 1.0))
     model = fit_shortest_path(data, 1.0, q=0.5, k=3)
-    np.testing.assert_array_equal(model.vd.vd, dense_vd)
+    np.testing.assert_array_equal(model.vd, dense_vd)
     assert model.graph.is_sparse
 
 
@@ -427,23 +427,27 @@ def test_degrees_come_from_dense_graph_even_with_knn():
 # scoring new observations
 
 
+def one_hop_scores(model, points):
+    """One-hop extension of the fitted distances to model-space points."""
+    g = model.graph
+    return one_hop_extension(np.atleast_2d(points), g.source.values, model.ra_q, g.gamma, g.metric)
+
+
 def test_training_points_score_their_fitted_values(small_data):
     model = fit_shortest_path(small_data, 1.0, q=0.5)
-    scores = score_batch_shortest_path(model, small_data.values)
+    scores = one_hop_scores(model, small_data.values)
     np.testing.assert_allclose(scores, model.ra_q, atol=1e-12)
 
 
 def test_normal_training_point_scores_zero(small_data):
     model = fit_shortest_path(small_data, 1.0, q=0.5)
     x = small_data.values[model.normal_set[0]]
-    assert score_batch_shortest_path(model, x[None])[0] == 0.0
+    assert one_hop_scores(model, x[None])[0] == 0.0
 
 
 def test_scores_increase_along_a_ray(small_data):
     model = fit_shortest_path(small_data, 1.0, q=0.5)
     center = small_data.values.mean(axis=0)
     direction = np.array([1.0, 0.5])
-    scores = score_batch_shortest_path(
-        model, center + np.linspace(2, 10, 9)[:, None] * direction
-    )
+    scores = one_hop_scores(model, center + np.linspace(2, 10, 9)[:, None] * direction)
     assert np.all(np.diff(scores) > 0.0)
