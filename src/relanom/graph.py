@@ -3,11 +3,11 @@
 Observations become vertices; the edge weight between two observations is
 the radial basis similarity exp(-d(x_i, x_j)^2 / gamma).  A kernel graph
 evaluates its rows a block at a time and has no size limit; a dense graph
-holds all n^2 entries, up to ``DENSE_LIMIT`` rows.  Two sparsifiers are
-provided, a per-row k-nearest-neighbor truncation of either and a global
-small-value threshold of a dense graph that preserves symmetry and
-connectivity, found by an in-place partition of the pairs and an O(n^2)
-maximum spanning tree pass.
+(of the fits, only popularity's) holds all n^2 entries, up to
+``DENSE_LIMIT`` rows.  Two sparsifiers are provided, a per-row
+k-nearest-neighbor truncation of either and a global small-value threshold
+of a dense graph that preserves symmetry and connectivity, found by an
+in-place partition of the pairs and an O(n^2) maximum spanning tree pass.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ __all__ = [
     "dump_graph",
 ]
 
-DENSE_LIMIT = 20_000  # most rows of a dense n x n graph (popularity, dense shortest path)
+DENSE_LIMIT = 20_000  # most rows of a dense n x n graph; popularity fits build one
 _BLOCK_ENTRIES = 1 << 19  # entries of the row blocks in flight together (4 MB of float64)
 # Kernel row blocks run on every core of the affinity mask; cdist, exp and numpy
 # reductions release the GIL.
@@ -182,9 +182,8 @@ def rbf_similarity_matrix(
     graph = kernel_graph(data, gamma, metric)
     if data.n > DENSE_LIMIT:
         raise ValueError(
-            f"n = {data.n} exceeds the dense limit of {DENSE_LIMIT} for popularity and "
-            "dense shortest paths; --method vertex_degree and --method shortest_path "
-            "--k K scale past it"
+            f"n = {data.n} exceeds the dense limit of {DENSE_LIMIT} for popularity; "
+            "--method vertex_degree and --method shortest_path scale past it"
         )
     s = np.empty((data.n, data.n))
     for_row_blocks(lambda rows, _: graph.rows(rows, s[rows]), data.n, data.n)

@@ -231,6 +231,8 @@ def save_model(path, bundle: ModelBundle) -> None:
 def load_model(path) -> ModelBundle:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: model file holds no JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(
@@ -241,7 +243,10 @@ def load_model(path) -> ModelBundle:
         f"state.{key}" for key in _STATE_KEYS.get(doc["method"], ()) if key not in doc["state"]]
     if missing:
         raise ValueError(f"{path}: model file has no '{missing[0]}' key")
-    transforms = [FeatureTransform(**t) for t in doc["transforms"]]
+    try:
+        transforms = [FeatureTransform(**t) for t in doc["transforms"]]
+    except TypeError as exc:
+        raise ValueError(f"{path}: model file has a malformed 'transforms' entry: {exc}") from None
     state = {
         key: (np.asarray(value, dtype=np.float64) if isinstance(value, list) else value)
         for key, value in doc["state"].items()

@@ -80,17 +80,20 @@ def apply_box_cox(x, delta: float, lam: float):
 
 def _profile_loglik(shifted: np.ndarray, log_shifted_sum: float, lam: float) -> float:
     # Gaussian profile log-likelihood with the transform Jacobian,
-    # constants dropped.
+    # constants dropped.  np.var's steps run in the one buffer y; a
+    # non-finite y makes the mean nan or inf, checked before y - mean warns.
     if lam == 0.0:
         y = np.log(shifted)
     else:
         y = (np.power(shifted, lam) - 1.0) / lam
-    if not np.all(np.isfinite(y)):
+    n = shifted.size
+    mean = np.add.reduce(y) / n
+    if not math.isfinite(mean):
         return -math.inf
-    var = float(np.var(y))
+    y -= mean
+    var = float(np.add.reduce(np.multiply(y, y, out=y)) / n)
     if var <= 0.0 or not math.isfinite(var):
         return -math.inf
-    n = shifted.size
     return -0.5 * n * math.log(var) + (lam - 1.0) * log_shifted_sum
 
 

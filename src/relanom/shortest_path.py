@@ -22,7 +22,9 @@ from .degree import vertex_degrees
 from .graph import (
     DistanceMetric,
     SimilarityGraph,
+    for_row_blocks,
     kernel_graph,
+    kernel_rows,
     knn_truncate,
     max_symmetrize,
     rbf_similarity_matrix,
@@ -66,11 +68,14 @@ def select_normal_set(vd: np.ndarray, q: float):
 def path_weights(graph: SimilarityGraph):
     """Edge-weight view -ln s_ij of a similarity graph; a zero similarity is no edge.
 
+    A kernel graph is evaluated in full, refused past ``DENSE_LIMIT`` rows.
     Negative similarities are rejected.  A zero weighs +inf, as an absent
     sparse entry does.  A kernel entry exp(-d^2/gamma) loses precision only
     past d^2/gamma ~708 and is zero past ~745, so distances below ~708 equal
-    those of the exact weights d^2/gamma up to rounding.
+    those of the exact weights up to rounding.
     """
+    if graph.matrix is None:
+        graph = rbf_similarity_matrix(graph.source, graph.gamma, graph.metric)
     values = graph.matrix.data if graph.is_sparse else graph.matrix
     if np.any(values < 0.0):
         raise ValueError("similarities must be nonnegative")
@@ -87,41 +92,59 @@ def multi_source_shortest_paths(weights, sources: np.ndarray) -> np.ndarray:
     """Dijkstra distances from the nearest of several sources.
 
     Equivalent to adding a virtual source with zero-weight edges to every
-    listed vertex.  ``weights`` is a dense ndarray or CSR matrix of
-    nonnegative edge weights, or a dense SimilarityGraph, whose rows become
-    weights -ln s (``path_weights``) one settled row at a time.  Absent sparse
-    entries mean "no edge" and stored zeros are edges.  Unreachable vertices
-    get +inf.  Dense input runs an O(n^2) array Dijkstra; sparse input runs
-    csgraph's, which would drop the zero-weight edges of dense input.
+    listed vertex.  ``weights`` is an ndarray or CSR matrix of nonnegative
+    edge weights, or a SimilarityGraph, whose similarities become weights
+    -ln s (``path_weights``); a kernel graph is evaluated as it is read, in
+    O(n) memory.  Absent sparse entries mean "no edge" and stored zeros are
+    edges.  Unreachable vertices get +inf.  Sparse input runs csgraph's
+    Dijkstra, which would drop the zero-weight edges of dense input.
+    Otherwise the sources settle at distance 0, one row-block pass on every
+    core keys each other vertex by its least weight from a source, and an
+    array Dijkstra settles the rest on one core, one row per vertex.
     """
     sources = np.asarray(sources, dtype=np.int64)
     if sources.size == 0:
         raise ValueError("at least one source vertex is required")
+    if isinstance(weights, SimilarityGraph) and weights.matrix is not None:
+        weights = path_weights(weights)
     if sparse.issparse(weights):
         return dijkstra(weights, directed=True, indices=sources, min_only=True)
-    if isinstance(weights, SimilarityGraph):
-        s = weights.matrix
-        if s.min() < 0.0:
-            raise ValueError("similarities must be nonnegative")
+    if isinstance(weights, SimilarityGraph):  # a kernel graph: columns are its points
+        g, x = weights, weights.source.values
+        columns = x.__getitem__
 
-        def row_weights(u):
-            return -np.log(s[u])
-    else:
-        s, row_weights = weights, weights.__getitem__
-    n = s.shape[0]
-    dist = np.full(n, np.inf)
-    key = dist.copy()  # tentative distances; +inf once settled
-    key[sources] = 0.0
-    done = np.zeros(n, dtype=bool)
-    with np.errstate(divide="ignore"):  # -ln 0 = +inf: no edge
-        for _ in range(n):
-            u = int(np.argmin(key))
-            if key[u] == np.inf:
+        def read(rows, c, out):  # the weights of rows x columns c, in out
+            s = kernel_rows(x[rows], c, g.gamma, g.metric, out)
+            return np.negative(np.log(s, out=s), out=s)  # ln 0 divides by zero: no edge
+    else:  # an n x n array: columns are indices
+        x, columns = np.asarray(weights, dtype=np.float64), np.copy
+
+        def read(rows, c, out):  # a fresh copy; out is not needed
+            return x[np.ix_(rows, c)]
+    dist = np.full(len(x), np.inf)
+    dist[sources] = 0.0
+    sources, rest = np.flatnonzero(dist == 0.0), np.flatnonzero(dist)  # rest: left to settle
+    cols, key = columns(rest), np.empty(rest.size)
+
+    def source_keys(rows, out):  # in place: the pass holds O(n) beside its scratch
+        with np.errstate(divide="ignore"):  # per thread
+            w = read(sources, cols[rows], out.reshape(sources.size, -1))
+            np.min(w, axis=0, out=key[rows])
+
+    for_row_blocks(source_keys, rest.size, sources.size)
+    # 0.0 + w, as the relaxation from a source at distance 0.0 adds, turns -0.0 into 0.0
+    np.add(0.0, key, out=key)
+    buf, m = np.empty((1, rest.size)), rest.size  # rest, key and cols: the first m unsettled
+    with np.errstate(divide="ignore"):
+        while m:
+            p = int(np.argmin(key[:m]))
+            u, du = rest[p], key[p]
+            if du == np.inf:
                 break
-            dist[u], key[u], done[u] = key[u], np.inf, True
-            cand = dist[u] + row_weights(u)
-            cand[done] = np.inf
-            np.minimum(key, cand, out=key)
+            dist[u], m = du, m - 1
+            rest[p], key[p], cols[p] = rest[m], key[m], cols[m]
+            w = read([u], cols[:m], buf[:, :m])[0]
+            np.minimum(key[:m], np.add(du, w, out=w), out=key[:m])
     return dist
 
 
@@ -136,19 +159,21 @@ def fit_shortest_path(
     """Select the normal set by vertex degree, then run multi-source Dijkstra.
 
     Vertex degrees are the row sums of the full kernel.  Without ``k`` the
-    paths run on the dense graph.  With ``k`` they run on the
-    k-nearest-neighbor graph, symmetrized by keeping an edge when either
-    endpoint kept it; then one pass over kernel row blocks gives both the
-    degrees and the kNN selection, and no n x n matrix is built.
-    Disconnected vertices score +inf and trigger a warning.
+    paths run on the dense graph, a kernel graph whose rows are evaluated as
+    Dijkstra reads them.  With ``k`` they run on the k-nearest-neighbor
+    graph, symmetrized by keeping an edge when either endpoint kept it; one
+    pass over kernel row blocks then gives both the degrees and the kNN
+    selection.  No n x n matrix is built.  Disconnected vertices score +inf
+    and trigger a warning.
     """
     if not 0.0 < q < 1.0:  # before the kernel pass, which can take seconds
         raise ValueError("q must be in (0, 1)")
+    kernel = kernel_graph(data, gamma, metric)
     if k is None:
-        path_graph = weights = rbf_similarity_matrix(data, gamma, metric)
-        vd = vertex_degrees(path_graph)
+        path_graph = weights = kernel
+        vd = vertex_degrees(kernel)
     else:
-        kernel, vd = kernel_graph(data, gamma, metric), np.empty(data.n)
+        vd = np.empty(data.n)
 
         def read_rows(rows, out):
             vd[rows] = kernel.rows(rows, out).sum(axis=1)  # before the diagonal is masked

@@ -460,3 +460,20 @@ def test_malformed_model_file_gives_one_error_line(tmp_path, train_csv, pop_mode
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(bad) in err and key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda doc: [], "holds no JSON object"),
+    (lambda doc: {**doc, "transforms": [{"column": "x"}]}, "malformed 'transforms' entry"),
+], ids=["list", "transform-without-fields"])
+def test_model_file_of_the_wrong_shape_gives_one_error_line(tmp_path, train_csv, pop_model,
+                                                            capsys, corrupt, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(corrupt(json.loads(pop_model.read_text()))))
+    out = tmp_path / "out.csv"
+    assert run("score", "--model", str(bad), "--input", str(train_csv),
+               "--output", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(bad) in err and message in err
+    assert not out.exists()

@@ -100,20 +100,19 @@ def fitted_state(raw, method, **kwargs):
 
 def test_row_block_fits_run_past_the_dense_limit():
     raw, _ = scraping_analogue(60, seed=0)
-    want_vd = fitted_state(raw, "vertex_degree")
-    want_knn = fitted_state(raw, "shortest_path", k=10)
+    fits = [("vertex_degree", {}), ("shortest_path", {}), ("shortest_path", {"k": 10})]
+    want = [fitted_state(raw, method, **kwargs) for method, kwargs in fits]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph_module, "DENSE_LIMIT", 20)
-        got_vd = fitted_state(raw, "vertex_degree")
-        got_knn = fitted_state(raw, "shortest_path", k=10)
-        for method in ("popularity", "shortest_path"):
-            with pytest.raises(ValueError, match="--method vertex_degree and --method "
-                                                 "shortest_path --k K scale past it"):
-                fit_model(raw, method)
-    for got, want in ((got_vd, want_vd), (got_knn, want_knn)):
-        assert got.keys() == want.keys()
-        for key in want:
-            assert np.array_equal(got[key], want[key])
+        got = [fitted_state(raw, method, **kwargs) for method, kwargs in fits]
+        with pytest.raises(ValueError, match="dense limit of 20 for popularity; --method "
+                                             "vertex_degree and --method shortest_path scale "
+                                             "past it"):
+            fit_model(raw, "popularity")
+    for got_state, want_state in zip(got, want):
+        assert got_state.keys() == want_state.keys()
+        for key in want_state:
+            assert np.array_equal(got_state[key], want_state[key])
 
 
 def fit_peak_bytes(raw, method, **kwargs):
@@ -132,5 +131,4 @@ def test_fits_hold_no_second_kernel():
     # Row-block fits: one block of kernel rows at a time, never the n x n kernel.
     assert fit_peak_bytes(raw, "vertex_degree") < kernel_bytes
     assert fit_peak_bytes(raw, "shortest_path", k=10) < kernel_bytes
-    # The dense fit holds the kernel, but no n x n array of -ln s beside it.
-    assert fit_peak_bytes(raw, "shortest_path") < 2 * kernel_bytes
+    assert fit_peak_bytes(raw, "shortest_path") < kernel_bytes

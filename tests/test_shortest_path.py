@@ -6,6 +6,7 @@ paths, in both the min-sum and max-product forms.
 
 import heapq
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from relanom.dataset import Dataset
 from relanom.degree import vertex_degrees
 from relanom.graph import (
     DistanceMetric,
+    SimilarityGraph,
     kernel_graph,
+    kernel_rows,
     knn_truncate,
     max_symmetrize,
     rbf_similarity_matrix,
@@ -141,6 +144,18 @@ def test_negative_similarity_rejected():
             path_weights(graph_from_matrix(matrix))
 
 
+@pytest.mark.parametrize("metric", list(DistanceMetric))
+def test_kernel_graph_weights_are_its_evaluated_rows(small_data, metric):
+    got = path_weights(kernel_graph(small_data, 0.5, metric))
+    assert np.array_equal(got, path_weights(rbf_similarity_matrix(small_data, 0.5, metric)))
+
+
+def test_kernel_graph_weights_are_refused_past_the_dense_limit(small_data, monkeypatch):
+    monkeypatch.setattr(graph_module, "DENSE_LIMIT", small_data.n - 1)
+    with pytest.raises(ValueError, match="dense limit"):
+        path_weights(kernel_graph(small_data, 0.5))
+
+
 @pytest.mark.parametrize("as_matrix", [np.array, stored_csr], ids=["dense", "sparse"])
 def test_zero_similarity_is_no_edge(as_matrix):
     # Vertex 2 is linked to the others only by zeros: unreachable.
@@ -258,7 +273,7 @@ def test_underflowed_entries_keep_exact_weight_distances(points, gamma, metric, 
     # zero is no edge, so there the only bound is ~708.
     x = np.array(points + [(0, 0), (40, 40)], dtype=float)
     model = fit_shortest_path(Dataset(x), gamma, q, metric=metric)
-    assert np.any(model.graph.matrix == 0.0)
+    assert np.any(model.graph.rows(slice(0, model.graph.n)) == 0.0)
     oracle = multi_source_shortest_paths(sq_distances(x, x, metric) / gamma, model.normal_set)
     near, floor = oracle < 700.0, np.minimum(oracle, 708.0) - 1e-9
     np.testing.assert_allclose(model.ra_q[near], oracle[near], rtol=0, atol=1e-9)
@@ -304,11 +319,58 @@ def test_row_block_fits_equal_the_dense_route(points, gamma, metric, k_share, q,
     assert np.array_equal(model.normal_set, normal)
     assert np.array_equal(model.ra_q, ra_q)
     if k is None:
-        assert np.array_equal(model.graph.matrix, path_graph.matrix)
+        assert np.array_equal(model.graph.rows(slice(0, data.n)), path_graph.matrix)
     else:
         got, want = model.graph.matrix, path_graph.matrix
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, part), getattr(want, part))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # ln 0 in the pool's threads too
+@settings(max_examples=300, deadline=None)
+@given(
+    points=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=14),
+    gamma=st.sampled_from([1e-4, 0.1, 1.0, 10.0]),
+    metric=st.sampled_from(list(DistanceMetric)),
+    picks=st.lists(st.integers(0, 13), min_size=1, max_size=20),
+    every=st.booleans(),
+    block_rows=st.integers(1, 4),
+)
+def test_kernel_graph_dijkstra_equals_the_ndarray_route(
+    points, gamma, metric, picks, every, block_rows
+):
+    # Integer-grid points repeat rows (zero weights) and tie distances; gamma
+    # 1e-4 underflows every off-diagonal entry to 0 (+inf weights).  Sources
+    # repeat, or are every vertex; n runs from 1.  Small blocks split the
+    # source pass into several blocks on the pool's threads.
+    x = np.array(points, dtype=float)
+    n = len(x)
+    sources = np.arange(n) if every else np.array(picks) % n
+    kernel = SimilarityGraph(None, gamma, metric, symmetric=True, source=Dataset(x))
+    with np.errstate(divide="ignore"):
+        weights = -np.log(kernel_rows(x, x, gamma, metric))
+    want = oracle_dijkstra(weights, sources)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_BLOCK_ENTRIES", block_rows * n)
+        got = multi_source_shortest_paths(kernel, sources)
+    assert got.tobytes() == want.tobytes()
+    assert multi_source_shortest_paths(weights, sources).tobytes() == want.tobytes()
+
+
+def test_kernel_graph_source_pass_holds_o_n_memory(monkeypatch):
+    # One-row blocks: a pass that kept each block's n-long minima would hold
+    # |sources| x |rest| entries (36 MB here); written in place it holds O(n).
+    n = 3000
+    x = np.random.default_rng(0).normal(size=(n, 3))
+    graph = kernel_graph(Dataset(x), 1.0)
+    monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", 1)
+    tracemalloc.start()
+    try:
+        multi_source_shortest_paths(graph, np.arange(0, n, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2048 * n
 
 
 @settings(max_examples=200, deadline=None)
@@ -321,6 +383,9 @@ def test_dense_graph_dijkstra_takes_weights_row_by_row(seed, n):
     with np.errstate(divide="ignore"):
         want = multi_source_shortest_paths(-np.log(s), sources)
     assert np.array_equal(multi_source_shortest_paths(graph_from_matrix(s), sources), want)
+    # A sparse graph becomes CSR weights, which run csgraph's Dijkstra.
+    sparse_graph = graph_from_matrix(stored_csr(s))
+    assert np.array_equal(multi_source_shortest_paths(sparse_graph, sources), want)
 
 
 def test_dense_graph_dijkstra_rejects_negative_similarities():

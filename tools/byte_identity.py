@@ -7,7 +7,8 @@ exist yet.  The script generates ``synth`` scraping and wifi data (n=1000,
 seed 0), fits every method with ``--metric l2`` and ``--metric l1``, plus
 popularity with ``--sparsify 0.5``, ``--sparsify 0.9``,
 ``--metric l1 --sparsify 0.5`` and ``--start rff`` and shortest_path with
-``--k 1``, ``--k 10``, ``--metric l1 --k 10`` and ``--gamma 0.1`` (each fit
+``--k 1``, ``--k 10``, ``--metric l1 --k 10``, ``--gamma 0.1``, ``--q 0.1``
+and ``--q 0.9`` (each fit
 with ``--train-scores`` and ``--dump-graph``), then runs ``score`` (with and
 without ``--neg-log-display``), ``ecdf``, ``explain`` (``--p-normal`` 0.5 and
 0.95) and ``grid`` on every model, and ``compare`` on each data file.  It
@@ -65,6 +66,8 @@ FITS = [
     ("pop_sparse09", ["--method", "popularity", "--sparsify", "0.9"]),
     ("sp_g01", ["--method", "shortest_path", "--gamma", "0.1"]),
     ("pop_l1_sparse", ["--method", "popularity", "--metric", "l1", "--sparsify", "0.5"]),
+    ("sp_q01", ["--method", "shortest_path", "--q", "0.1"]),
+    ("sp_q09", ["--method", "shortest_path", "--q", "0.9"]),
 ]
 for ds in ("scraping", "wifi"):
     data = f"{ds}.csv"
