@@ -154,8 +154,6 @@ def fit_model(
                                ("seed", seed, "popularity")):
         if value is not None and method != owner:
             raise ValueError(f"{name} applies only to method {owner}, not {method}")
-    if not 0.0 <= sparsify < 1.0:
-        raise ValueError(f"sparsify must be in [0, 1), got {sparsify}")
     if rff_dim is not None and start != "rff":
         raise ValueError(f"rff_dim applies only to start rff, not {start or 'uniform'}")
     if seed is not None and start in (None, "uniform"):

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.linalg.blas import dgemm, dgemv, dsymv, dsyrk
 
 from .dataset import Dataset
 from .graph import (
@@ -67,11 +69,45 @@ class PopularityModel:
     residual: float
 
 
+def _check_stopping(tol: float, max_iter: int) -> None:
+    if not (tol > 0.0 and math.isfinite(tol)) or max_iter < 1:
+        raise ValueError("tol must be a positive finite real and max_iter at least 1")
+
+
+def _symmetric_product(s_matrix, equal_rows: np.ndarray | None = None):
+    """The function v -> S v that ``power_iteration`` applies: scipy's CSR product for a
+    sparse S, else the BLAS ``dsymv`` on the upper triangle of dense S (the lower one is
+    never read).
+
+    ``dsymv`` takes a Fortran-ordered matrix.  The transpose of a C-ordered S is one,
+    with S's upper triangle as its lower one; any other layout is copied once, here,
+    not by f2py in every product.  ``dsymv`` sums each entry in an order set by its
+    index, so equal rows can differ in the last bits; entry i is copied from entry
+    ``equal_rows[i]`` where that names another row.
+    """
+    if sparse.issparse(s_matrix):
+        return s_matrix.__matmul__
+    a = np.asarray(s_matrix, dtype=np.float64)
+    a, lower = (a.T, 1) if a.flags.c_contiguous else (np.asfortranarray(a), 0)
+    if equal_rows is None:
+        return lambda v: dsymv(1.0, a, v, lower=lower)
+    twins = np.flatnonzero(equal_rows != np.arange(len(equal_rows)))
+    firsts = equal_rows[twins]
+
+    def product(v):
+        y = dsymv(1.0, a, v, lower=lower)
+        y[twins] = y[firsts]
+        return y
+
+    return product
+
+
 def power_iteration(
     s_matrix,
     s0: np.ndarray | None = None,
     tol: float = 1e-8,
     max_iter: int = 10_000,
+    equal_rows: np.ndarray | None = None,
 ) -> PowerResult:
     """Dominant eigenpair of a symmetric matrix by power iteration.
 
@@ -79,8 +115,11 @@ def power_iteration(
     ``|| S s - (s' S s) s ||`` of the current unit iterate is within
     ``tol``; that iterate is returned, so the reported residual is the
     residual of the returned vector.  The sign is fixed to the
-    all-positive orientation.  A dense matrix's products run on BLAS and its
-    threads, a sparse one's in scipy's CSR kernel on one core.
+    all-positive orientation.  A dense matrix's products read only its upper
+    triangle, in the BLAS symmetric product ``dsymv`` on the library's threads
+    (see ``_symmetric_product``); a sparse one's run in scipy's CSR kernel on one
+    core.  ``equal_rows[i]``, when given, is a row of a dense S equal to row i (i
+    itself if none is); the entries of equal rows are then kept bit-equal.
     """
     n = s_matrix.shape[0]
     if s_matrix.shape[0] != s_matrix.shape[1]:
@@ -88,8 +127,8 @@ def power_iteration(
     diag = s_matrix.diagonal()
     if np.any(diag <= 0.0):
         raise ValueError("matrix must have a strictly positive diagonal")
-    if not (tol > 0.0 and math.isfinite(tol)) or max_iter < 1:
-        raise ValueError("tol must be a positive finite real and max_iter at least 1")
+    _check_stopping(tol, max_iter)
+    product = _symmetric_product(s_matrix, equal_rows)
     if s0 is None:
         s = np.full(n, 1.0 / math.sqrt(n))
     else:
@@ -100,7 +139,7 @@ def power_iteration(
         s = s / norm
     residual = np.inf
     for it in range(1, max_iter + 1):
-        y = s_matrix @ s
+        y = product(s)
         if not np.all(np.isfinite(y)):
             raise FloatingPointError("power iteration produced non-finite values")
         lam = float(s @ y)
@@ -130,7 +169,12 @@ def rff_feature_map(data: Dataset, n_features: int, gamma: float, seed: int) -> 
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, math.sqrt(2.0 / gamma), size=(n_features, data.d))
     b = rng.uniform(0.0, 2.0 * math.pi, size=n_features)
-    return math.sqrt(2.0 / n_features) * np.cos(w @ data.values.T + b[:, None])
+    # z' = x w' in Fortran order is z in C order; the features are written in place.
+    z = dgemm(1.0, data.values.T, w.T, trans_a=1).T
+    z += b[:, None]
+    np.cos(z, out=z)
+    z *= math.sqrt(2.0 / n_features)
+    return z
 
 
 def rff_warm_start(data: Dataset, n_features: int, gamma: float, seed: int) -> np.ndarray:
@@ -138,14 +182,16 @@ def rff_warm_start(data: Dataset, n_features: int, gamma: float, seed: int) -> n
 
     The dominant eigenvector of the small D x D matrix Phi Phi' lifts
     back to observation space; its magnitudes, normalized, seed the full
-    power iteration.
+    power iteration.  Its products run on scipy's BLAS, like the power
+    iteration's: numpy loads its own library, whose idle threads would spin
+    against ``dsymv``'s.
     """
     phi = rff_feature_map(data, n_features, gamma, seed)
-    small = phi @ phi.T
+    small = dsyrk(1.0, phi.T, trans=1)  # phi phi', upper triangle only: the one dsymv reads
     # Lift any tiny negative diagonal noise; the matrix is PSD by form.
     np.fill_diagonal(small, np.maximum(small.diagonal(), 1e-12))
     lead = power_iteration(small, tol=1e-10, max_iter=10_000)
-    start = np.abs(phi.T @ lead.s_vec)
+    start = np.abs(dgemv(1.0, phi.T, lead.s_vec))
     norm = float(np.linalg.norm(start))
     if norm == 0.0:
         raise ValueError("random features produced a degenerate start vector")
@@ -172,9 +218,10 @@ def fit_popularity(
     fraction of the smallest off-diagonal similarity pairs first; it must
     lie in [0, 1).
     """
-    graph = rbf_similarity_matrix(data, gamma, metric)
-    if sparsify:
-        graph = threshold_sparsify(graph, sparsify)
+    # Every flag is checked, and the warm start built, before the n x n kernel exists.
+    _check_stopping(tol, max_iter)
+    if not 0.0 <= sparsify < 1.0:
+        raise ValueError(f"sparsify must be in [0, 1), got {sparsify}")
     if start == "uniform":
         s0 = None
     elif start == "random":
@@ -185,7 +232,16 @@ def fit_popularity(
         s0 = rff_warm_start(data, rff_dim, gamma, seed)
     else:
         raise ValueError(f"unknown start '{start}'")
-    result = power_iteration(graph.matrix, s0, tol=tol, max_iter=max_iter)
+    graph = rbf_similarity_matrix(data, gamma, metric)
+    if sparsify:
+        # the cut may keep different pairs of equal observations, so their rows differ
+        graph, equal_rows = threshold_sparsify(graph, sparsify), None
+    else:  # equal observations have equal kernel rows
+        _, first, inverse = np.unique(
+            data.values, axis=0, return_index=True, return_inverse=True)
+        equal_rows = first[inverse.ravel()]
+    result = power_iteration(graph.matrix, s0, tol=tol, max_iter=max_iter,
+                             equal_rows=equal_rows)
     if np.any(result.s_vec <= 0.0):
         raise FloatingPointError(
             "dominant eigenvector is not strictly positive; the graph is "

@@ -5,14 +5,23 @@ feature map is verified against a Monte Carlo estimate of the kernel.
 """
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dsymv as blas_dsymv
 
+import relanom
+from relanom import popularity as popularity_module
 from relanom.dataset import Dataset
-from relanom.graph import rbf_similarity_matrix
+from relanom.graph import DistanceMetric, rbf_similarity_matrix
 from relanom.popularity import (
     ConvergenceError,
+    _symmetric_product,
     fit_popularity,
     kernel_extension,
     power_iteration,
@@ -21,6 +30,7 @@ from relanom.popularity import (
     rff_warm_start,
 )
 from relanom.preprocess import apply_preprocessor, fit_preprocessor
+from relanom.scoring import label_top_fraction
 
 from conftest import random_dataset
 
@@ -118,6 +128,46 @@ def test_rejects_malformed_inputs():
         power_iteration(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
+def test_dense_product_reads_only_the_upper_triangle():
+    rng = np.random.default_rng(10)
+    s = random_positive_symmetric(rng, 30)
+    garbled = s.copy()
+    garbled[np.tril_indices(30, -1)] = np.nan
+    want = power_iteration(s, tol=1e-12)
+    for layout in (garbled, np.asfortranarray(garbled)):
+        got = power_iteration(layout, tol=1e-12)
+        np.testing.assert_allclose(got.s_vec, want.s_vec, rtol=1e-12)
+        assert got.iterations == want.iterations
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_matrix_is_never_copied_per_product(layout, monkeypatch):
+    # f2py would copy a matrix dsymv cannot read in place on every call (18 MB here);
+    # a strided one is copied once, before the loop.
+    def dsymv(alpha, a, x, **kwargs):
+        assert a.flags.f_contiguous and a.dtype == np.float64
+        return blas_dsymv(alpha, a, x, **kwargs)
+
+    monkeypatch.setattr(popularity_module, "dsymv", dsymv)
+    n = 1500
+    s = random_positive_symmetric(np.random.default_rng(11), n)
+    if layout == "F":
+        s = np.asfortranarray(s)
+    elif layout == "strided":
+        wide = np.empty((n, n + 1))
+        wide[:, :n] = s
+        s = wide[:, :n]
+    tracemalloc.start()
+    try:
+        res = power_iteration(s, tol=1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.iterations > 3
+    copies = 1 if layout == "strided" else 0
+    assert peak < copies * s.size * 8 + 1e6
+
+
 def test_nonconvergence_error():
     rng = np.random.default_rng(5)
     s = random_positive_symmetric(rng, 20)
@@ -146,8 +196,22 @@ def test_same_seed_is_bit_identical():
     assert a.lambda1 == b.lambda1
     for model in (a, fit_popularity(data, 0.5), fit_popularity(data, 0.5, sparsify=0.5),
                   fit_popularity(data, 0.5, start="rff")):
-        # lambda1, the out-of-sample denominator, is s' S s of the returned vector
-        assert model.lambda1 == float(model.s_vec @ (model.graph.matrix @ model.s_vec))
+        # lambda1, the out-of-sample denominator, is s' S s of the returned vector,
+        # with S s from the product the iteration uses (dsymv dense, @ for CSR)
+        product = _symmetric_product(model.graph.matrix)
+        assert model.lambda1 == float(model.s_vec @ product(model.s_vec))
+
+
+def test_equal_observations_get_bit_equal_entries(wifi):
+    # dsymv sums each entry in an order set by its index; without the copy, wifi's
+    # largest group of equal rows (about 72% of them) gets several distinct values.
+    raw, _ = wifi
+    data = apply_preprocessor(raw, fit_preprocessor(raw, "box-cox"))
+    _, groups = np.unique(data.values, axis=0, return_inverse=True)
+    for start in ("uniform", "rff"):
+        s_vec = fit_popularity(data, 0.2, start=start).s_vec
+        for g in np.unique(groups):
+            assert np.unique(s_vec[groups.ravel() == g]).size == 1
 
 
 def test_converges_quickly_on_clustered_data(scraping):
@@ -174,10 +238,89 @@ def test_sparsified_fit_keeps_positive_vector(small_data):
 
 
 def test_rff_start_requires_euclidean(small_data):
-    from relanom.graph import DistanceMetric
-
     with pytest.raises(ValueError):
         fit_popularity(small_data, 1.0, start="rff", metric=DistanceMetric.MANHATTAN)
+
+
+class KernelBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("flags, match", [
+    ({"start": "sideways"}, "unknown start"),
+    ({"start": "rff", "metric": DistanceMetric.MANHATTAN}, "euclidean"),
+    ({"tol": math.nan}, "tol"),
+    ({"tol": 0.0}, "tol"),
+    ({"tol": -1e-8}, "tol"),
+    ({"max_iter": 0}, "max_iter"),
+    ({"sparsify": 1.0}, "sparsify"),
+    ({"sparsify": -0.1}, "sparsify"),
+    ({"start": "rff", "rff_dim": 0}, "n_features"),
+])
+def test_bad_flags_are_refused_before_the_kernel_is_built(flags, match, small_data, monkeypatch):
+    # The dense kernel is 8 n^2 bytes (3.2 GB at 20,000 rows): a bad flag must not cost it.
+    def build(*args, **kwargs):
+        raise KernelBuilt
+
+    monkeypatch.setattr(popularity_module, "rbf_similarity_matrix", build)
+    with pytest.raises(ValueError, match=match):
+        fit_popularity(small_data, 1.0, **flags)
+    with pytest.raises(KernelBuilt):  # the spy is in place
+        fit_popularity(small_data, 1.0)
+
+
+def test_rff_fit_holds_the_features_or_the_kernel_not_both():
+    # The warm start is built, and its features freed, before the kernel; the feature
+    # map works in place.  Kernel 18 MB, one 1024 x 1500 feature array 12 MB.
+    n, dim = 1500, 1024
+    data = random_dataset(n, 2, seed=12)
+    tracemalloc.start()
+    try:
+        model = fit_popularity(data, 1.0, start="rff", rff_dim=dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(model.s_vec > 0.0)
+    assert peak <= (n * n + n * dim) * 8
+    tracemalloc.start()
+    try:
+        rff_feature_map(data, dim, 1.0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * dim * 8 + 100_000  # one D x n array, plus W and b
+
+
+_FIT_SCRIPT = """
+import sys
+import numpy as np
+from relanom.popularity import fit_popularity
+from relanom.preprocess import apply_preprocessor, fit_preprocessor
+from relanom.synth import scraping_analogue
+raw, _ = scraping_analogue(1000, seed=0)
+model = fit_popularity(apply_preprocessor(raw, fit_preprocessor(raw, "box-cox")), 0.2)
+np.save(sys.argv[1], np.append(model.s_vec, model.iterations))
+"""
+
+
+def test_blas_thread_count_moves_only_the_last_bits(tmp_path):
+    # dsymv splits its sums among the BLAS threads, so their number moves the
+    # eigenvector's last bits, not its labels or the iteration count.
+    src = str(Path(relanom.__file__).resolve().parents[1])
+    fits = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads-{threads}.npy"
+        subprocess.run([sys.executable, "-c", _FIT_SCRIPT, str(out)], env=env, check=True,
+                       timeout=300)
+        fits.append(np.load(out))
+    (s1, iters1), (s2, iters2) = ((f[:-1], f[-1]) for f in fits)
+    assert iters1 == iters2
+    np.testing.assert_allclose(s2, s1, rtol=1e-12, atol=0.0)
+    assert np.array_equal(label_top_fraction(-s1, 0.2), label_top_fraction(-s2, 0.2))
 
 
 # ---------------------------------------------------------------------------
