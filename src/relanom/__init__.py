@@ -7,7 +7,7 @@ matrix or through shortest similarity-paths to a selected normal set.
 """
 
 from .dataset import Dataset, load_csv
-from .degree import median_knn_distance, vd_knn_approx, vertex_degrees
+from .degree import vertex_degrees
 from .graph import (
     DistanceMetric,
     SimilarityGraph,

@@ -185,21 +185,29 @@ def rbf_similarity_matrix(
             f"n = {data.n} exceeds the dense limit of {DENSE_LIMIT} for popularity; "
             "--method vertex_degree and --method shortest_path scale past it"
         )
-    s = np.empty((data.n, data.n))
-    for_row_blocks(lambda rows, _: graph.rows(rows, s[rows]), data.n, data.n)
+    s = np.empty((data.n, data.n))  # written in place, block by block: no scratch
+    list(_POOL.map(lambda rows: graph.rows(rows, s[rows]), row_blocks(data.n, data.n * _WORKERS)))
     return replace(graph, matrix=s)
 
 
-def _top_k_columns(read_rows, n: int, k: int):
-    """Per row, ascending: the diagonal and the columns of the k largest other
-    entries, ties toward the smaller column; returns those columns and their
-    values.  ``read_rows(rows, out)`` writes the score rows in ``rows`` into ``out``: half
-    of a ``for_row_blocks`` scratch block, whose other half holds the partition and tie rows."""
+def knn_truncate(graph: SimilarityGraph, k: int, read_rows=None) -> SimilarityGraph:
+    """Directed sparsification: each row keeps its k most similar others.
+
+    Ties break toward the smaller column index.  The diagonal is always
+    retained.  The result is generally asymmetric.  Rows are selected from a
+    dense or a kernel graph on every core, in the pool's ``_BLOCK_ENTRIES`` of
+    working memory.  ``read_rows(rows, out)`` (default ``graph.rows``) writes each
+    block into ``out``, half of a ``for_row_blocks`` scratch block whose other half
+    holds the partition and tie rows; a caller's reader may also record what it reads.
+    """
+    if graph.is_sparse:
+        raise ValueError("kNN truncation expects a dense or kernel graph")
+    n, read_rows = graph.n, read_rows or graph.rows
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, {n - 1}], got {k}")
     cols, values = np.empty((n, k + 1), dtype=np.int64), np.empty((n, k + 1))
 
-    def select(rows, scratch):
+    def select(rows, scratch):  # per row, ascending: the diagonal and the k kept columns
         lo, i = rows.start, np.arange(rows.stop - rows.start)
         block, work = scratch.reshape(2, len(i), n)
         read_rows(rows, block)
@@ -223,22 +231,6 @@ def _top_k_columns(read_rows, n: int, k: int):
         values[rows] = np.take_along_axis(block, cols[rows], axis=1)
 
     for_row_blocks(select, n, 2 * n)
-    return cols, values
-
-
-def knn_truncate(graph: SimilarityGraph, k: int, read_rows=None) -> SimilarityGraph:
-    """Directed sparsification: each row keeps its k most similar others.
-
-    Ties break toward the smaller column index.  The diagonal is always
-    retained.  The result is generally asymmetric.  Rows are selected from a
-    dense or a kernel graph on every core, in the pool's ``_BLOCK_ENTRIES`` of
-    working memory.  ``read_rows(rows, out)`` (default ``graph.rows``) writes each
-    block into ``out`` once; a caller's reader may also record what it reads.
-    """
-    if graph.is_sparse:
-        raise ValueError("kNN truncation expects a dense or kernel graph")
-    n = graph.n
-    cols, values = _top_k_columns(read_rows or graph.rows, n, k)
     indptr = np.arange(0, cols.size + 1, k + 1)
     mat = sparse.csr_matrix((values.ravel(), cols.ravel(), indptr), shape=(n, n))
     return SimilarityGraph(mat, graph.gamma, graph.metric, symmetric=False, source=graph.source)

@@ -226,6 +226,15 @@ def save_model(path, bundle: ModelBundle) -> None:
     atomic_write_text(path, json.dumps(doc))
 
 
+class _Document(dict):
+    """A model document that remembers the last key read, for error messages."""
+    last = None
+
+    def __getitem__(self, key):
+        self.last = key
+        return super().__getitem__(key)
+
+
 def load_model(path) -> ModelBundle:
     with open(path) as fh:
         doc = json.load(fh)
@@ -237,34 +246,36 @@ def load_model(path) -> ModelBundle:
             f"model file format version {version} is not supported "
             f"(expected {FORMAT_VERSION})"
         )
-    missing = [key for key in _KEYS if key not in doc] or [
-        f"state.{key}" for key in _STATE_KEYS.get(doc["method"], ()) if key not in doc["state"]]
-    if missing:
-        raise ValueError(f"{path}: model file has no '{missing[0]}' key")
+    doc = _Document(doc)
     try:
+        missing = [key for key in _KEYS if key not in doc] or [
+            f"state.{key}" for key in _STATE_KEYS.get(doc["method"], ())
+            if key not in doc["state"]]
+        if missing:
+            raise ValueError(f"{path}: model file has no '{missing[0]}' key")
         transforms = [FeatureTransform(**t) for t in doc["transforms"]]
+        state = {
+            key: (np.asarray(value, dtype=np.float64) if isinstance(value, list) else value)
+            for key, value in doc["state"].items()
+        }
+        n = len(doc["training"])
+        for key in ("s_vec", "vd", "ra_q", "stationary"):
+            if key in state and np.shape(state[key]) != (n,):
+                raise ValueError(f"{path}: state.{key} needs one entry per training row ({n})")
+        if "normal_set" in state:
+            state["normal_set"] = np.asarray(state["normal_set"], dtype=np.int64)
+        bundle = ModelBundle(
+            method=doc["method"],
+            preprocess=doc["preprocess"],
+            metric=DistanceMetric(doc["metric"]),
+            gamma=float(doc["gamma"]),
+            config=doc["config"],
+            transforms=transforms,
+            training=Dataset(np.asarray(doc["training"], dtype=np.float64), doc["columns"]),
+            state=state,
+        )
     except TypeError as exc:
-        raise ValueError(f"{path}: model file has a malformed 'transforms' entry: {exc}") from None
-    state = {
-        key: (np.asarray(value, dtype=np.float64) if isinstance(value, list) else value)
-        for key, value in doc["state"].items()
-    }
-    n = len(doc["training"])
-    for key in ("s_vec", "vd", "ra_q", "stationary"):
-        if key in state and np.shape(state[key]) != (n,):
-            raise ValueError(f"{path}: state.{key} needs one entry per training row ({n})")
-    if "normal_set" in state:
-        state["normal_set"] = np.asarray(state["normal_set"], dtype=np.int64)
-    bundle = ModelBundle(
-        method=doc["method"],
-        preprocess=doc["preprocess"],
-        metric=DistanceMetric(doc["metric"]),
-        gamma=float(doc["gamma"]),
-        config=doc["config"],
-        transforms=transforms,
-        training=Dataset(np.asarray(doc["training"], dtype=np.float64), doc["columns"]),
-        state=state,
-    )
+        raise ValueError(f"{path}: model file has a malformed '{doc.last}' entry: {exc}") from None
     stored = np.asarray(doc["train_scores"], dtype=np.float64)
     if stored.size != bundle.train_scores.n or not np.array_equal(
         stored, bundle.train_scores.sorted_scores

@@ -27,7 +27,6 @@ from .graph import (
     kernel_rows,
     knn_truncate,
     max_symmetrize,
-    rbf_similarity_matrix,
     sq_distances,
 )
 from .scoring import ScoreDistribution
@@ -66,16 +65,16 @@ def select_normal_set(vd: np.ndarray, q: float):
 
 
 def path_weights(graph: SimilarityGraph):
-    """Edge-weight view -ln s_ij of a similarity graph; a zero similarity is no edge.
+    """Edge-weight view -ln s_ij of a stored graph; a zero similarity is no edge.
 
-    A kernel graph is evaluated in full, refused past ``DENSE_LIMIT`` rows.
-    Negative similarities are rejected.  A zero weighs +inf, as an absent
-    sparse entry does.  A kernel entry exp(-d^2/gamma) loses precision only
-    past d^2/gamma ~708 and is zero past ~745, so distances below ~708 equal
-    those of the exact weights up to rounding.
+    A kernel graph is refused: ``multi_source_shortest_paths`` reads its weights
+    as it needs them.  Negative similarities are rejected.  A zero weighs +inf,
+    as an absent sparse entry does.  A kernel entry exp(-d^2/gamma) loses
+    precision only past d^2/gamma ~708 and is zero past ~745, so distances
+    below ~708 equal those of the exact weights up to rounding.
     """
     if graph.matrix is None:
-        graph = rbf_similarity_matrix(graph.source, graph.gamma, graph.metric)
+        raise ValueError("a kernel graph stores no weights; use multi_source_shortest_paths")
     values = graph.matrix.data if graph.is_sparse else graph.matrix
     if np.any(values < 0.0):
         raise ValueError("similarities must be nonnegative")

@@ -465,7 +465,12 @@ def test_malformed_model_file_gives_one_error_line(tmp_path, train_csv, pop_mode
 @pytest.mark.parametrize("corrupt, message", [
     (lambda doc: [], "holds no JSON object"),
     (lambda doc: {**doc, "transforms": [{"column": "x"}]}, "malformed 'transforms' entry"),
-], ids=["list", "transform-without-fields"])
+    (lambda doc: {**doc, "method": ["x"]}, "malformed 'method' entry"),
+    (lambda doc: {**doc, "columns": 5}, "malformed 'columns' entry"),
+    (lambda doc: {**doc, "gamma": None}, "malformed 'gamma' entry"),
+    (lambda doc: {**doc, "training": None}, "malformed 'training' entry"),
+], ids=["list", "transform-without-fields", "method-list", "columns-number", "gamma-null",
+        "training-null"])
 def test_model_file_of_the_wrong_shape_gives_one_error_line(tmp_path, train_csv, pop_model,
                                                             capsys, corrupt, message):
     bad = tmp_path / "bad.json"

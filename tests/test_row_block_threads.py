@@ -15,7 +15,7 @@ from dataclasses import replace
 from scipy import sparse
 
 from relanom import graph as graph_module
-from relanom.degree import _knn_distances, median_knn_distance, vd_knn_approx, vertex_degrees
+from relanom.degree import vertex_degrees
 from relanom.graph import (
     DistanceMetric,
     for_row_blocks,
@@ -75,14 +75,6 @@ def test_threaded_blocks_give_the_unblocked_bits(workers, metric, monkeypatch):
     assert dense.rows(slice(2, 5), out) is out and np.array_equal(out, dense.matrix[2:5])
 
 
-def oracle_knn_distances(x, k, metric):
-    """Each row's k nearest distances by a full-row stable argsort, self excluded."""
-    dist = cdist(x, x, metric.cdist_name)
-    np.fill_diagonal(dist, np.inf)
-    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    return np.take_along_axis(dist, order, axis=1)
-
-
 @pytest.mark.filterwarnings("ignore:.*unreachable")
 @pytest.mark.parametrize("gamma", [1e-4, 0.2])
 @pytest.mark.parametrize("metric", list(DistanceMetric))
@@ -114,13 +106,6 @@ def test_threaded_knn_selection_gives_the_serial_bits(workers, metric, gamma, mo
             path_weights(replace(dense, matrix=want)), normal))
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(model.graph.matrix, part), getattr(want, part))
-        near = oracle_knn_distances(x, k, metric)
-        assert np.array_equal(_knn_distances(data, k, metric), near)
-        v = float(np.median(near[near > 0.0]))
-        assert median_knn_distance(data, k, metric) == v
-        ev = np.exp(-v * v / gamma)
-        approx = k * ev * (1.0 + 2.0 * v * v / gamma) - 2.0 * v * ev / gamma * near.sum(axis=1)
-        assert np.array_equal(vd_knn_approx(data, k, gamma, metric=metric), approx)
 
 
 def test_a_row_reader_exception_reaches_the_knn_caller(monkeypatch):

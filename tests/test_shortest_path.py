@@ -144,15 +144,9 @@ def test_negative_similarity_rejected():
             path_weights(graph_from_matrix(matrix))
 
 
-@pytest.mark.parametrize("metric", list(DistanceMetric))
-def test_kernel_graph_weights_are_its_evaluated_rows(small_data, metric):
-    got = path_weights(kernel_graph(small_data, 0.5, metric))
-    assert np.array_equal(got, path_weights(rbf_similarity_matrix(small_data, 0.5, metric)))
-
-
-def test_kernel_graph_weights_are_refused_past_the_dense_limit(small_data, monkeypatch):
-    monkeypatch.setattr(graph_module, "DENSE_LIMIT", small_data.n - 1)
-    with pytest.raises(ValueError, match="dense limit"):
+def test_kernel_graph_weights_are_refused(small_data):
+    # A kernel graph's weights are read as Dijkstra needs them, never as an n x n array.
+    with pytest.raises(ValueError, match="multi_source_shortest_paths"):
         path_weights(kernel_graph(small_data, 0.5))
 
 
@@ -461,7 +455,7 @@ def test_gamma_scaling_identity_on_fixed_sources():
 
 def test_triangle_consistency_on_edges(small_data):
     model = fit_shortest_path(small_data, 1.0, q=0.4)
-    w = path_weights(model.graph)
+    w = path_weights(rbf_similarity_matrix(small_data, 1.0))
     ra = model.ra_q
     n = small_data.n
     for i in range(n):

@@ -127,6 +127,22 @@ def test_dense_limit_enforced():
         rbf_similarity_matrix(data, 1.0)
 
 
+@pytest.mark.parametrize("metric", list(DistanceMetric))
+@pytest.mark.parametrize("n", [500, 1500])
+def test_dense_kernel_build_holds_the_kernel_and_no_scratch(n, metric):
+    # Each row block is written straight into the kernel.  Per-worker scratch
+    # blocks beside it took the peak to 4.0 MB at n=500 and 22.2 MB at n=1500.
+    data = scraping_analogue(n, 0)[0]
+    tracemalloc.start()
+    try:
+        g = rbf_similarity_matrix(data, 0.2, metric)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(g.matrix, kernel_rows(data.values, data.values, 0.2, metric))
+    assert peak <= n * n * 8 + 64 * 1024
+
+
 @pytest.mark.parametrize("m, width, entries", [(0, 5, 8), (1, 1, 8), (10, 3, 7), (7, 9, 8)])
 def test_row_blocks_tile_the_rows_within_the_entry_budget(m, width, entries):
     with pytest.MonkeyPatch.context() as mp:
@@ -246,12 +262,14 @@ def oracle_knn(s: np.ndarray, k: int):
     points=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=14),
     k_share=st.floats(0.0, 1.0),
     gamma=st.sampled_from([0.1, 1.0, 10.0]),
+    metric=st.sampled_from(list(DistanceMetric)),
     block_rows=st.integers(1, 5),
 )
-def test_knn_matches_per_row_stable_argsort(points, k_share, gamma, block_rows):
+def test_knn_matches_per_row_stable_argsort(points, k_share, gamma, metric, block_rows):
     # Duplicated integer-grid points tie many similarities at the k-th
-    # value; small row blocks split the rows across several blocks.
-    g = rbf_similarity_matrix(Dataset(np.array(points, dtype=float)), gamma)
+    # value, under the Manhattan metric more than under the Euclidean one;
+    # small row blocks split the rows across several blocks.
+    g = rbf_similarity_matrix(Dataset(np.array(points, dtype=float)), gamma, metric)
     n = g.n
     k = 1 + int(k_share * (n - 2))
     with pytest.MonkeyPatch.context() as mp:
