@@ -8,9 +8,11 @@ functions that require preprocessed input say so in their docstrings.
 from __future__ import annotations
 
 import csv
+import io
 import os
 import tempfile
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -65,86 +67,67 @@ def load_csv(path, label_column: str | None = None):
 
     Returns ``Dataset`` or ``(Dataset, labels)`` when labels were split.
     """
-    with open(path, newline="") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError:
-            text = ""  # the csv reader raises it as before
-    header, ncol, values, labels = (
-        _parse_plain(text, label_column) or _parse_rows(path, label_column))
+    try:
+        with open(path, newline="") as fh:
+            cells, widths = _split_cells(fh.read())
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not widths:
+        raise ValueError(f"{path}: empty file")
+    width = widths[0]
+    header, n = [h.strip() for h in cells[:width]], len(widths) - 1
+    has_label = label_column is not None and header and header[-1] == label_column
+    ncol = width - 1 if has_label else width
+    if ncol < 1:
+        raise ValueError(f"{path}: no feature columns")
+    if not n:
+        raise ValueError(f"{path}: no data rows")
+    if widths.count(width) != len(widths):
+        _raise_first_bad_row(path, header, ncol, cells, widths)
+    values = np.empty((n, ncol))
+    try:
+        for j in range(ncol):
+            values[:, j] = np.fromiter(map(float, cells[width + j::width]), np.float64, n)
+    except ValueError:
+        _raise_first_bad_row(path, header, ncol, cells, widths)
     data = Dataset(values, header[:ncol])
-    if labels is not None:
-        return data, labels
+    if has_label:
+        return data, np.array(list(map(str.strip, cells[2 * width - 1::width])))
     return data
 
 
-def _parse_plain(text: str, label_column: str | None):
-    """Parse CSV text with no quoting a column at a time; None wherever the csv
-    reader could read it differently or would raise (``_parse_rows`` then runs)."""
-    if not text or any(c in text for c in '"\r\0'):
-        return None
+def _split_cells(text: str) -> tuple[list[str], list[int]]:
+    """The cells of CSV text in reading order and the number in each row, split
+    as the csv reader splits them: with ``str.split`` when no cell can be quoted,
+    end in CR, hold a NUL or exceed the reader's field limit, else by the reader."""
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
-    if "" in lines or max(map(len, lines)) > csv.field_size_limit():
-        return None
-    header = [h.strip() for h in lines[0].split(",")]
-    width, body = len(header), lines[1:]
-    has_label = label_column is not None and header[-1] == label_column
-    ncol = width - 1 if has_label else width
-    if ncol < 1 or not body or any(line.count(",") != width - 1 for line in body):
-        return None
-    cells = ",".join(body).split(",")
-    values = np.empty((len(body), ncol))
-    try:
-        for j in range(ncol):
-            values[:, j] = np.fromiter(map(float, cells[j::width]), np.float64, len(body))
-    except ValueError:
-        return None
-    labels = np.array(list(map(str.strip, cells[width - 1::width]))) if has_label else None
-    return header, ncol, values, labels
+    if any(c in text for c in '"\r\0') or max(map(len, lines), default=0) > csv.field_size_limit():
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        return list(chain.from_iterable(rows)), list(map(len, rows))
+    widths = [line.count(",") + 1 if line else 0 for line in lines]
+    return ",".join(filter(None, lines)).split(",") if any(widths) else [], widths
 
 
-def _parse_rows(path, label_column: str | None):
-    """Parse with the csv reader a row at a time, naming the first bad row and cell."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        has_label = label_column is not None and header and header[-1] == label_column
-        ncol = len(header) - 1 if has_label else len(header)
-        if ncol < 1:
-            raise ValueError(f"{path}: no feature columns")
-        rows: list[list[float]] = []
-        labels: list[str] = []
-        for lineno, raw in enumerate(reader, start=1):
-            if len(raw) != len(header):
+def _raise_first_bad_row(path, header: list[str], ncol: int, cells: list[str],
+                         widths: list[int]) -> None:
+    """Raise the reader loop's error for the first row of the wrong width or
+    the first missing or unparseable feature cell, in reading order."""
+    end = widths[0]
+    for lineno, width in enumerate(widths[1:], start=1):
+        row, end = cells[end:end + width], end + width
+        if width != len(header):
+            raise ValueError(f"{path}: row {lineno} has {width} cells, expected {len(header)}")
+        for name, cell in zip(header[:ncol], map(str.strip, row)):
+            if not cell:
+                raise ValueError(f"{path}: missing value at row {lineno}, column '{name}'")
+            try:
+                float(cell)
+            except ValueError:
                 raise ValueError(
-                    f"{path}: row {lineno} has {len(raw)} cells, expected {len(header)}"
-                )
-            parsed = []
-            for j in range(ncol):
-                cell = raw[j].strip()
-                if not cell:
-                    raise ValueError(
-                        f"{path}: missing value at row {lineno}, column '{header[j]}'"
-                    )
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: cannot parse '{cell}' at row {lineno}, "
-                        f"column '{header[j]}'"
-                    ) from None
-            rows.append(parsed)
-            if has_label:
-                labels.append(raw[-1].strip())
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return header, ncol, np.array(rows, dtype=np.float64), np.array(labels) if has_label else None
+                    f"{path}: cannot parse '{cell}' at row {lineno}, column '{name}'") from None
+    raise AssertionError("a row failed to convert but every cell parses")
 
 
 def write_csv(path, header: list[str], rows) -> None:

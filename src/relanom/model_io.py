@@ -12,7 +12,7 @@ written at full round-trip precision, and every write is atomic (temp file
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -39,9 +39,11 @@ DEFAULT_GAMMA = {"popularity": 0.2, "vertex_degree": 0.5, "shortest_path": 0.2}
 
 METHODS = tuple(DEFAULT_GAMMA)
 
-# What load_model reads: the document's keys, and the state keys of each method.
+# What load_model reads: the document's keys, the float fields of each transform,
+# and the state keys of each method.
 _KEYS = ("method", "preprocess", "metric", "gamma", "config", "columns", "transforms",
          "training", "state", "train_scores")
+_TRANSFORM_FLOATS = ("delta", "lam", "mean", "sd", "raw_min", "raw_max")
 _STATE_KEYS = {"popularity": ("s_vec", "denom"), "vertex_degree": ("vd",),
                "shortest_path": ("ra_q", "normal_set")}
 
@@ -254,8 +256,10 @@ def load_model(path) -> ModelBundle:
         if missing:
             raise ValueError(f"{path}: model file has no '{missing[0]}' key")
         transforms = [FeatureTransform(**t) for t in doc["transforms"]]
+        transforms = [replace(tf, **{key: float(getattr(tf, key)) for key in _TRANSFORM_FLOATS})
+                      for tf in transforms]
         state = {
-            key: (np.asarray(value, dtype=np.float64) if isinstance(value, list) else value)
+            key: (np.asarray(value, dtype=np.float64) if isinstance(value, list) else float(value))
             for key, value in doc["state"].items()
         }
         n = len(doc["training"])
@@ -264,19 +268,24 @@ def load_model(path) -> ModelBundle:
                 raise ValueError(f"{path}: state.{key} needs one entry per training row ({n})")
         if "normal_set" in state:
             state["normal_set"] = np.asarray(state["normal_set"], dtype=np.int64)
+        columns = list(doc["columns"])
+        training = Dataset(np.asarray(doc["training"], dtype=np.float64), columns)
+        # method is read last, so an unknown method is the entry named below
         bundle = ModelBundle(
-            method=doc["method"],
             preprocess=doc["preprocess"],
             metric=DistanceMetric(doc["metric"]),
             gamma=float(doc["gamma"]),
             config=doc["config"],
             transforms=transforms,
-            training=Dataset(np.asarray(doc["training"], dtype=np.float64), doc["columns"]),
+            training=training,
             state=state,
+            method=doc["method"],
         )
-    except TypeError as exc:
+        stored = np.asarray(doc["train_scores"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        if str(exc).startswith(f"{path}: "):
+            raise
         raise ValueError(f"{path}: model file has a malformed '{doc.last}' entry: {exc}") from None
-    stored = np.asarray(doc["train_scores"], dtype=np.float64)
     if stored.size != bundle.train_scores.n or not np.array_equal(
         stored, bundle.train_scores.sorted_scores
     ):

@@ -97,12 +97,17 @@ def _profile_loglik(shifted: np.ndarray, log_shifted_sum: float, lam: float) -> 
     return -0.5 * n * math.log(var) + (lam - 1.0) * log_shifted_sum
 
 
+def _shift_floor(column: np.ndarray) -> float:
+    """The least shift that leaves the column positive: -xmin + margin * range."""
+    xmin = float(np.min(column))
+    return -xmin + POSITIVITY_MARGIN * (float(np.max(column)) - xmin)
+
+
 def _shift_candidates(column: np.ndarray) -> list[float]:
     xmin = float(np.min(column))
-    rng = float(np.max(column)) - xmin
-    floor = -xmin + POSITIVITY_MARGIN * rng
+    floor = _shift_floor(column)
     cands = [floor]
-    if xmin > POSITIVITY_MARGIN * rng:
+    if floor < 0.0:
         cands.append(0.0)
     # Quantile-based shifts: land the shifted minimum at the distance from
     # the minimum to each quartile.  Degenerates to the floor alone when
@@ -146,31 +151,24 @@ def fit_box_cox(column) -> FeatureTransform:
     lam_star, ll_star = _golden_section(
         lambda lam: _profile_loglik(shifted, log_sum, lam), lo, hi
     )
-    y = apply_box_cox(arr, delta_star, lam_star)
-    sd = float(np.std(y, ddof=1))
-    if sd <= 0.0:
-        raise ValueError("transformed column has zero variance")
     boundary = (
         lam_star <= LAMBDA_MIN + 1e-9
         or lam_star >= LAMBDA_MAX - 1e-9
-        or _at_shift_floor(arr, delta_star)
+        or abs(delta_star - _shift_floor(arr)) <= 1e-12 * max(1.0, abs(delta_star))
     )
-    return FeatureTransform(
-        column="",
-        delta=delta_star,
-        lam=lam_star,
-        mean=float(np.mean(y)),
-        sd=sd,
-        boundary=boundary,
-        raw_min=float(np.min(arr)),
-        raw_max=float(np.max(arr)),
-    )
+    return _transform(arr, delta_star, lam_star, boundary)
 
 
-def _at_shift_floor(column: np.ndarray, delta: float) -> bool:
-    xmin = float(np.min(column))
-    rng = float(np.max(column)) - xmin
-    return abs(delta - (-xmin + POSITIVITY_MARGIN * rng)) <= 1e-12 * max(1.0, abs(delta))
+def _transform(column: np.ndarray, delta: float, lam: float,
+               boundary: bool = False) -> FeatureTransform:
+    """The fitted transform of a column: its shift and exponent, the mean and
+    sample sd of the transformed values, and the raw range."""
+    y = apply_box_cox(column, delta, lam)
+    sd = float(np.std(y, ddof=1))
+    if sd <= 0.0:
+        raise ValueError("transformed column has zero variance")
+    return FeatureTransform("", delta, lam, float(np.mean(y)), sd, boundary,
+                            float(np.min(column)), float(np.max(column)))
 
 
 def _golden_section(f, lo: float, hi: float, tol: float = 1e-9):
@@ -221,20 +219,7 @@ def _standardize_transform(column: np.ndarray) -> FeatureTransform:
     arr = np.asarray(column, dtype=np.float64)
     if np.unique(arr).size < 2:
         raise ValueError("constant column cannot be transformed")
-    xmin = float(np.min(arr))
-    rng = float(np.max(arr)) - xmin
-    delta = 0.0 if xmin > 0.0 else -xmin + POSITIVITY_MARGIN * rng
-    y = apply_box_cox(arr, delta, 1.0)
-    sd = float(np.std(y, ddof=1))
-    return FeatureTransform(
-        column="",
-        delta=delta,
-        lam=1.0,
-        mean=float(np.mean(y)),
-        sd=sd,
-        raw_min=xmin,
-        raw_max=float(np.max(arr)),
-    )
+    return _transform(arr, 0.0 if np.min(arr) > 0.0 else _shift_floor(arr), 1.0)
 
 
 def apply_preprocessor(data: Dataset, transforms: list[FeatureTransform]) -> Dataset:

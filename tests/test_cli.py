@@ -373,6 +373,30 @@ def test_grid_validates_resolution_and_bounds(tmp_path, pop_model, capsys):
     capsys.readouterr()
 
 
+def test_standardize_on_a_column_lost_under_the_unit_shift(tmp_path, capsys):
+    # t - 1 rounds every value of 1e-20..4e-20 to -1: zero variance, not nan
+    csv_path = tmp_path / "tiny.csv"
+    write_csv(csv_path, ["x1", "x2"], [[k * 1e-20, float(k)] for k in (1, 2, 3, 4)])
+    assert run("fit", "--method", "popularity", "--input", str(csv_path), "--output",
+               str(tmp_path / "m.json"), "--preprocess", "standardize") == 1
+    assert capsys.readouterr().err == (
+        "error: column 'x1': transformed column has zero variance\n")
+
+
+@pytest.mark.parametrize("body, message", [
+    (b'x1,x2\n"' + b"1" * 131_073 + b'",2\n', "field larger than field limit"),
+    (b"x1,x2\n1,2\n\xff,3\n", "can't decode byte 0xff"),
+], ids=["field-over-the-limit", "not-utf-8"])
+def test_unreadable_csv_gives_one_error_line(tmp_path, capsys, body, message):
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_bytes(body)
+    assert run("fit", "--method", "popularity", "--input", str(csv_path),
+               "--output", str(tmp_path / "m.json")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {csv_path}: ") and err.count("\n") == 1
+    assert message in err
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -469,8 +493,17 @@ def test_malformed_model_file_gives_one_error_line(tmp_path, train_csv, pop_mode
     (lambda doc: {**doc, "columns": 5}, "malformed 'columns' entry"),
     (lambda doc: {**doc, "gamma": None}, "malformed 'gamma' entry"),
     (lambda doc: {**doc, "training": None}, "malformed 'training' entry"),
+    (lambda doc: {**doc, "transforms": [{**doc["transforms"][0], "lam": None},
+                                        *doc["transforms"][1:]]},
+     "malformed 'transforms' entry"),
+    (lambda doc: {**doc, "state": {**doc["state"], "denom": "x"}}, "malformed 'state' entry"),
+    (lambda doc: {**doc, "metric": ["x"]}, "malformed 'metric' entry"),
+    (lambda doc: {**doc, "training": [["x", *doc["training"][0][1:]], *doc["training"][1:]]},
+     "malformed 'training' entry"),
+    (lambda doc: {**doc, "method": "x"}, "malformed 'method' entry: unknown method 'x'"),
 ], ids=["list", "transform-without-fields", "method-list", "columns-number", "gamma-null",
-        "training-null"])
+        "training-null", "lam-null", "denom-string", "metric-list", "training-string",
+        "method-unknown"])
 def test_model_file_of_the_wrong_shape_gives_one_error_line(tmp_path, train_csv, pop_model,
                                                             capsys, corrupt, message):
     bad = tmp_path / "bad.json"

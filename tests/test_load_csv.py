@@ -98,6 +98,9 @@ def csv_texts(draw):
 @example(text="a,b\n1,2\n\n3,4\n", label_column=None)
 @example(text="a, label \nnan, x \n", label_column="label")
 @example(text=" a \n 1_0 \n-2", label_column="label")
+@example(text="\n", label_column=None)  # a blank header line: no feature columns
+@example(text="\r\n", label_column=None)
+@example(text="a,b\nx,1\n\n", label_column=None)  # a bad cell before a blank row
 def test_load_csv_matches_the_csv_reader_loop(text, label_column):
     # Padded, quoted, CRLF, blank-line, nan, 1_0 and short-row inputs: the same
     # values, labels and error text.

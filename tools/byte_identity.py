@@ -8,14 +8,15 @@ seed 0), fits every method with ``--metric l2`` and ``--metric l1``, plus
 popularity with ``--sparsify 0.5``, ``--sparsify 0.9``,
 ``--metric l1 --sparsify 0.5`` and ``--start rff`` and shortest_path with
 ``--k 1``, ``--k 10``, ``--metric l1 --k 10``, ``--gamma 0.1``, ``--q 0.1``
-and ``--q 0.9`` (each fit
+and ``--q 0.9``, and every method with ``--preprocess standardize`` (each fit
 with ``--train-scores`` and ``--dump-graph``), then runs ``score`` (with and
 without ``--neg-log-display``), ``ecdf``, ``explain`` (``--p-normal`` 0.5 and
-0.95) and ``grid`` on every model, and ``compare`` on each data file.  It
-prints ``<sha256>  <name>`` for every output file and for every command's
-exit code, stdout and stderr.  Run it on two checkouts and diff the
-manifests.  Commands that fail are listed on stderr; a failure is hashed like
-any other output.
+0.95) and ``grid`` on every model, and ``compare`` on each data file.  A
+copy of each data file with a quoted header and CRLF line ends is fitted by
+every method under both preprocessors and scored.  It prints
+``<sha256>  <name>`` for every output file and for every command's exit code,
+stdout and stderr.  Run it on two checkouts and diff the manifests.  Commands
+that fail are listed on stderr; a failure is hashed like any other output.
 """
 
 import contextlib
@@ -68,7 +69,11 @@ FITS = [
     ("pop_l1_sparse", ["--method", "popularity", "--metric", "l1", "--sparsify", "0.5"]),
     ("sp_q01", ["--method", "shortest_path", "--q", "0.1"]),
     ("sp_q09", ["--method", "shortest_path", "--q", "0.9"]),
+    ("pop_std", ["--method", "popularity", "--preprocess", "standardize"]),
+    ("vd_std", ["--method", "vertex_degree", "--preprocess", "standardize"]),
+    ("sp_std", ["--method", "shortest_path", "--preprocess", "standardize"]),
 ]
+QUOTED = ("pop_l2", "vd_l2", "sp_l2", "pop_std", "vd_std", "sp_std")
 for ds in ("scraping", "wifi"):
     data = f"{ds}.csv"
     run(f"{ds}.synth", "synth", "--dataset", ds, "--n", "1000", "--seed", "0", "--output", data)
@@ -88,6 +93,17 @@ for ds in ("scraping", "wifi"):
                 "--row", "0", "--p-normal", p, "--output", f"{tag}.explain{p}.csv")
         run(f"{tag}.grid", "grid", "--model", model, "--output", f"{tag}.grid.csv",
             "--resolution", "20")
+    with open(data, newline="") as fh:
+        header, *body = fh.read().splitlines()
+    quoted = f"{ds}_quoted.csv"
+    with open(quoted, "w", newline="") as fh:
+        fh.write("\r\n".join([",".join(f'"{h}"' for h in header.split(",")), *body]) + "\r\n")
+    for name, flags in FITS:
+        if name in QUOTED:
+            tag, model = f"{ds}_quoted.{name}", f"{ds}_quoted.{name}.model.json"
+            run(f"{tag}.fit", "fit", *flags, "--input", quoted, "--output", model)
+            run(f"{tag}.score", "score", "--model", model, "--input", quoted,
+                "--output", f"{tag}.score.csv")
 
 for name in sorted(os.listdir(".")):
     with open(name, "rb") as fh:
