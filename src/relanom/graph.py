@@ -3,16 +3,18 @@
 Observations become vertices; the edge weight between two observations is
 the radial basis similarity exp(-d(x_i, x_j)^2 / gamma).  A kernel graph
 evaluates its rows a block at a time and has no size limit; a dense graph
-(of the fits, only popularity's) holds all n^2 entries, up to
-``DENSE_LIMIT`` rows.  Two sparsifiers are provided, a per-row
-k-nearest-neighbor truncation of either and a global small-value threshold
-of a dense graph that preserves symmetry and connectivity, found by an
-in-place partition of the pairs and an O(n^2) maximum spanning tree pass.
+(of the fits, only popularity's) holds all n^2 entries, or the upper
+triangle a symmetric product reads, up to ``DENSE_LIMIT`` rows.  Two
+sparsifiers are provided, a per-row k-nearest-neighbor truncation of either
+and a global small-value threshold of a dense graph that preserves symmetry
+and connectivity, found by an in-place partition of the pairs and an O(n^2)
+maximum spanning tree pass.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
@@ -39,7 +41,7 @@ __all__ = [
     "dump_graph",
 ]
 
-DENSE_LIMIT = 20_000  # most rows of a dense n x n graph; popularity fits build one
+DENSE_LIMIT = 20_000  # most rows of a dense n x n graph: 3.2 GB, 1.6 GB as popularity's triangle
 _BLOCK_ENTRIES = 1 << 19  # entries of the row blocks in flight together (4 MB of float64)
 # Kernel row blocks run on every core of the affinity mask; cdist, exp and numpy
 # reductions release the GIL.
@@ -176,17 +178,43 @@ def rbf_similarity_matrix(
     data: Dataset,
     gamma: float,
     metric: DistanceMetric = DistanceMetric.EUCLIDEAN,
+    *,
+    upper_only: bool = False,
 ) -> SimilarityGraph:
     """Dense similarity graph S_ij = exp(-d(x_i, x_j)^2 / gamma), the rows of
-    ``kernel_graph`` in one n x n array; refused past ``DENSE_LIMIT`` rows."""
-    graph = kernel_graph(data, gamma, metric)
-    if data.n > DENSE_LIMIT:
+    ``kernel_graph`` in one n x n array; refused past ``DENSE_LIMIT`` rows.
+
+    With ``upper_only`` a block of rows lo..hi-1 is written from column lo on: the
+    upper triangle, diagonal included, is the half ``dsymv`` reads; the rest of the
+    lower one reads as zeros.  The array lies in an anonymous mapping without huge
+    pages, so the unwritten pages never become resident: about 4 n^2 bytes of the
+    8 n^2, plus one page per row.
+    """
+    graph, n = kernel_graph(data, gamma, metric), data.n
+    if n > DENSE_LIMIT:
         raise ValueError(
-            f"n = {data.n} exceeds the dense limit of {DENSE_LIMIT} for popularity; "
+            f"n = {n} exceeds the dense limit of {DENSE_LIMIT} for popularity; "
             "--method vertex_degree and --method shortest_path scale past it"
         )
-    s = np.empty((data.n, data.n))  # written in place, block by block: no scratch
-    list(_POOL.map(lambda rows: graph.rows(rows, s[rows]), row_blocks(data.n, data.n * _WORKERS)))
+    if not upper_only:
+        s = np.empty((n, n))  # written in place, block by block: no scratch
+        list(_POOL.map(lambda rows: graph.rows(rows, s[rows]), row_blocks(n, n * _WORKERS)))
+        return replace(graph, matrix=s)
+    # numpy's allocator asks for huge pages, each of which the triangle would touch
+    buf = mmap.mmap(-1, 8 * n * n)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    s, x = np.frombuffer(buf, dtype=np.float64).reshape(n, n), data.values
+
+    def fill(rows, scratch):  # the distances in scratch, then the kernel in place in s
+        lo, hi = rows.start, rows.stop
+        d = sq_distances(x[lo:hi], x[lo:], metric, scratch.ravel()[: (hi - lo) * (n - lo)]
+                         .reshape(hi - lo, n - lo))
+        v = s[lo:hi, lo:]
+        np.divide(d, -gamma, out=v)  # the bits of kernel_rows
+        np.exp(v, out=v)
+
+    for_row_blocks(fill, n, n)
     return replace(graph, matrix=s)
 
 

@@ -239,13 +239,16 @@ class _Document(dict):
 
 def load_model(path) -> ModelBundle:
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: model file is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: model file holds no JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(
-            f"model file format version {version} is not supported "
+            f"{path}: model file format version {version} is not supported "
             f"(expected {FORMAT_VERSION})"
         )
     doc = _Document(doc)
@@ -289,5 +292,5 @@ def load_model(path) -> ModelBundle:
     if stored.size != bundle.train_scores.n or not np.array_equal(
         stored, bundle.train_scores.sorted_scores
     ):
-        raise ValueError("stored training scores disagree with the model state")
+        raise ValueError(f"{path}: stored training scores disagree with the model state")
     return bundle

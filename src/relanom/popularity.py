@@ -9,7 +9,7 @@ score is the negated eigenvector entry, so larger means more anomalous.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -59,7 +59,9 @@ class PopularityModel:
 
     ``lambda1`` = s' S s of the returned unit vector on the fitted (possibly
     sparsified) graph is the out-of-sample denominator, so out-of-sample
-    scores reproduce the training scores on training rows.
+    scores reproduce the training scores on training rows.  ``graph`` is the
+    sparsified graph, or for a dense fit the kernel graph, whose rows are
+    evaluated when read: the dense triangle is freed after the iteration.
     """
 
     s_vec: np.ndarray
@@ -232,7 +234,8 @@ def fit_popularity(
         s0 = rff_warm_start(data, rff_dim, gamma, seed)
     else:
         raise ValueError(f"unknown start '{start}'")
-    graph = rbf_similarity_matrix(data, gamma, metric)
+    # threshold_sparsify's Prim pass reads whole rows; dsymv reads the upper triangle only
+    graph = rbf_similarity_matrix(data, gamma, metric, upper_only=not sparsify)
     if sparsify:
         # the cut may keep different pairs of equal observations, so their rows differ
         graph, equal_rows = threshold_sparsify(graph, sparsify), None
@@ -242,6 +245,8 @@ def fit_popularity(
         equal_rows = first[inverse.ravel()]
     result = power_iteration(graph.matrix, s0, tol=tol, max_iter=max_iter,
                              equal_rows=equal_rows)
+    if not sparsify:  # frees the triangle; the graph evaluates its rows when read
+        graph = replace(graph, matrix=None)
     if np.any(result.s_vec <= 0.0):
         raise FloatingPointError(
             "dominant eigenvector is not strictly positive; the graph is "

@@ -10,7 +10,7 @@ import pytest
 
 from relanom.cli import main
 from relanom.dataset import Dataset, write_csv
-from relanom.graph import kernel_rows
+from relanom.graph import dump_graph, kernel_rows, rbf_similarity_matrix
 from relanom.model_io import load_model
 
 
@@ -95,6 +95,19 @@ def test_fit_dumps_graph(tmp_path, train_csv):
     assert run("fit", "--method", "popularity", "--input", str(train_csv),
                "--output", str(model), "--dump-graph", str(dump)) == 0
     assert len(dump.read_text().strip().splitlines()) == 300 * 300
+
+
+def test_dense_popularity_dump_is_the_dense_kernel(tmp_path):
+    # The fit frees its triangle and dumps the kernel graph, evaluated block by block:
+    # the bytes of the whole dense kernel.
+    data, model, dump, want = (tmp_path / name for name in ("d.csv", "m.json", "g.txt", "w.txt"))
+    assert run("synth", "--dataset", "scraping", "--n", "60", "--seed", "2",
+               "--output", str(data)) == 0
+    assert run("fit", "--method", "popularity", "--input", str(data),
+               "--output", str(model), "--dump-graph", str(dump)) == 0
+    bundle = load_model(model)
+    dump_graph(rbf_similarity_matrix(bundle.training, bundle.gamma, bundle.metric), want)
+    assert dump.read_bytes() == want.read_bytes()
 
 
 def test_fit_warns_on_boundary_transform(tmp_path, capsys):
@@ -501,13 +514,19 @@ def test_malformed_model_file_gives_one_error_line(tmp_path, train_csv, pop_mode
     (lambda doc: {**doc, "training": [["x", *doc["training"][0][1:]], *doc["training"][1:]]},
      "malformed 'training' entry"),
     (lambda doc: {**doc, "method": "x"}, "malformed 'method' entry: unknown method 'x'"),
+    (lambda doc: "{", "model file is not JSON"),  # a string is written as it is
+    (lambda doc: {**doc, "format_version": 2}, "format version 2 is not supported"),
+    (lambda doc: {**doc, "train_scores": [doc["train_scores"][0] + 1.0,
+                                          *doc["train_scores"][1:]]},
+     "stored training scores disagree"),
 ], ids=["list", "transform-without-fields", "method-list", "columns-number", "gamma-null",
         "training-null", "lam-null", "denom-string", "metric-list", "training-string",
-        "method-unknown"])
+        "method-unknown", "not-json", "version-2", "train-scores-edited"])
 def test_model_file_of_the_wrong_shape_gives_one_error_line(tmp_path, train_csv, pop_model,
                                                             capsys, corrupt, message):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(corrupt(json.loads(pop_model.read_text()))))
+    doc = corrupt(json.loads(pop_model.read_text()))
+    bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     out = tmp_path / "out.csv"
     assert run("score", "--model", str(bad), "--input", str(train_csv),
                "--output", str(out)) == 1

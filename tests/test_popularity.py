@@ -5,6 +5,7 @@ feature map is verified against a Monte Carlo estimate of the kernel.
 """
 
 import math
+import mmap
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import pytest
 from scipy.linalg.blas import dsymv as blas_dsymv
 
 import relanom
+from relanom import graph as graph_module
 from relanom import popularity as popularity_module
 from relanom.dataset import Dataset
 from relanom.graph import DistanceMetric, rbf_similarity_matrix
@@ -198,7 +200,9 @@ def test_same_seed_is_bit_identical():
                   fit_popularity(data, 0.5, start="rff")):
         # lambda1, the out-of-sample denominator, is s' S s of the returned vector,
         # with S s from the product the iteration uses (dsymv dense, @ for CSR)
-        product = _symmetric_product(model.graph.matrix)
+        # a dense fit keeps the kernel graph; the triangle it iterated on is freed
+        graph = model.graph if model.graph.is_sparse else rbf_similarity_matrix(data, 0.5)
+        product = _symmetric_product(graph.matrix)
         assert model.lambda1 == float(model.s_vec @ product(model.s_vec))
 
 
@@ -259,7 +263,7 @@ class KernelBuilt(Exception):
 ])
 def test_bad_flags_are_refused_before_the_kernel_is_built(flags, match, small_data, monkeypatch):
     # The dense kernel is 8 n^2 bytes (3.2 GB at 20,000 rows): a bad flag must not cost it.
-    def build(*args, **kwargs):
+    def build(data, gamma, metric, *, upper_only=False):
         raise KernelBuilt
 
     monkeypatch.setattr(popularity_module, "rbf_similarity_matrix", build)
@@ -271,7 +275,8 @@ def test_bad_flags_are_refused_before_the_kernel_is_built(flags, match, small_da
 
 def test_rff_fit_holds_the_features_or_the_kernel_not_both():
     # The warm start is built, and its features freed, before the kernel; the feature
-    # map works in place.  Kernel 18 MB, one 1024 x 1500 feature array 12 MB.
+    # map works in place.  Kernel 18 MB (in an anonymous mapping, which tracemalloc
+    # does not see), one 1024 x 1500 feature array 12 MB.
     n, dim = 1500, 1024
     data = random_dataset(n, 2, seed=12)
     tracemalloc.start()
@@ -281,7 +286,8 @@ def test_rff_fit_holds_the_features_or_the_kernel_not_both():
     finally:
         tracemalloc.stop()
     assert np.all(model.s_vec > 0.0)
-    assert peak <= (n * n + n * dim) * 8
+    # the features and their D x D Gram matrix; the kernel lies outside numpy's allocator
+    assert peak <= (n * dim + dim * dim) * 8 + 100_000
     tracemalloc.start()
     try:
         rff_feature_map(data, dim, 1.0, 0)
@@ -289,6 +295,35 @@ def test_rff_fit_holds_the_features_or_the_kernel_not_both():
     finally:
         tracemalloc.stop()
     assert peak <= n * dim * 8 + 100_000  # one D x n array, plus W and b
+
+
+_RSS_SCRIPT = """
+import resource, sys
+import numpy as np
+from relanom.dataset import Dataset
+from relanom.popularity import fit_popularity
+data = Dataset(np.random.default_rng(0).normal(size=(int(sys.argv[1]), 3)))
+fit_popularity(Dataset(data.values[:50]), 1.0)  # the modules, the pool and the BLAS loaded
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+fit_popularity(data, 1.0)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+      * (1 if sys.platform == "darwin" else 1024))  # bytes on macOS, else kilobytes
+"""
+
+
+def test_dense_fit_keeps_only_the_upper_triangle_resident():
+    # tracemalloc does not see the triangle's anonymous mapping; the peak resident set
+    # does.  The whole kernel is 8 n^2 bytes (72 MB); the upper triangle is 4 n^2, plus
+    # at most about one partly written page per row, plus the row blocks' scratch.
+    pytest.importorskip("resource")
+    n = 3000
+    src = str(Path(relanom.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _RSS_SCRIPT, str(n)], env=env, check=True,
+                         timeout=300, stdout=subprocess.PIPE, text=True).stdout
+    bound = 4 * n * n + mmap.PAGESIZE * n + 8 * graph_module._BLOCK_ENTRIES + (4 << 20)
+    assert int(out) <= bound < 8 * n * n
 
 
 _FIT_SCRIPT = """

@@ -8,6 +8,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
 from dataclasses import replace
@@ -15,6 +18,7 @@ from dataclasses import replace
 from scipy import sparse
 
 from relanom import graph as graph_module
+from relanom.dataset import Dataset
 from relanom.degree import vertex_degrees
 from relanom.graph import (
     DistanceMetric,
@@ -25,7 +29,7 @@ from relanom.graph import (
     rbf_similarity_matrix,
 )
 from relanom.model_io import METHODS, fit_model
-from relanom.popularity import fit_popularity
+from relanom.popularity import fit_popularity, power_iteration
 from relanom.preprocess import apply_preprocessor, fit_preprocessor
 from relanom.shortest_path import (
     fit_shortest_path,
@@ -65,14 +69,37 @@ def test_threaded_blocks_give_the_unblocked_bits(workers, metric, monkeypatch):
         want = unblocked_scores(method, bundle.state, x, points, bundle.gamma, metric)
         assert np.array_equal(bundle.score_model(points), want)
         assert bundle.score_model(points[:0]).shape == (0,)
-    popularity = fit_popularity(training, gamma, metric=metric)
-    assert np.array_equal(popularity.graph.matrix, oracle_kernel(x, gamma, metric))
+    dense = rbf_similarity_matrix(training, gamma, metric)
+    assert np.array_equal(dense.matrix, oracle_kernel(x, gamma, metric))
+    upper = rbf_similarity_matrix(training, gamma, metric, upper_only=True).matrix
+    assert np.array_equal(np.triu(upper), np.triu(dense.matrix))
     vd = vertex_degrees(kernel_graph(training, gamma, metric))
     assert np.array_equal(vd, oracle_kernel(x, gamma, metric).sum(axis=1))
-    dense = rbf_similarity_matrix(training, gamma, metric)
-    assert np.array_equal(dense.matrix, popularity.graph.matrix)
+    popularity = fit_popularity(training, gamma, metric=metric)
+    assert np.array_equal(dense.matrix, popularity.graph.rows(slice(0, len(x))))
     out = np.empty((3, len(x)))
     assert dense.rows(slice(2, 5), out) is out and np.array_equal(out, dense.matrix[2:5])
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.integers(2, 60).flatmap(lambda n: arrays(
+           np.float64, (n, 2), elements=st.floats(-1.0, 1.0, allow_subnormal=False))),
+       metric=st.sampled_from(list(DistanceMetric)), workers=st.sampled_from([1, 3]),
+       block_entries=st.integers(1, 400), gamma=st.floats(1.0, 4.0))
+def test_upper_triangle_has_the_full_build_bits(values, metric, workers, block_entries, gamma):
+    # hypothesis draws equal rows often: the fit keeps their entries bit-equal
+    data = Dataset(values)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_WORKERS", workers)
+        mp.setattr(graph_module, "_BLOCK_ENTRIES", block_entries)  # blocks of 1 to a few rows
+        full = rbf_similarity_matrix(data, gamma, metric).matrix
+        upper = rbf_similarity_matrix(data, gamma, metric, upper_only=True).matrix
+        model = fit_popularity(data, gamma, metric=metric)
+    assert np.array_equal(np.triu(upper), np.triu(full))
+    _, first, inverse = np.unique(values, axis=0, return_index=True, return_inverse=True)
+    want = power_iteration(full, equal_rows=first[inverse.ravel()])
+    assert np.array_equal(model.s_vec, want.s_vec)
+    assert model.lambda1 == want.lambda1 and model.iterations == want.iterations
 
 
 @pytest.mark.filterwarnings("ignore:.*unreachable")
