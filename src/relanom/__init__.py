@@ -12,6 +12,7 @@ from .graph import (
     DistanceMetric,
     SimilarityGraph,
     dump_graph,
+    kernel_graph,
     knn_truncate,
     max_symmetrize,
     rbf_similarity_matrix,

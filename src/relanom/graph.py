@@ -6,9 +6,10 @@ evaluates its rows a block at a time and has no size limit; a dense graph
 (of the fits, only popularity's) holds all n^2 entries, or the upper
 triangle a symmetric product reads, up to ``DENSE_LIMIT`` rows.  Two
 sparsifiers are provided, a per-row k-nearest-neighbor truncation of either
-and a global small-value threshold of a dense graph that preserves symmetry
-and connectivity, found by an in-place partition of the pairs and an O(n^2)
-maximum spanning tree pass.
+and a global small-value threshold of a kernel graph that preserves symmetry
+and connectivity: it finds the cut in a dense kernel it builds, by an O(n^2)
+maximum spanning tree pass and a partition of the pairs in place, frees it,
+and then fills the CSR from kernel row blocks.
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ class SimilarityGraph:
     matrix: np.ndarray | sparse.csr_matrix | None
     gamma: float
     metric: DistanceMetric
-    symmetric: bool
     source: Dataset
     drop_threshold: float | None = None
 
@@ -160,6 +160,22 @@ def for_row_blocks(fn, m: int, width: int) -> list:
     return list(_POOL.map(run, blocks))
 
 
+def _carve(scratch: np.ndarray, n: int, floats: int) -> tuple[np.ndarray, ...]:
+    """``floats`` float64 blocks of the scratch's rows by n, and a bool mask of that shape,
+    carved from a ``for_row_blocks`` scratch block at least ``floats * n + n // 8 + 1`` wide."""
+    r, flat = len(scratch), scratch.reshape(-1)
+    return (*flat[: floats * r * n].reshape(floats, r, n),
+            flat[floats * r * n:].view(np.bool_)[: r * n].reshape(r, n))
+
+
+def _dense_rows(graph: SimilarityGraph) -> int:
+    """The graph's n, refused past ``DENSE_LIMIT``."""
+    if graph.n > DENSE_LIMIT:
+        raise ValueError(f"n = {graph.n} exceeds the dense limit of {DENSE_LIMIT} for popularity; "
+                         "--method vertex_degree and --method shortest_path scale past it")
+    return graph.n
+
+
 def kernel_graph(
     data: Dataset,
     gamma: float,
@@ -171,7 +187,7 @@ def kernel_graph(
         raise ValueError("gamma must be a positive finite real")
     if data.n < 2:
         raise ValueError("similarity graph needs at least 2 observations")
-    return SimilarityGraph(None, gamma, metric, symmetric=True, source=data)
+    return SimilarityGraph(None, gamma, metric, source=data)
 
 
 def rbf_similarity_matrix(
@@ -190,12 +206,7 @@ def rbf_similarity_matrix(
     pages, so the unwritten pages never become resident: about 4 n^2 bytes of the
     8 n^2, plus one page per row.
     """
-    graph, n = kernel_graph(data, gamma, metric), data.n
-    if n > DENSE_LIMIT:
-        raise ValueError(
-            f"n = {n} exceeds the dense limit of {DENSE_LIMIT} for popularity; "
-            "--method vertex_degree and --method shortest_path scale past it"
-        )
+    n = _dense_rows(graph := kernel_graph(data, gamma, metric))
     if not upper_only:
         s = np.empty((n, n))  # written in place, block by block: no scratch
         list(_POOL.map(lambda rows: graph.rows(rows, s[rows]), row_blocks(n, n * _WORKERS)))
@@ -225,8 +236,8 @@ def knn_truncate(graph: SimilarityGraph, k: int, read_rows=None) -> SimilarityGr
     retained.  The result is generally asymmetric.  Rows are selected from a
     dense or a kernel graph on every core, in the pool's ``_BLOCK_ENTRIES`` of
     working memory.  ``read_rows(rows, out)`` (default ``graph.rows``) writes each
-    block into ``out``, half of a ``for_row_blocks`` scratch block whose other half
-    holds the partition and tie rows; a caller's reader may also record what it reads.
+    block into ``out``, part of a ``for_row_blocks`` scratch block that also holds the
+    partition and tie rows and the keep mask; a caller's reader may record what it reads.
     """
     if graph.is_sparse:
         raise ValueError("kNN truncation expects a dense or kernel graph")
@@ -237,14 +248,14 @@ def knn_truncate(graph: SimilarityGraph, k: int, read_rows=None) -> SimilarityGr
 
     def select(rows, scratch):  # per row, ascending: the diagonal and the k kept columns
         lo, i = rows.start, np.arange(rows.stop - rows.start)
-        block, work = scratch.reshape(2, len(i), n)
+        block, work, keep = _carve(scratch, n, 2)
         read_rows(rows, block)
         own = block[i, lo + i]
         block[i, lo + i] = -np.inf
         np.copyto(work, block)
         work.partition(n - k, axis=1)
         kth = work[:, [n - k]]  # a copy: work holds the tie rows below
-        keep = block >= kth
+        np.greater_equal(block, kth, out=keep)
         tie = np.flatnonzero((counts := keep.sum(axis=1)) > k)  # more ties than places
         eq = np.take(block, tie, axis=0, out=work[: tie.size], mode="clip") == kth[tie]
         at = np.flatnonzero(eq)  # the ties row by row; take's "raise" mode would buffer
@@ -258,37 +269,31 @@ def knn_truncate(graph: SimilarityGraph, k: int, read_rows=None) -> SimilarityGr
         cols[rows] = (np.flatnonzero(keep) % n).reshape(-1, k + 1)
         values[rows] = np.take_along_axis(block, cols[rows], axis=1)
 
-    for_row_blocks(select, n, 2 * n)
+    for_row_blocks(select, n, 2 * n + n // 8 + 1)
     indptr = np.arange(0, cols.size + 1, k + 1)
     mat = sparse.csr_matrix((values.ravel(), cols.ravel(), indptr), shape=(n, n))
-    return SimilarityGraph(mat, graph.gamma, graph.metric, symmetric=False, source=graph.source)
-
-
-def _upper_flat(mask: np.ndarray) -> np.ndarray:
-    """Flat indices i * n + j, i < j, of the true entries of an n x n mask, in (i, j) order."""
-    flat = np.flatnonzero(mask)
-    return flat[flat // len(mask) < flat % len(mask)]
+    return SimilarityGraph(mat, graph.gamma, graph.metric, source=graph.source)
 
 
 def threshold_sparsify(graph: SimilarityGraph, drop_fraction: float) -> SimilarityGraph:
-    """Drop the smallest symmetric off-diagonal pairs of a dense graph.
+    """Drop the smallest symmetric off-diagonal pairs of a kernel graph (``kernel_graph``).
 
-    Exactly floor(drop_fraction * n*(n-1)/2) pairs are removed by an in-place partition,
-    smallest values first, tied ones in (i, j) order.  If that disconnects the graph,
-    the largest dropped pairs are restored until it is connected: only when the cut
-    reaches the least edge of a maximum spanning tree, which an O(n^2) Prim pass finds.
-    The diagonal is always kept; kept entries, zeros too, equal the dense ones (int32 CSR).
+    Exactly floor(drop_fraction * n*(n-1)/2) pairs are removed, smallest values first,
+    tied ones in (i, j) order.  If that disconnects the graph, the largest dropped pairs
+    are restored until it is connected: only when the cut reaches the least edge of a
+    maximum spanning tree, which an O(n^2) Prim pass over a dense kernel built here finds.
+    Its pairs are partitioned in its own buffer, freed before kernel row blocks evaluated
+    again fill the int32 CSR: the diagonal and the kept pairs, zeros too, bit for bit.
     """
-    if not isinstance(graph.matrix, np.ndarray):
-        raise ValueError("threshold sparsification expects a dense graph")
-    if not graph.symmetric:
-        raise ValueError("threshold sparsification expects a symmetric graph")
+    if graph.matrix is not None:
+        raise ValueError("threshold sparsification expects a kernel graph (matrix=None)")
     if not 0.0 <= drop_fraction < 1.0:
         raise ValueError("drop_fraction must be in [0, 1)")
-    n, s = graph.n, graph.matrix
-    drop = int(math.floor(drop_fraction * (n * (n - 1) // 2) + 1e-9))
-    keep, threshold = np.ones((n, n), dtype=bool), None
+    n = _dense_rows(graph)
+    drop = int(math.floor(drop_fraction * (pairs := n * (n - 1) // 2) + 1e-9))
+    threshold, cut, counts, ties = None, -np.inf, np.full(n, n), np.empty(0, dtype=np.int64)
     if drop:
+        s = rbf_similarity_matrix(graph.source, graph.gamma, graph.metric).matrix
         key, parent, weight = s[0].copy(), np.zeros(n, dtype=np.int64), np.full(n, np.nan)
         key[0] = weight[0] = -np.inf  # Prim from 0; weight[v]: v's edge into the tree, nan before
         # open_: not in the tree; better: the open vertices u is closer to (False once closed)
@@ -302,23 +307,45 @@ def threshold_sparsify(graph: SimilarityGraph, drop_fraction: float) -> Similari
         vb = weight[1:].min()
         # Kruskal in descending (value, i, j) order: tree edges above vb (weight 1) span what
         # all pairs above vb do; pairs tied at vb join them, latest first.  The last it adds stays.
-        above, tied = np.flatnonzero(weight > vb), _upper_flat(s == vb)
+        above, tied = np.flatnonzero(weight > vb), np.flatnonzero(s == vb)
+        tied = tied[tied // n < tied % n]  # flat i * n + j, i < j: in (i, j) order
         tree = minimum_spanning_tree(sparse.csr_matrix(
             (np.r_[np.ones(above.size), n * n + 1.0 - tied],
              (np.r_[above, tied // n], np.r_[parent[above], tied % n])), shape=(n, n)))
-        vals = np.concatenate([s[i, i + 1:] for i in range(n - 1)])  # the pairs, row by row
+        vals = s.reshape(-1)[:pairs]
+        for i in range(n - 1):  # the pairs, row by row, to the front of the kernel's buffer
+            vals[i * n - i * (i + 1) // 2:][: n - 1 - i] = s[i, i + 1:]
         drop = min(drop, np.count_nonzero(vals < vb) + (tied <= n * n - tree.data.max()).sum())
         vals.partition(drop - 1)
-        threshold = float(vals[drop - 1])
+        threshold = cut = float(vals[drop - 1])
         below = np.count_nonzero(vals[: drop - 1] < threshold)  # the dropped pairs under it
-        del vals
-        ties = _upper_flat(s == threshold)[drop - below:]  # ties are dropped in (i, j) order
-        keep = np.greater(s, threshold)  # symmetric: kernel values are bitwise symmetric
-        keep.flat[ties] = keep.T.flat[ties] = True
-        np.fill_diagonal(keep, True)
-    indptr = np.r_[0, np.count_nonzero(keep, axis=1)].cumsum(dtype=np.int32)
-    cols = np.broadcast_to(np.arange(n, dtype=np.int32), (n, n))[keep]  # row-major: canonical
-    return replace(graph, matrix=sparse.csr_matrix((s[keep], cols, indptr), shape=(n, n)),
+        del s, vals  # frees the kernel
+
+        def count(rows, scratch):  # per row the entries above the cut, diagonal included; ties
+            block, mask = _carve(scratch, n, 1)
+            np.fill_diagonal(graph.rows(rows, block)[:, rows.start:], np.inf)
+            flat = np.flatnonzero(np.equal(block, threshold, out=mask)) + rows.start * n
+            return (np.count_nonzero(np.greater(block, threshold, out=mask), axis=1),
+                    flat[flat // n < flat % n])  # i < j, in (i, j) order
+
+        counts, ties = (np.concatenate(part) for part in zip(*for_row_blocks(count, n, 2 * n)))
+        ties = ties[drop - below:]  # ties are dropped in (i, j) order; the rest stay, both ways
+        ties = np.sort(np.r_[ties, ties % n * n + ties // n])
+        counts += np.bincount(ties // n, minlength=n)
+    indptr = np.r_[0, counts].cumsum(dtype=np.int32)
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
+
+    def fill(rows, scratch):  # each row's kept entries in column order; S is bitwise symmetric
+        block, mask = _carve(scratch, n, 1)
+        np.fill_diagonal(np.greater(graph.rows(rows, block), cut, out=mask)[:, rows.start:], True)
+        a, b = np.searchsorted(ties, [rows.start * n, rows.stop * n])
+        mask.flat[ties[a:b] - rows.start * n] = True
+        a, b = indptr[rows.start], indptr[rows.stop]
+        data[a:b] = block[mask]
+        indices[a:b] = np.broadcast_to(np.arange(n, dtype=np.int32), mask.shape)[mask]
+
+    for_row_blocks(fill, n, 2 * n)
+    return replace(graph, matrix=sparse.csr_matrix((data, indices, indptr), shape=(n, n)),
                    drop_threshold=threshold)
 
 
@@ -326,11 +353,7 @@ def max_symmetrize(graph: SimilarityGraph) -> SimilarityGraph:
     """Keep an edge when either direction kept it (values are symmetric)."""
     if not graph.is_sparse:
         return graph
-    m = graph.matrix.maximum(graph.matrix.T).tocsr()
-    return SimilarityGraph(
-        m, graph.gamma, graph.metric, symmetric=True, source=graph.source,
-        drop_threshold=graph.drop_threshold,
-    )
+    return replace(graph, matrix=graph.matrix.maximum(graph.matrix.T).tocsr())
 
 
 def dump_graph(graph: SimilarityGraph, path) -> None:

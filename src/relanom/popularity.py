@@ -9,7 +9,7 @@ score is the negated eigenvector entry, so larger means more anomalous.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -19,6 +19,7 @@ from .dataset import Dataset
 from .graph import (
     DistanceMetric,
     SimilarityGraph,
+    kernel_graph,
     kernel_rows,
     rbf_similarity_matrix,
     threshold_sparsify,
@@ -234,31 +235,21 @@ def fit_popularity(
         s0 = rff_warm_start(data, rff_dim, gamma, seed)
     else:
         raise ValueError(f"unknown start '{start}'")
-    # threshold_sparsify's Prim pass reads whole rows; dsymv reads the upper triangle only
-    graph = rbf_similarity_matrix(data, gamma, metric, upper_only=not sparsify)
-    if sparsify:
-        # the cut may keep different pairs of equal observations, so their rows differ
-        graph, equal_rows = threshold_sparsify(graph, sparsify), None
-    else:  # equal observations have equal kernel rows
-        _, first, inverse = np.unique(
-            data.values, axis=0, return_index=True, return_inverse=True)
+    graph, equal_rows = kernel_graph(data, gamma, metric), None  # a dense fit keeps it
+    if sparsify:  # builds and frees its own kernel; the cut may keep different pairs of
+        # equal observations, so their rows differ
+        matrix = (graph := threshold_sparsify(graph, sparsify)).matrix
+    else:  # dsymv reads the upper triangle only; equal observations have equal kernel rows
+        matrix = rbf_similarity_matrix(data, gamma, metric, upper_only=True).matrix
+        _, first, inverse = np.unique(data.values, axis=0, return_index=True, return_inverse=True)
         equal_rows = first[inverse.ravel()]
-    result = power_iteration(graph.matrix, s0, tol=tol, max_iter=max_iter,
-                             equal_rows=equal_rows)
-    if not sparsify:  # frees the triangle; the graph evaluates its rows when read
-        graph = replace(graph, matrix=None)
+    result = power_iteration(matrix, s0, tol=tol, max_iter=max_iter, equal_rows=equal_rows)
+    del matrix  # frees a dense triangle: the kernel graph evaluates its rows when read
     if np.any(result.s_vec <= 0.0):
-        raise FloatingPointError(
-            "dominant eigenvector is not strictly positive; the graph is "
-            "effectively disconnected at this gamma"
-        )
-    return PopularityModel(
-        s_vec=result.s_vec,
-        lambda1=result.lambda1,
-        graph=graph,
-        iterations=result.iterations,
-        residual=result.residual,
-    )
+        raise FloatingPointError("dominant eigenvector is not strictly positive; the graph is "
+                                 "effectively disconnected at this gamma")
+    return PopularityModel(result.s_vec, result.lambda1, graph, result.iterations,
+                           result.residual)
 
 
 def relative_anomaly(model: PopularityModel) -> np.ndarray:

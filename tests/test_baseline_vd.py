@@ -32,7 +32,7 @@ def graph_from_matrix(s: np.ndarray):
     """Wrap a hand-built similarity matrix for the degree operations."""
     data = Dataset(np.zeros((s.shape[0], 1)) + np.arange(s.shape[0])[:, None])
     g = rbf_similarity_matrix(data, 1.0)
-    return type(g)(matrix=s, gamma=1.0, metric=g.metric, symmetric=True, source=data)
+    return type(g)(matrix=s, gamma=1.0, metric=g.metric, source=data)
 
 
 # ---------------------------------------------------------------------------

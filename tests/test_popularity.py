@@ -297,6 +297,30 @@ def test_rff_fit_holds_the_features_or_the_kernel_not_both():
     assert peak <= n * dim * 8 + 100_000  # one D x n array, plus W and b
 
 
+@pytest.mark.parametrize("analogue", ["wifi", "scraping"])
+def test_sparsified_fit_holds_the_kernel_or_the_csr_not_both(analogue, request):
+    # The cut is found in the dense kernel (8 n^2 bytes, and an n^2 bool mask of the pairs
+    # tied at the spanning tree's least edge), which is freed before the CSR is filled from
+    # kernel row blocks.  Small row blocks leave the n x n arrays to decide the peak.
+    # Holding the kernel and the CSR together peaked at 16.2 (wifi) and 18.0 (scraping)
+    # bytes per entry.
+    raw = request.getfixturevalue(analogue)[0]
+    data = apply_preprocessor(raw, fit_preprocessor(raw))
+    n, blocks = data.n, 1 << 16
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_BLOCK_ENTRIES", blocks)
+        tracemalloc.start()
+        try:
+            model = fit_popularity(data, 0.2, sparsify=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    m = model.graph.matrix
+    csr = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+    # the row blocks in flight: their scratch and the kept entries copied out of them
+    assert peak <= max(9 * n * n, csr) + 3 * 8 * blocks
+
+
 _RSS_SCRIPT = """
 import resource, sys
 import numpy as np

@@ -124,7 +124,7 @@ def test_threaded_knn_selection_gives_the_serial_bits(workers, metric, gamma, mo
             assert np.array_equal(t.indptr, np.arange(0, n * (k + 1) + 1, k + 1))
             assert np.array_equal(t.indices, indices) and np.array_equal(t.data, values)
         knn = sparse.csr_matrix((values, indices, t.indptr), shape=(n, n))
-        want = max_symmetrize(replace(dense, matrix=knn, symmetric=False)).matrix
+        want = max_symmetrize(replace(dense, matrix=knn)).matrix
         vd = s.sum(axis=1)
         _, normal = select_normal_set(vd, 0.5)
         model = fit_shortest_path(data, gamma, 0.5, k, metric=metric)

@@ -42,7 +42,7 @@ from conftest import oracle_paths, random_dataset
 def graph_from_matrix(s):
     data = Dataset(np.arange(s.shape[0], dtype=float)[:, None])
     g = rbf_similarity_matrix(data, 1.0)
-    return type(g)(matrix=s, gamma=1.0, metric=g.metric, symmetric=True, source=data)
+    return type(g)(matrix=s, gamma=1.0, metric=g.metric, source=data)
 
 
 def stored_csr(s: np.ndarray):
@@ -340,7 +340,7 @@ def test_kernel_graph_dijkstra_equals_the_ndarray_route(
     x = np.array(points, dtype=float)
     n = len(x)
     sources = np.arange(n) if every else np.array(picks) % n
-    kernel = SimilarityGraph(None, gamma, metric, symmetric=True, source=Dataset(x))
+    kernel = SimilarityGraph(None, gamma, metric, source=Dataset(x))
     with np.errstate(divide="ignore"):
         weights = -np.log(kernel_rows(x, x, gamma, metric))
     want = oracle_dijkstra(weights, sources)

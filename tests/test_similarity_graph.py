@@ -231,7 +231,7 @@ def test_truncation_is_directed():
     t = knn_truncate(rbf_similarity_matrix(data, 1.0), k=1)
     m = t.matrix.toarray()
     assert m[3, 2] > 0.0 and m[2, 3] == 0.0
-    assert not t.symmetric
+    assert (t.matrix != t.matrix.T).nnz
 
 
 def test_max_symmetrize_keeps_either_direction():
@@ -240,7 +240,7 @@ def test_max_symmetrize_keeps_either_direction():
     sym = max_symmetrize(t)
     m = sym.matrix.toarray()
     assert m[3, 2] > 0.0 and m[2, 3] == m[3, 2]
-    assert sym.symmetric
+    assert (sym.matrix != sym.matrix.T).nnz == 0
 
 
 def oracle_knn(s: np.ndarray, k: int):
@@ -304,16 +304,15 @@ def test_knn_selection_holds_the_pool_scratch_and_its_output():
 
 def test_zero_drop_is_identity():
     data = random_dataset(8, 2, seed=10)
-    g = rbf_similarity_matrix(data, 1.0)
-    t = threshold_sparsify(g, 0.0)
-    np.testing.assert_array_equal(t.matrix.toarray(), g.matrix)
+    t = threshold_sparsify(kernel_graph(data, 1.0), 0.0)
+    np.testing.assert_array_equal(t.matrix.toarray(), rbf_similarity_matrix(data, 1.0).matrix)
 
 
 def test_three_point_drop_removes_single_smallest_pair():
     data = Dataset(np.array([[0.0], [1.0], [3.0]]))
     g = rbf_similarity_matrix(data, 1.0)
     # off-diagonal pairs: (0,1), (1,2), (0,2); smallest similarity is (0,2)
-    t = threshold_sparsify(g, 0.4)  # floor(0.4 * 3) = 1 pair dropped
+    t = threshold_sparsify(kernel_graph(data, 1.0), 0.4)  # floor(0.4 * 3) = 1 pair dropped
     m = t.matrix.toarray()
     assert m[0, 2] == 0.0 and m[2, 0] == 0.0
     assert m[0, 1] == g.matrix[0, 1] and m[1, 2] == g.matrix[1, 2]
@@ -322,7 +321,7 @@ def test_three_point_drop_removes_single_smallest_pair():
 def test_dropped_fraction_and_exactness():
     data = random_dataset(25, 2, seed=11)
     g = rbf_similarity_matrix(data, 0.5)
-    t = threshold_sparsify(g, 0.5)
+    t = threshold_sparsify(kernel_graph(data, 0.5), 0.5)
     m = t.matrix.toarray()
     kept = m > 0.0
     assert np.array_equal(kept, kept.T)
@@ -333,13 +332,18 @@ def test_dropped_fraction_and_exactness():
 
 def test_sparsify_rejects_bad_inputs():
     data = random_dataset(8, 2, seed=12)
-    g = rbf_similarity_matrix(data, 1.0)
-    with pytest.raises(ValueError):
+    g = kernel_graph(data, 1.0)
+    with pytest.raises(ValueError, match="drop_fraction"):
         threshold_sparsify(g, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="drop_fraction"):
         threshold_sparsify(g, -0.1)
-    with pytest.raises(ValueError):
-        threshold_sparsify(knn_truncate(g, 2), 0.1)
+    for built in (rbf_similarity_matrix(data, 1.0), knn_truncate(g, 2)):  # dense, sparse
+        with pytest.raises(ValueError, match="expects a kernel graph"):
+            threshold_sparsify(built, 0.1)
+    with pytest.MonkeyPatch.context() as mp:  # a cut that drops nothing builds no kernel
+        mp.setattr(graph_module, "DENSE_LIMIT", 7)
+        with pytest.raises(ValueError, match="dense limit of 7 for popularity"):
+            threshold_sparsify(g, 0.0)
 
 
 def test_sparsify_backs_off_to_stay_connected():
@@ -348,8 +352,7 @@ def test_sparsify_backs_off_to_stay_connected():
     a = np.linspace(0.0, 0.3, 5)
     b = np.linspace(8.0, 8.3, 5)
     data = Dataset(np.concatenate([a, b])[:, None])
-    g = rbf_similarity_matrix(data, 20.0)
-    t = threshold_sparsify(g, 0.8)
+    t = threshold_sparsify(kernel_graph(data, 20.0), 0.8)
     assert bfs_connected(t.matrix.toarray() > 0.0)
 
 
@@ -380,7 +383,7 @@ def test_sparsify_keeps_the_smallest_connected_suffix(points, drop_fraction, gam
     expect[rows[order[start:]], cols[order[start:]]] = True
     expect |= expect.T
 
-    t = threshold_sparsify(g, drop_fraction)
+    t = threshold_sparsify(kernel_graph(data, gamma), drop_fraction)
     coo = t.matrix.tocoo()
     stored = np.zeros((n, n), dtype=bool)
     stored[coo.row, coo.col] = True
@@ -416,9 +419,10 @@ def argsort_sparsify(graph, drop_fraction):
     return coo.tocsr(), threshold
 
 
-def assert_sparsify_matches_oracle(graph, drop_fraction):
-    got = threshold_sparsify(graph, drop_fraction)
-    expect, threshold = argsort_sparsify(graph, drop_fraction)
+def assert_sparsify_matches_oracle(kernel, drop_fraction):
+    got = threshold_sparsify(kernel, drop_fraction)
+    expect, threshold = argsort_sparsify(
+        rbf_similarity_matrix(kernel.source, kernel.gamma, kernel.metric), drop_fraction)
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got.matrix, name), getattr(expect, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -437,7 +441,7 @@ def test_sparsify_matches_the_argsort_oracle_on_duplicated_grids(
     points, drop_fraction, gamma, metric
 ):
     # gamma=0.02 underflows the far pairs to exact zeros.
-    g = rbf_similarity_matrix(Dataset(np.array(points, dtype=float)), gamma, metric)
+    g = kernel_graph(Dataset(np.array(points, dtype=float)), gamma, metric)
     assert_sparsify_matches_oracle(g, drop_fraction)
 
 
@@ -451,10 +455,10 @@ def test_sparsify_keeps_a_zero_bottleneck_pair_stored(near, far, drop_fraction):
     # Two groups 100 apart: every cross pair underflows to 0, so the graph
     # stays connected only through a zero pair, which must stay stored.
     points = np.array(near + [(x + 100, y) for x, y in far], dtype=float)
-    g = rbf_similarity_matrix(Dataset(points), 1.0)
-    t = assert_sparsify_matches_oracle(g, drop_fraction)
-    a, n = len(near), g.n
-    assert np.count_nonzero(g.matrix == 0.0) == 2 * a * (n - a)
+    t = assert_sparsify_matches_oracle(kernel_graph(Dataset(points), 1.0), drop_fraction)
+    a, n = len(near), len(points)
+    assert np.count_nonzero(rbf_similarity_matrix(Dataset(points), 1.0).matrix == 0.0) == \
+        2 * a * (n - a)
     if int(math.floor(drop_fraction * n * (n - 1) / 2 + 1e-9)) >= a * (n - a):
         # Every zero is cut; of the tied zero pairs the last in (i, j) order
         # joins the groups and is stored back, both ways.
@@ -468,8 +472,8 @@ def test_sparsify_keeps_a_zero_bottleneck_pair_stored(near, far, drop_fraction):
 @given(points=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=4, max_size=40),
        data=st.data())
 def test_sparsify_cut_inside_a_tie_block_matches_the_argsort_oracle(points, data):
-    g = rbf_similarity_matrix(Dataset(np.array(points, dtype=float)), 1.0)
-    vals = np.sort(g.matrix[np.triu_indices(g.n, 1)])
+    g = kernel_graph(Dataset(np.array(points, dtype=float)), 1.0)
+    vals = np.sort(rbf_similarity_matrix(g.source, 1.0).matrix[np.triu_indices(g.n, 1)])
     # Drop counts m whose cut splits a tie block: vals[m - 1] == vals[m].
     inside = np.flatnonzero(vals[:-1] == vals[1:]) + 1
     assume(inside.size > 0)
@@ -483,17 +487,18 @@ def test_sparsify_cut_inside_a_tie_block_matches_the_argsort_oracle(points, data
 def test_sparsify_matches_the_argsort_oracle_on_the_analogues(generate, metric, drop_fraction):
     raw = generate(300, 0)[0]
     data = apply_preprocessor(raw, fit_preprocessor(raw))
-    assert_sparsify_matches_oracle(rbf_similarity_matrix(data, 0.2, metric), drop_fraction)
+    assert_sparsify_matches_oracle(kernel_graph(data, 0.2, metric), drop_fraction)
 
 
 @pytest.mark.parametrize("drop_fraction", [0.05, 0.5])
 @pytest.mark.parametrize("generate", [wifi_analogue, scraping_analogue])
 def test_sparsify_holds_at_most_18_bytes_per_matrix_entry(generate, drop_fraction):
-    # The kept mask, the pairs gathered for the partition and the CSR arrays, which hold
-    # 12 bytes per kept entry.  Slicing the pairs through an n x n triu mask, with int64
-    # flat indices, peaked at 22.8 to 32.7 bytes per entry.
+    # The kernel the cut is found in, or later the CSR arrays, which hold 12 bytes per
+    # kept entry, and the row blocks that fill them.  Slicing the pairs through an n x n
+    # triu mask, with int64 flat indices, peaked at 22.8 to 32.7 bytes per entry without
+    # counting the kernel.
     raw = generate(1000, 0)[0]
-    graph = rbf_similarity_matrix(apply_preprocessor(raw, fit_preprocessor(raw)), 0.2)
+    graph = kernel_graph(apply_preprocessor(raw, fit_preprocessor(raw)), 0.2)
     tracemalloc.start()
     try:
         threshold_sparsify(graph, drop_fraction)
