@@ -19,9 +19,9 @@ __all__ = ["vertex_degrees"]
 
 
 def vertex_degrees(graph: SimilarityGraph) -> np.ndarray:
-    """Row sums of the graph, diagonal included; a kernel graph is summed a row
-    block at a time."""
-    if graph.matrix is None:
-        return np.concatenate(for_row_blocks(
-            lambda rows, out: graph.rows(rows, out).sum(axis=1), graph.n, graph.n))
-    return np.asarray(graph.matrix.sum(axis=1)).ravel()
+    """Row sums of the graph, diagonal included; a kernel graph (or a cut of one) is
+    summed a row block at a time."""
+    if graph.is_sparse or isinstance(graph.matrix, np.ndarray):
+        return np.asarray(graph.matrix.sum(axis=1)).ravel()
+    return np.concatenate(for_row_blocks(
+        lambda rows, out: graph.rows(rows, out).sum(axis=1), graph.n, graph.n))

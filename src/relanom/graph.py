@@ -7,9 +7,8 @@ evaluates its rows a block at a time and has no size limit; a dense graph
 triangle a symmetric product reads, up to ``DENSE_LIMIT`` rows.  Two
 sparsifiers are provided, a per-row k-nearest-neighbor truncation of either
 and a global small-value threshold of a kernel graph that preserves symmetry
-and connectivity: it finds the cut in a dense kernel it builds, by an O(n^2)
-maximum spanning tree pass and a partition of the pairs in place, frees it,
-and then fills the CSR from kernel row blocks.
+and connectivity: an O(n^2) maximum spanning tree pass and a partition of the
+pairs find the cut in a dense kernel it builds, which then holds the cut.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from .dataset import Dataset, atomic_write_text
 __all__ = [
     "DistanceMetric",
     "SimilarityGraph",
+    "ThresholdCut",
     "sq_distances",
     "kernel_rows",
     "kernel_graph",
@@ -73,20 +73,18 @@ class DistanceMetric(str, Enum):
 class SimilarityGraph:
     """Similarity matrix plus the construction parameters.
 
-    ``matrix`` is a dense ndarray, a CSR matrix whose stored entries
-    equal the dense kernel values exactly, or None for a kernel graph, whose
-    rows ``rows`` evaluates on demand.  Absent entries in the sparse case
-    mean "no edge", and for shortest paths so do zero entries (kernel
-    values below the float range).  ``source`` keeps the (model-space)
-    observations the graph was built from, so downstream scorers can
-    evaluate the kernel against new points.
+    ``matrix`` is a dense ndarray, a CSR matrix whose stored entries equal
+    the dense kernel values exactly, a ``ThresholdCut``, or None for a kernel
+    graph, whose rows ``rows`` evaluates on demand.  Absent entries in the
+    sparse case mean "no edge", and for shortest paths so do zero entries
+    (kernel values below the float range).  ``source`` keeps the (model-space)
+    observations, so downstream scorers can evaluate the kernel on new points.
     """
 
-    matrix: np.ndarray | sparse.csr_matrix | None
+    matrix: np.ndarray | sparse.csr_matrix | ThresholdCut | None
     gamma: float
     metric: DistanceMetric
     source: Dataset
-    drop_threshold: float | None = None
 
     @property
     def n(self) -> int:
@@ -98,11 +96,33 @@ class SimilarityGraph:
 
     def rows(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
         """The dense rows in ``rows``, a fresh copy or written into ``out``; a kernel
-        graph evaluates them."""
-        if self.matrix is None:
-            x = self.source.values
-            return kernel_rows(x[rows], x, self.gamma, self.metric, out)
-        return np.positive(self.matrix[rows], out=out)  # a copy, into out when given
+        graph evaluates them, and a cut's zeroes the entries it drops."""
+        if self.is_sparse or isinstance(self.matrix, np.ndarray):
+            return np.positive(self.matrix[rows], out=out)  # a copy, into out when given
+        x = self.source.values
+        block = kernel_rows(x[rows], x, self.gamma, self.metric, out)
+        if self.matrix is not None:
+            np.copyto(block, 0.0, where=~self.matrix.kept(rows, block))
+        return block
+
+
+@dataclass(frozen=True)
+class ThresholdCut:
+    """The kernel entries ``threshold_sparsify`` keeps, ``nnz`` of them with the diagonal:
+    all but those below ``threshold`` (-inf if none is dropped) and the tied ``dropped``
+    (flat i * n + j, both halves, ascending).  As returned, it holds the ``kernel``, whose
+    upper triangle, the half dsymv reads, is the cut's; its reader frees it by replacing it."""
+
+    threshold: float
+    dropped: np.ndarray
+    nnz: int
+    kernel: np.ndarray | None = None
+
+    def kept(self, rows: slice, block: np.ndarray) -> np.ndarray:
+        """The bool mask of the kept entries of kernel rows ``rows``, evaluated in ``block``."""
+        keep, (a, b) = block >= self.threshold, np.array([rows.start, rows.stop]) * block.shape[1]
+        keep.reshape(-1)[self.dropped[(self.dropped >= a) & (self.dropped < b)] - a] = False
+        return keep
 
 
 def sq_distances(
@@ -160,12 +180,13 @@ def for_row_blocks(fn, m: int, width: int) -> list:
     return list(_POOL.map(run, blocks))
 
 
-def _carve(scratch: np.ndarray, n: int, floats: int) -> tuple[np.ndarray, ...]:
-    """``floats`` float64 blocks of the scratch's rows by n, and a bool mask of that shape,
-    carved from a ``for_row_blocks`` scratch block at least ``floats * n + n // 8 + 1`` wide."""
-    r, flat = len(scratch), scratch.reshape(-1)
-    return (*flat[: floats * r * n].reshape(floats, r, n),
-            flat[floats * r * n:].view(np.bool_)[: r * n].reshape(r, n))
+def _upper_rows(s: np.ndarray, graph: SimilarityGraph, rows: slice, scratch: np.ndarray):
+    """Kernel rows ``rows`` from column rows.start on, evaluated into ``s``; returns them."""
+    lo, hi, n, x = rows.start, rows.stop, graph.n, graph.source.values
+    d = sq_distances(x[lo:hi], x[lo:], graph.metric,
+                     scratch.ravel()[: (hi - lo) * (n - lo)].reshape(hi - lo, n - lo))
+    v = np.divide(d, -graph.gamma, out=s[lo:hi, lo:])  # the bits of kernel_rows
+    return np.exp(v, out=v)
 
 
 def _dense_rows(graph: SimilarityGraph) -> int:
@@ -215,17 +236,8 @@ def rbf_similarity_matrix(
     buf = mmap.mmap(-1, 8 * n * n)
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         buf.madvise(mmap.MADV_NOHUGEPAGE)
-    s, x = np.frombuffer(buf, dtype=np.float64).reshape(n, n), data.values
-
-    def fill(rows, scratch):  # the distances in scratch, then the kernel in place in s
-        lo, hi = rows.start, rows.stop
-        d = sq_distances(x[lo:hi], x[lo:], metric, scratch.ravel()[: (hi - lo) * (n - lo)]
-                         .reshape(hi - lo, n - lo))
-        v = s[lo:hi, lo:]
-        np.divide(d, -gamma, out=v)  # the bits of kernel_rows
-        np.exp(v, out=v)
-
-    for_row_blocks(fill, n, n)
+    s = np.frombuffer(buf, dtype=np.float64).reshape(n, n)
+    for_row_blocks(lambda rows, scratch: _upper_rows(s, graph, rows, scratch), n, n)
     return replace(graph, matrix=s)
 
 
@@ -247,8 +259,9 @@ def knn_truncate(graph: SimilarityGraph, k: int, read_rows=None) -> SimilarityGr
     cols, values = np.empty((n, k + 1), dtype=np.int64), np.empty((n, k + 1))
 
     def select(rows, scratch):  # per row, ascending: the diagonal and the k kept columns
-        lo, i = rows.start, np.arange(rows.stop - rows.start)
-        block, work, keep = _carve(scratch, n, 2)
+        lo, i, flat = rows.start, np.arange(r := rows.stop - rows.start), scratch.reshape(-1)
+        block, work = flat[: 2 * r * n].reshape(2, r, n)
+        keep = flat[2 * r * n:].view(np.bool_)[: r * n].reshape(r, n)
         read_rows(rows, block)
         own = block[i, lo + i]
         block[i, lo + i] = -np.inf
@@ -282,8 +295,7 @@ def threshold_sparsify(graph: SimilarityGraph, drop_fraction: float) -> Similari
     tied ones in (i, j) order.  If that disconnects the graph, the largest dropped pairs
     are restored until it is connected: only when the cut reaches the least edge of a
     maximum spanning tree, which an O(n^2) Prim pass over a dense kernel built here finds.
-    Its pairs are partitioned in its own buffer, freed before kernel row blocks evaluated
-    again fill the int32 CSR: the diagonal and the kept pairs, zeros too, bit for bit.
+    Its pairs are partitioned in its buffer, which then holds the returned cut's ``kernel``.
     """
     if graph.matrix is not None:
         raise ValueError("threshold sparsification expects a kernel graph (matrix=None)")
@@ -291,62 +303,47 @@ def threshold_sparsify(graph: SimilarityGraph, drop_fraction: float) -> Similari
         raise ValueError("drop_fraction must be in [0, 1)")
     n = _dense_rows(graph)
     drop = int(math.floor(drop_fraction * (pairs := n * (n - 1) // 2) + 1e-9))
-    threshold, cut, counts, ties = None, -np.inf, np.full(n, n), np.empty(0, dtype=np.int64)
-    if drop:
-        s = rbf_similarity_matrix(graph.source, graph.gamma, graph.metric).matrix
-        key, parent, weight = s[0].copy(), np.zeros(n, dtype=np.int64), np.full(n, np.nan)
-        key[0] = weight[0] = -np.inf  # Prim from 0; weight[v]: v's edge into the tree, nan before
-        # open_: not in the tree; better: the open vertices u is closer to (False once closed)
-        open_, better = np.arange(n) > 0, np.zeros(n, dtype=bool)
-        for _ in range(n - 1):
-            u = key.argmax()
-            weight[u], key[u], open_[u], better[u] = key[u], -np.inf, False, False
-            np.greater(s[u], key, out=better, where=open_)
-            np.copyto(parent, u, where=better)
-            np.copyto(key, s[u], where=better)
-        vb = weight[1:].min()
-        # Kruskal in descending (value, i, j) order: tree edges above vb (weight 1) span what
-        # all pairs above vb do; pairs tied at vb join them, latest first.  The last it adds stays.
-        above, tied = np.flatnonzero(weight > vb), np.flatnonzero(s == vb)
-        tied = tied[tied // n < tied % n]  # flat i * n + j, i < j: in (i, j) order
-        tree = minimum_spanning_tree(sparse.csr_matrix(
-            (np.r_[np.ones(above.size), n * n + 1.0 - tied],
-             (np.r_[above, tied // n], np.r_[parent[above], tied % n])), shape=(n, n)))
-        vals = s.reshape(-1)[:pairs]
-        for i in range(n - 1):  # the pairs, row by row, to the front of the kernel's buffer
-            vals[i * n - i * (i + 1) // 2:][: n - 1 - i] = s[i, i + 1:]
-        drop = min(drop, np.count_nonzero(vals < vb) + (tied <= n * n - tree.data.max()).sum())
-        vals.partition(drop - 1)
-        threshold = cut = float(vals[drop - 1])
-        below = np.count_nonzero(vals[: drop - 1] < threshold)  # the dropped pairs under it
-        del s, vals  # frees the kernel
+    if not drop:
+        s = rbf_similarity_matrix(graph.source, graph.gamma, graph.metric, upper_only=True).matrix
+        return replace(graph, matrix=ThresholdCut(-np.inf, np.empty(0, dtype=np.int64), n * n, s))
+    s = rbf_similarity_matrix(graph.source, graph.gamma, graph.metric).matrix
+    key, parent, weight = s[0].copy(), np.zeros(n, dtype=np.int64), np.full(n, np.nan)
+    key[0] = weight[0] = -np.inf  # Prim from 0; weight[v]: v's edge into the tree, nan before
+    # open_: not in the tree; better: the open vertices u is closer to (False once closed)
+    open_, better = np.arange(n) > 0, np.zeros(n, dtype=bool)
+    for _ in range(n - 1):
+        u = key.argmax()
+        weight[u], key[u], open_[u], better[u] = key[u], -np.inf, False, False
+        np.greater(s[u], key, out=better, where=open_)
+        np.copyto(parent, u, where=better)
+        np.copyto(key, s[u], where=better)
+    vb = weight[1:].min()
+    # Kruskal in descending (value, i, j) order: tree edges above vb (weight 1) span what
+    # all pairs above vb do; pairs tied at vb join them, latest first.  The last it adds stays.
+    above, tied = np.flatnonzero(weight > vb), np.flatnonzero(s == vb)
+    tied = tied[tied // n < tied % n]  # flat i * n + j, i < j: in (i, j) order
+    tree = minimum_spanning_tree(sparse.csr_matrix(
+        (np.r_[np.ones(above.size), n * n + 1.0 - tied],
+         (np.r_[above, tied // n], np.r_[parent[above], tied % n])), shape=(n, n)))
+    vals = s.reshape(-1)[:pairs]
+    for i in range(n - 1):  # the pairs, row by row, to the front of the kernel's buffer
+        vals[i * n - i * (i + 1) // 2:][: n - 1 - i] = s[i, i + 1:]
+    drop = min(drop, np.count_nonzero(vals < vb) + (tied <= n * n - tree.data.max()).sum())
+    vals.partition(drop - 1)
+    threshold = float(vals[drop - 1])
+    below = np.count_nonzero(vals[: drop - 1] < threshold)  # the dropped pairs under it
+    del vals, tied
 
-        def count(rows, scratch):  # per row the entries above the cut, diagonal included; ties
-            block, mask = _carve(scratch, n, 1)
-            np.fill_diagonal(graph.rows(rows, block)[:, rows.start:], np.inf)
-            flat = np.flatnonzero(np.equal(block, threshold, out=mask)) + rows.start * n
-            return (np.count_nonzero(np.greater(block, threshold, out=mask), axis=1),
-                    flat[flat // n < flat % n])  # i < j, in (i, j) order
+    def cut(rows, scratch):  # the upper rows again, zeroed under the threshold; their ties
+        v = _upper_rows(s, graph, rows, scratch)
+        mask = scratch.reshape(-1).view(np.bool_)[: v.size].reshape(v.shape)  # the distances' room
+        np.copyto(v, 0.0, where=np.less(v, threshold, out=mask))
+        k, c = np.divmod(np.flatnonzero(np.equal(v, threshold, out=mask)), v.shape[1])
+        return (rows.start + k[c > k]) * n + rows.start + c[c > k]  # i < j, in (i, j) order
 
-        counts, ties = (np.concatenate(part) for part in zip(*for_row_blocks(count, n, 2 * n)))
-        ties = ties[drop - below:]  # ties are dropped in (i, j) order; the rest stay, both ways
-        ties = np.sort(np.r_[ties, ties % n * n + ties // n])
-        counts += np.bincount(ties // n, minlength=n)
-    indptr = np.r_[0, counts].cumsum(dtype=np.int32)
-    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
-
-    def fill(rows, scratch):  # each row's kept entries in column order; S is bitwise symmetric
-        block, mask = _carve(scratch, n, 1)
-        np.fill_diagonal(np.greater(graph.rows(rows, block), cut, out=mask)[:, rows.start:], True)
-        a, b = np.searchsorted(ties, [rows.start * n, rows.stop * n])
-        mask.flat[ties[a:b] - rows.start * n] = True
-        a, b = indptr[rows.start], indptr[rows.stop]
-        data[a:b] = block[mask]
-        indices[a:b] = np.broadcast_to(np.arange(n, dtype=np.int32), mask.shape)[mask]
-
-    for_row_blocks(fill, n, 2 * n)
-    return replace(graph, matrix=sparse.csr_matrix((data, indices, indptr), shape=(n, n)),
-                   drop_threshold=threshold)
+    dropped = np.concatenate(for_row_blocks(cut, n, n))[: drop - below]  # ties go in (i, j) order
+    s.reshape(-1)[dropped := np.sort(np.r_[dropped, dropped % n * n + dropped // n])] = 0.0
+    return replace(graph, matrix=ThresholdCut(threshold, dropped, n + 2 * (pairs - drop), s))
 
 
 def max_symmetrize(graph: SimilarityGraph) -> SimilarityGraph:
@@ -359,15 +356,19 @@ def max_symmetrize(graph: SimilarityGraph) -> SimilarityGraph:
 def dump_graph(graph: SimilarityGraph, path) -> None:
     """Write stored entries as coordinate-format lines ``i,j,s_ij``.
 
-    Indices are 0-based and values keep full precision; for sparse graphs
-    only retained entries appear.  The lines are formatted and written a row
-    at a time; a dense or kernel graph is read, and a kernel graph evaluated,
-    a row block at a time.
+    Indices are 0-based and values keep full precision; for sparse graphs and cuts
+    only retained entries appear.  The lines are formatted and written a row at a
+    time; other graphs are read, and a kernel (a cut's too) evaluated, by row block.
     """
     if graph.is_sparse:
         m = graph.matrix.tocsr()
         rows = (zip(m.indices[lo:hi].tolist(), m.data[lo:hi].tolist())
                 for lo, hi in zip(m.indptr[:-1].tolist(), m.indptr[1:].tolist()))
+    elif isinstance(graph.matrix, ThresholdCut):
+        rows = (zip(np.flatnonzero(keep).tolist(), row[keep].tolist())
+                for block in row_blocks(graph.n, graph.n)
+                for values in [replace(graph, matrix=None).rows(block)]
+                for row, keep in zip(values, graph.matrix.kept(block, values)))
     else:
         rows = (enumerate(row) for block in row_blocks(graph.n, graph.n)
                 for row in graph.rows(block).tolist())

@@ -9,16 +9,16 @@ score is the negated eigenvector entry, so larger means more anomalous.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg.blas import dgemm, dgemv, dsymv, dsyrk
 
 from .dataset import Dataset
 from .graph import (
     DistanceMetric,
     SimilarityGraph,
+    ThresholdCut,
     kernel_graph,
     kernel_rows,
     rbf_similarity_matrix,
@@ -61,8 +61,7 @@ class PopularityModel:
     ``lambda1`` = s' S s of the returned unit vector on the fitted (possibly
     sparsified) graph is the out-of-sample denominator, so out-of-sample
     scores reproduce the training scores on training rows.  ``graph`` is the
-    sparsified graph, or for a dense fit the kernel graph, whose rows are
-    evaluated when read: the dense triangle is freed after the iteration.
+    kernel graph, with a sparsified fit's ``ThresholdCut``; the n x n array is freed.
     """
 
     s_vec: np.ndarray
@@ -77,29 +76,30 @@ def _check_stopping(tol: float, max_iter: int) -> None:
         raise ValueError("tol must be a positive finite real and max_iter at least 1")
 
 
-def _symmetric_product(s_matrix, equal_rows: np.ndarray | None = None):
-    """The function v -> S v that ``power_iteration`` applies: scipy's CSR product for a
-    sparse S, else the BLAS ``dsymv`` on the upper triangle of dense S (the lower one is
-    never read).
+def _symmetric_product(s_matrix, equal_rows=None, cut: ThresholdCut | None = None):
+    """The function v -> S v that ``power_iteration`` applies: the BLAS ``dsymv`` on the
+    upper triangle of S (the lower one is never read).
 
     ``dsymv`` takes a Fortran-ordered matrix.  The transpose of a C-ordered S is one,
     with S's upper triangle as its lower one; any other layout is copied once, here,
     not by f2py in every product.  ``dsymv`` sums each entry in an order set by its
     index, so equal rows can differ in the last bits; entry i is copied from entry
-    ``equal_rows[i]`` where that names another row.
+    ``equal_rows[i]`` where that names another row of the kernel.  If S is a ``cut`` of
+    the kernel, the copy then adds the difference the two rows' dropped entries make,
+    summed in column order: 0 where they drop the same columns.
     """
-    if sparse.issparse(s_matrix):
-        return s_matrix.__matmul__
     a = np.asarray(s_matrix, dtype=np.float64)
     a, lower = (a.T, 1) if a.flags.c_contiguous else (np.asfortranarray(a), 0)
     if equal_rows is None:
         return lambda v: dsymv(1.0, a, v, lower=lower)
-    twins = np.flatnonzero(equal_rows != np.arange(len(equal_rows)))
+    twins = np.flatnonzero(equal_rows != np.arange(n := len(a)))
     firsts = equal_rows[twins]
+    rows, cols = np.divmod(cut.dropped if cut else np.empty(0, dtype=np.int64), n)
 
     def product(v):
         y = dsymv(1.0, a, v, lower=lower)
-        y[twins] = y[firsts]
+        lost = np.bincount(rows, weights=cut.threshold * v[cols] if cut else None, minlength=n)
+        y[twins] = y[firsts] + (lost[firsts] - lost[twins])
         return y
 
     return product
@@ -111,6 +111,7 @@ def power_iteration(
     tol: float = 1e-8,
     max_iter: int = 10_000,
     equal_rows: np.ndarray | None = None,
+    cut: ThresholdCut | None = None,
 ) -> PowerResult:
     """Dominant eigenpair of a symmetric matrix by power iteration.
 
@@ -118,11 +119,10 @@ def power_iteration(
     ``|| S s - (s' S s) s ||`` of the current unit iterate is within
     ``tol``; that iterate is returned, so the reported residual is the
     residual of the returned vector.  The sign is fixed to the
-    all-positive orientation.  A dense matrix's products read only its upper
-    triangle, in the BLAS symmetric product ``dsymv`` on the library's threads
-    (see ``_symmetric_product``); a sparse one's run in scipy's CSR kernel on one
-    core.  ``equal_rows[i]``, when given, is a row of a dense S equal to row i (i
-    itself if none is); the entries of equal rows are then kept bit-equal.
+    all-positive orientation.  The products read only S's upper triangle, in the
+    BLAS symmetric product ``dsymv`` on the library's threads (see
+    ``_symmetric_product``).  ``equal_rows[i]``, when given, is a row of S (of the
+    kernel if S is its ``cut``) equal to row i, or i; equal rows stay bit-equal.
     """
     n = s_matrix.shape[0]
     if s_matrix.shape[0] != s_matrix.shape[1]:
@@ -131,7 +131,7 @@ def power_iteration(
     if np.any(diag <= 0.0):
         raise ValueError("matrix must have a strictly positive diagonal")
     _check_stopping(tol, max_iter)
-    product = _symmetric_product(s_matrix, equal_rows)
+    product = _symmetric_product(s_matrix, equal_rows, cut)
     if s0 is None:
         s = np.full(n, 1.0 / math.sqrt(n))
     else:
@@ -235,16 +235,15 @@ def fit_popularity(
         s0 = rff_warm_start(data, rff_dim, gamma, seed)
     else:
         raise ValueError(f"unknown start '{start}'")
-    graph, equal_rows = kernel_graph(data, gamma, metric), None  # a dense fit keeps it
-    if sparsify:  # builds and frees its own kernel; the cut may keep different pairs of
-        # equal observations, so their rows differ
-        matrix = (graph := threshold_sparsify(graph, sparsify)).matrix
-    else:  # dsymv reads the upper triangle only; equal observations have equal kernel rows
+    _, first, inverse = np.unique(data.values, axis=0, return_index=True, return_inverse=True)
+    graph, equal_rows = kernel_graph(data, gamma, metric), first[inverse.ravel()]
+    if sparsify:  # the cut's kernel, whose upper triangle dsymv reads; the graph keeps the cut
+        cut = (graph := threshold_sparsify(graph, sparsify)).matrix
+        matrix, graph = cut.kernel, replace(graph, matrix=replace(cut, kernel=None))
+    else:  # dsymv reads the upper triangle only
         matrix = rbf_similarity_matrix(data, gamma, metric, upper_only=True).matrix
-        _, first, inverse = np.unique(data.values, axis=0, return_index=True, return_inverse=True)
-        equal_rows = first[inverse.ravel()]
-    result = power_iteration(matrix, s0, tol=tol, max_iter=max_iter, equal_rows=equal_rows)
-    del matrix  # frees a dense triangle: the kernel graph evaluates its rows when read
+    result = power_iteration(matrix, s0, tol=tol, max_iter=max_iter, equal_rows=equal_rows,
+                             cut=graph.matrix)  # the kernel is freed on return
     if np.any(result.s_vec <= 0.0):
         raise FloatingPointError("dominant eigenvector is not strictly positive; the graph is "
                                  "effectively disconnected at this gamma")

@@ -14,13 +14,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg.blas import dsymv as blas_dsymv
 
 import relanom
 from relanom import graph as graph_module
 from relanom import popularity as popularity_module
 from relanom.dataset import Dataset
-from relanom.graph import DistanceMetric, rbf_similarity_matrix
+from relanom.graph import DistanceMetric, ThresholdCut, rbf_similarity_matrix
 from relanom.popularity import (
     ConvergenceError,
     _symmetric_product,
@@ -33,8 +35,10 @@ from relanom.popularity import (
 )
 from relanom.preprocess import apply_preprocessor, fit_preprocessor
 from relanom.scoring import label_top_fraction
+from relanom.synth import scraping_analogue, wifi_analogue
 
 from conftest import random_dataset
+from test_similarity_graph import argsort_sparsify
 
 
 def oracle_leading_eigenpair(s: np.ndarray):
@@ -198,12 +202,11 @@ def test_same_seed_is_bit_identical():
     assert a.lambda1 == b.lambda1
     for model in (a, fit_popularity(data, 0.5), fit_popularity(data, 0.5, sparsify=0.5),
                   fit_popularity(data, 0.5, start="rff")):
-        # lambda1, the out-of-sample denominator, is s' S s of the returned vector,
-        # with S s from the product the iteration uses (dsymv dense, @ for CSR)
-        # a dense fit keeps the kernel graph; the triangle it iterated on is freed
-        graph = model.graph if model.graph.is_sparse else rbf_similarity_matrix(data, 0.5)
-        product = _symmetric_product(graph.matrix)
-        assert model.lambda1 == float(model.s_vec @ product(model.s_vec))
+        # lambda1, the out-of-sample denominator, is s' S s of the returned vector, with
+        # S s from dsymv, the product the iteration uses.  The matrix it iterated on is
+        # freed: the kernel, with the cut's dropped entries zeroed for a sparsified fit.
+        s = model.graph.rows(slice(0, data.n))
+        assert model.lambda1 == float(model.s_vec @ _symmetric_product(s)(model.s_vec))
 
 
 def test_equal_observations_get_bit_equal_entries(wifi):
@@ -212,8 +215,8 @@ def test_equal_observations_get_bit_equal_entries(wifi):
     raw, _ = wifi
     data = apply_preprocessor(raw, fit_preprocessor(raw, "box-cox"))
     _, groups = np.unique(data.values, axis=0, return_inverse=True)
-    for start in ("uniform", "rff"):
-        s_vec = fit_popularity(data, 0.2, start=start).s_vec
+    for flags in ({"start": "uniform"}, {"start": "rff"}, {"sparsify": 0.5}):
+        s_vec = fit_popularity(data, 0.2, **flags).s_vec
         for g in np.unique(groups):
             assert np.unique(s_vec[groups.ravel() == g]).size == 1
 
@@ -238,7 +241,51 @@ def test_far_point_is_most_anomalous():
 def test_sparsified_fit_keeps_positive_vector(small_data):
     model = fit_popularity(small_data, 1.0, sparsify=0.3)
     assert np.all(model.s_vec > 0.0)
-    assert model.graph.is_sparse
+    # the graph keeps the record of the cut; the kernel iterated on is freed
+    assert isinstance(model.graph.matrix, ThresholdCut) and model.graph.matrix.kernel is None
+
+
+def assert_fit_is_the_iteration_on_the_oracle_cut(data, gamma, metric, drop_fraction):
+    # The oracle's CSR, in the same loop with scipy's CSR product: the same cut matrix,
+    # summed in another order.  The fit copies equal observations' entries, and adds
+    # the difference their dropped pairs make.
+    csr, _ = argsort_sparsify(rbf_similarity_matrix(data, gamma, metric), drop_fraction)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(popularity_module, "_symmetric_product", lambda m, *_: m.__matmul__)
+        try:
+            want = power_iteration(csr)
+        except ConvergenceError:  # two clusters nearly cut apart; so must the fit fail
+            with pytest.raises(ConvergenceError):
+                fit_popularity(data, gamma, metric=metric, sparsify=drop_fraction)
+            return
+    model = fit_popularity(data, gamma, metric=metric, sparsify=drop_fraction)
+    assert model.iterations == want.iterations
+    np.testing.assert_allclose(model.s_vec, want.s_vec, rtol=1e-12, atol=0.0)
+    assert math.isclose(model.lambda1, want.lambda1, rel_tol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    points=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=2, max_size=40),
+    drop_fraction=st.floats(0.0, 0.99),
+    gamma=st.sampled_from([0.5, 5.0]),
+    metric=st.sampled_from(list(DistanceMetric)),
+)
+def test_sparsified_fit_is_the_iteration_on_the_oracle_cut(points, drop_fraction, gamma, metric):
+    # Integer grids repeat points, which tie pairs at the cut's threshold.
+    data = Dataset(np.array(points, dtype=float))
+    assert_fit_is_the_iteration_on_the_oracle_cut(data, gamma, metric, drop_fraction)
+
+
+@pytest.mark.parametrize("drop_fraction", [0.5, 0.9])
+@pytest.mark.parametrize("metric", list(DistanceMetric))
+@pytest.mark.parametrize("generate", [wifi_analogue, scraping_analogue])
+def test_sparsified_fit_is_the_iteration_on_the_oracle_cut_of_the_analogues(
+    generate, metric, drop_fraction
+):
+    raw = generate(300, 0)[0]
+    data = apply_preprocessor(raw, fit_preprocessor(raw))
+    assert_fit_is_the_iteration_on_the_oracle_cut(data, 0.2, metric, drop_fraction)
 
 
 def test_rff_start_requires_euclidean(small_data):
@@ -300,10 +347,10 @@ def test_rff_fit_holds_the_features_or_the_kernel_not_both():
 @pytest.mark.parametrize("analogue", ["wifi", "scraping"])
 def test_sparsified_fit_holds_the_kernel_or_the_csr_not_both(analogue, request):
     # The cut is found in the dense kernel (8 n^2 bytes, and an n^2 bool mask of the pairs
-    # tied at the spanning tree's least edge), which is freed before the CSR is filled from
-    # kernel row blocks.  Small row blocks leave the n x n arrays to decide the peak.
-    # Holding the kernel and the CSR together peaked at 16.2 (wifi) and 18.0 (scraping)
-    # bytes per entry.
+    # tied at the spanning tree's least edge), which then holds the cut matrix the power
+    # iteration reads: no CSR is built.  Small row blocks leave the n x n arrays to decide
+    # the peak.  Holding the kernel and a CSR together peaked at 16.2 (wifi) and 18.0
+    # (scraping) bytes per entry.
     raw = request.getfixturevalue(analogue)[0]
     data = apply_preprocessor(raw, fit_preprocessor(raw))
     n, blocks = data.n, 1 << 16
@@ -315,10 +362,9 @@ def test_sparsified_fit_holds_the_kernel_or_the_csr_not_both(analogue, request):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    m = model.graph.matrix
-    csr = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-    # the row blocks in flight: their scratch and the kept entries copied out of them
-    assert peak <= max(9 * n * n, csr) + 3 * 8 * blocks
+    assert model.graph.matrix.kernel is None  # freed after the iteration
+    # the row blocks in flight: their scratch and the ties collected from them
+    assert peak <= 9 * n * n + 3 * 8 * blocks
 
 
 _RSS_SCRIPT = """

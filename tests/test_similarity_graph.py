@@ -16,6 +16,7 @@ from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 from relanom import graph as graph_module
 from relanom.dataset import Dataset
+from relanom.degree import vertex_degrees
 from relanom.graph import (
     DistanceMetric,
     dump_graph,
@@ -302,10 +303,22 @@ def test_knn_selection_holds_the_pool_scratch_and_its_output():
 # threshold_sparsify
 
 
+def kept_entries(t) -> sparse.csr_matrix:
+    """The kept entries of a threshold cut as a CSR matrix, built like the oracle's: the
+    kernel's entries where the cut's mask keeps them, zeros included."""
+    k = rbf_similarity_matrix(t.source, t.gamma, t.metric).matrix
+    keep = t.matrix.kept(slice(0, t.n), k)
+    return sparse.coo_matrix((k[keep], np.nonzero(keep)), shape=k.shape).tocsr()
+
+
 def test_zero_drop_is_identity():
     data = random_dataset(8, 2, seed=10)
     t = threshold_sparsify(kernel_graph(data, 1.0), 0.0)
-    np.testing.assert_array_equal(t.matrix.toarray(), rbf_similarity_matrix(data, 1.0).matrix)
+    kernel = rbf_similarity_matrix(data, 1.0).matrix
+    np.testing.assert_array_equal(kept_entries(t).toarray(), kernel)
+    upper = np.triu_indices(data.n)  # the upper-only build: the half dsymv reads
+    np.testing.assert_array_equal(t.matrix.kernel[upper], kernel[upper])
+    assert t.matrix.nnz == data.n**2 and t.matrix.threshold == -np.inf
 
 
 def test_three_point_drop_removes_single_smallest_pair():
@@ -313,7 +326,7 @@ def test_three_point_drop_removes_single_smallest_pair():
     g = rbf_similarity_matrix(data, 1.0)
     # off-diagonal pairs: (0,1), (1,2), (0,2); smallest similarity is (0,2)
     t = threshold_sparsify(kernel_graph(data, 1.0), 0.4)  # floor(0.4 * 3) = 1 pair dropped
-    m = t.matrix.toarray()
+    m = kept_entries(t).toarray()
     assert m[0, 2] == 0.0 and m[2, 0] == 0.0
     assert m[0, 1] == g.matrix[0, 1] and m[1, 2] == g.matrix[1, 2]
 
@@ -322,12 +335,14 @@ def test_dropped_fraction_and_exactness():
     data = random_dataset(25, 2, seed=11)
     g = rbf_similarity_matrix(data, 0.5)
     t = threshold_sparsify(kernel_graph(data, 0.5), 0.5)
-    m = t.matrix.toarray()
+    m = kept_entries(t).toarray()
     kept = m > 0.0
     assert np.array_equal(kept, kept.T)
     assert np.all(m[kept] == g.matrix[kept])
     assert np.all(np.diag(m) == 1.0)
     assert bfs_connected(kept)
+    np.testing.assert_array_equal(t.rows(slice(2, 9)), m[2:9])  # the cut's rows, evaluated
+    np.testing.assert_allclose(vertex_degrees(t), m.sum(axis=1), rtol=1e-14)
 
 
 def test_sparsify_rejects_bad_inputs():
@@ -340,7 +355,7 @@ def test_sparsify_rejects_bad_inputs():
     for built in (rbf_similarity_matrix(data, 1.0), knn_truncate(g, 2)):  # dense, sparse
         with pytest.raises(ValueError, match="expects a kernel graph"):
             threshold_sparsify(built, 0.1)
-    with pytest.MonkeyPatch.context() as mp:  # a cut that drops nothing builds no kernel
+    with pytest.MonkeyPatch.context() as mp:  # a cut that drops nothing builds a triangle
         mp.setattr(graph_module, "DENSE_LIMIT", 7)
         with pytest.raises(ValueError, match="dense limit of 7 for popularity"):
             threshold_sparsify(g, 0.0)
@@ -353,7 +368,7 @@ def test_sparsify_backs_off_to_stay_connected():
     b = np.linspace(8.0, 8.3, 5)
     data = Dataset(np.concatenate([a, b])[:, None])
     t = threshold_sparsify(kernel_graph(data, 20.0), 0.8)
-    assert bfs_connected(t.matrix.toarray() > 0.0)
+    assert bfs_connected(kept_entries(t).toarray() > 0.0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -384,12 +399,12 @@ def test_sparsify_keeps_the_smallest_connected_suffix(points, drop_fraction, gam
     expect |= expect.T
 
     t = threshold_sparsify(kernel_graph(data, gamma), drop_fraction)
-    coo = t.matrix.tocoo()
+    coo = kept_entries(t).tocoo()
     stored = np.zeros((n, n), dtype=bool)
     stored[coo.row, coo.col] = True
     assert np.array_equal(stored, expect)
     assert np.array_equal(coo.data, g.matrix[coo.row, coo.col])
-    assert t.drop_threshold == (float(vals[order[start - 1]]) if start else None)
+    assert t.matrix.threshold == (float(vals[order[start - 1]]) if start else -np.inf)
 
 
 def argsort_sparsify(graph, drop_fraction):
@@ -423,11 +438,17 @@ def assert_sparsify_matches_oracle(kernel, drop_fraction):
     got = threshold_sparsify(kernel, drop_fraction)
     expect, threshold = argsort_sparsify(
         rbf_similarity_matrix(kernel.source, kernel.gamma, kernel.metric), drop_fraction)
+    kept = kept_entries(got)
     for name in ("indptr", "indices", "data"):
-        a, b = getattr(got.matrix, name), getattr(expect, name)
+        a, b = getattr(kept, name), getattr(expect, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert got.drop_threshold == threshold
-    return got
+    assert got.matrix.threshold == (-np.inf if threshold is None else threshold)
+    assert got.matrix.nnz == expect.nnz
+    # the kernel the power iteration reads: the oracle's entries in the upper triangle,
+    # each dropped entry 0
+    upper = np.triu_indices(kernel.n)
+    assert np.array_equal(got.matrix.kernel[upper], expect.toarray()[upper])
+    return kept
 
 
 @settings(max_examples=150, deadline=None)
@@ -455,14 +476,13 @@ def test_sparsify_keeps_a_zero_bottleneck_pair_stored(near, far, drop_fraction):
     # Two groups 100 apart: every cross pair underflows to 0, so the graph
     # stays connected only through a zero pair, which must stay stored.
     points = np.array(near + [(x + 100, y) for x, y in far], dtype=float)
-    t = assert_sparsify_matches_oracle(kernel_graph(Dataset(points), 1.0), drop_fraction)
+    m = assert_sparsify_matches_oracle(kernel_graph(Dataset(points), 1.0), drop_fraction)
     a, n = len(near), len(points)
     assert np.count_nonzero(rbf_similarity_matrix(Dataset(points), 1.0).matrix == 0.0) == \
         2 * a * (n - a)
     if int(math.floor(drop_fraction * n * (n - 1) / 2 + 1e-9)) >= a * (n - a):
         # Every zero is cut; of the tied zero pairs the last in (i, j) order
-        # joins the groups and is stored back, both ways.
-        m = t.matrix
+        # joins the groups and is kept, both ways.
         assert np.count_nonzero(m.data == 0.0) == 2
         assert n - 1 in m.indices[m.indptr[a - 1]:m.indptr[a]]
         assert a - 1 in m.indices[m.indptr[n - 1]:]
