@@ -3,12 +3,13 @@
 Observations become vertices; the edge weight between two observations is
 the radial basis similarity exp(-d(x_i, x_j)^2 / gamma).  A kernel graph
 evaluates its rows a block at a time and has no size limit; a dense graph
-(of the fits, only popularity's) holds all n^2 entries, or the upper
-triangle a symmetric product reads, up to ``DENSE_LIMIT`` rows.  Two
-sparsifiers are provided, a per-row k-nearest-neighbor truncation of either
-and a global small-value threshold of a kernel graph that preserves symmetry
-and connectivity: an O(n^2) maximum spanning tree pass and a partition of the
-pairs find the cut in a dense kernel it builds, which then holds the cut.
+holds all n^2 entries, or the upper triangle a symmetric product reads, up
+to ``DENSE_LIMIT`` rows.  Two sparsifiers are provided, a per-row
+k-nearest-neighbor truncation of either and a global small-value threshold
+of a kernel graph that preserves symmetry and connectivity: an O(n^2)
+maximum spanning tree pass and a partition of the pairs find the cut in a
+dense kernel it builds, which then holds the cut.  Every popularity fit is
+such a cut, one that drops nothing unless it sparsifies.
 """
 
 from __future__ import annotations
@@ -110,8 +111,9 @@ class SimilarityGraph:
 class ThresholdCut:
     """The kernel entries ``threshold_sparsify`` keeps, ``nnz`` of them with the diagonal:
     all but those below ``threshold`` (-inf if none is dropped) and the tied ``dropped``
-    (flat i * n + j, both halves, ascending).  As returned, it holds the ``kernel``, whose
-    upper triangle, the half dsymv reads, is the cut's; its reader frees it by replacing it."""
+    (flat i * n + j, both halves, ascending).  The cut that drops nothing, a plain
+    popularity fit's, keeps all n^2.  As returned, it holds the ``kernel``, whose upper
+    triangle, the half dsymv reads, is the cut's; its reader frees it by replacing it."""
 
     threshold: float
     dropped: np.ndarray
@@ -189,14 +191,6 @@ def _upper_rows(s: np.ndarray, graph: SimilarityGraph, rows: slice, scratch: np.
     return np.exp(v, out=v)
 
 
-def _dense_rows(graph: SimilarityGraph) -> int:
-    """The graph's n, refused past ``DENSE_LIMIT``."""
-    if graph.n > DENSE_LIMIT:
-        raise ValueError(f"n = {graph.n} exceeds the dense limit of {DENSE_LIMIT} for popularity; "
-                         "--method vertex_degree and --method shortest_path scale past it")
-    return graph.n
-
-
 def kernel_graph(
     data: Dataset,
     gamma: float,
@@ -227,7 +221,10 @@ def rbf_similarity_matrix(
     pages, so the unwritten pages never become resident: about 4 n^2 bytes of the
     8 n^2, plus one page per row.
     """
-    n = _dense_rows(graph := kernel_graph(data, gamma, metric))
+    graph = kernel_graph(data, gamma, metric)
+    if (n := graph.n) > DENSE_LIMIT:
+        raise ValueError(f"n = {n} exceeds the dense limit of {DENSE_LIMIT} for popularity; "
+                         "--method vertex_degree and --method shortest_path scale past it")
     if not upper_only:
         s = np.empty((n, n))  # written in place, block by block: no scratch
         list(_POOL.map(lambda rows: graph.rows(rows, s[rows]), row_blocks(n, n * _WORKERS)))
@@ -301,7 +298,7 @@ def threshold_sparsify(graph: SimilarityGraph, drop_fraction: float) -> Similari
         raise ValueError("threshold sparsification expects a kernel graph (matrix=None)")
     if not 0.0 <= drop_fraction < 1.0:
         raise ValueError("drop_fraction must be in [0, 1)")
-    n = _dense_rows(graph)
+    n = graph.n  # each branch builds through rbf_similarity_matrix, which refuses n first
     drop = int(math.floor(drop_fraction * (pairs := n * (n - 1) // 2) + 1e-9))
     if not drop:
         s = rbf_similarity_matrix(graph.source, graph.gamma, graph.metric, upper_only=True).matrix

@@ -76,6 +76,10 @@ class ModelBundle:
         return np.asarray(self.state["ra_q"])
 
     def to_model_space(self, raw: Dataset) -> Dataset:
+        """Raw rows in model space; their columns must be the model's, in its order."""
+        if raw.columns != self.training.columns:
+            raise ValueError(f"input columns {raw.columns} differ from the model's "
+                             f"{self.training.columns}")
         return apply_preprocessor(raw, self.transforms)
 
     def score_model(self, points: np.ndarray) -> np.ndarray:

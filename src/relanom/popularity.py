@@ -21,7 +21,6 @@ from .graph import (
     ThresholdCut,
     kernel_graph,
     kernel_rows,
-    rbf_similarity_matrix,
     threshold_sparsify,
 )
 
@@ -55,20 +54,16 @@ class PowerResult:
 
 
 @dataclass(frozen=True)
-class PopularityModel:
-    """Fitted popularity scorer.
+class PopularityModel(PowerResult):
+    """Fitted popularity scorer: the power iteration's result on ``graph``.
 
     ``lambda1`` = s' S s of the returned unit vector on the fitted (possibly
     sparsified) graph is the out-of-sample denominator, so out-of-sample
     scores reproduce the training scores on training rows.  ``graph`` is the
-    kernel graph, with a sparsified fit's ``ThresholdCut``; the n x n array is freed.
+    kernel graph with the fit's ``ThresholdCut``; the n x n array is freed.
     """
 
-    s_vec: np.ndarray
-    lambda1: float
     graph: SimilarityGraph
-    iterations: int
-    residual: float
 
 
 def _check_stopping(tol: float, max_iter: int) -> None:
@@ -213,13 +208,13 @@ def fit_popularity(
     tol: float = 1e-8,
     max_iter: int = 10_000,
 ) -> PopularityModel:
-    """Build the similarity graph and run the power iteration.
+    """Cut the similarity graph and run the power iteration on the cut.
 
     ``start`` selects the initial vector: "uniform" (default), "random"
     (seeded positive entries), or "rff" (random Fourier feature warm
-    start of dimension ``rff_dim``).  A nonzero ``sparsify`` drops that
-    fraction of the smallest off-diagonal similarity pairs first; it must
-    lie in [0, 1).
+    start of dimension ``rff_dim``).  The cut is ``threshold_sparsify``'s: it
+    drops the ``sparsify`` fraction of the smallest off-diagonal similarity
+    pairs, which must lie in [0, 1); a plain fit's fraction 0 drops nothing.
     """
     # Every flag is checked, and the warm start built, before the n x n kernel exists.
     _check_stopping(tol, max_iter)
@@ -236,19 +231,14 @@ def fit_popularity(
     else:
         raise ValueError(f"unknown start '{start}'")
     _, first, inverse = np.unique(data.values, axis=0, return_index=True, return_inverse=True)
-    graph, equal_rows = kernel_graph(data, gamma, metric), first[inverse.ravel()]
-    if sparsify:  # the cut's kernel, whose upper triangle dsymv reads; the graph keeps the cut
-        cut = (graph := threshold_sparsify(graph, sparsify)).matrix
-        matrix, graph = cut.kernel, replace(graph, matrix=replace(cut, kernel=None))
-    else:  # dsymv reads the upper triangle only
-        matrix = rbf_similarity_matrix(data, gamma, metric, upper_only=True).matrix
-    result = power_iteration(matrix, s0, tol=tol, max_iter=max_iter, equal_rows=equal_rows,
-                             cut=graph.matrix)  # the kernel is freed on return
+    cut = (graph := threshold_sparsify(kernel_graph(data, gamma, metric), sparsify)).matrix
+    graph = replace(graph, matrix=replace(cut, kernel=None))  # the kernel goes to dsymv only
+    result = power_iteration(cut.kernel, s0, tol=tol, max_iter=max_iter,  # freed on return
+                             equal_rows=first[inverse.ravel()], cut=graph.matrix)
     if np.any(result.s_vec <= 0.0):
         raise FloatingPointError("dominant eigenvector is not strictly positive; the graph is "
                                  "effectively disconnected at this gamma")
-    return PopularityModel(result.s_vec, result.lambda1, graph, result.iterations,
-                           result.residual)
+    return PopularityModel(**vars(result), graph=graph)
 
 
 def relative_anomaly(model: PopularityModel) -> np.ndarray:

@@ -169,7 +169,7 @@ def fit_shortest_path(
         raise ValueError("q must be in (0, 1)")
     kernel = kernel_graph(data, gamma, metric)
     if k is None:
-        path_graph = weights = kernel
+        path_graph = kernel
         vd = vertex_degrees(kernel)
     else:
         vd = np.empty(data.n)
@@ -178,9 +178,8 @@ def fit_shortest_path(
             vd[rows] = kernel.rows(rows, out).sum(axis=1)  # before the diagonal is masked
 
         path_graph = max_symmetrize(knn_truncate(kernel, k, read_rows))
-        weights = path_weights(path_graph)
     _, normal = select_normal_set(vd, q)
-    ra_q = multi_source_shortest_paths(weights, normal)
+    ra_q = multi_source_shortest_paths(path_graph, normal)  # weighs a stored graph
     unreachable = int(np.sum(np.isinf(ra_q)))
     if unreachable:
         warnings.warn(

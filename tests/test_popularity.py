@@ -245,6 +245,32 @@ def test_sparsified_fit_keeps_positive_vector(small_data):
     assert isinstance(model.graph.matrix, ThresholdCut) and model.graph.matrix.kernel is None
 
 
+def test_plain_fit_is_the_cut_that_drops_nothing():
+    data = random_dataset(40, 2, seed=6)
+    plain = fit_popularity(data, 0.5)
+    cut = plain.graph.matrix
+    assert isinstance(cut, ThresholdCut) and cut.kernel is None  # freed after the iteration
+    assert cut.threshold == -np.inf and cut.dropped.size == 0 and cut.nnz == data.n ** 2
+    # floor(1e-4 * 780 pairs) = 0: a sparsified fit that drops no pair
+    nothing = fit_popularity(data, 0.5, sparsify=1e-4)
+    assert nothing.graph.matrix.dropped.size == 0
+    assert np.array_equal(plain.s_vec, nothing.s_vec)
+    assert (plain.lambda1, plain.iterations) == (nothing.lambda1, nothing.iterations)
+
+
+def test_plain_fit_builds_one_upper_triangle(small_data, monkeypatch):
+    build, calls = graph_module.rbf_similarity_matrix, []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("upper_only", False))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(graph_module, "rbf_similarity_matrix", spy)
+    for fits in range(1, 3):
+        fit_popularity(small_data, 1.0)
+        assert calls == [True] * fits
+
+
 def assert_fit_is_the_iteration_on_the_oracle_cut(data, gamma, metric, drop_fraction):
     # The oracle's CSR, in the same loop with scipy's CSR product: the same cut matrix,
     # summed in another order.  The fit copies equal observations' entries, and adds
@@ -313,7 +339,7 @@ def test_bad_flags_are_refused_before_the_kernel_is_built(flags, match, small_da
     def build(data, gamma, metric, *, upper_only=False):
         raise KernelBuilt
 
-    monkeypatch.setattr(popularity_module, "rbf_similarity_matrix", build)
+    monkeypatch.setattr(graph_module, "rbf_similarity_matrix", build)
     with pytest.raises(ValueError, match=match):
         fit_popularity(small_data, 1.0, **flags)
     with pytest.raises(KernelBuilt):  # the spy is in place

@@ -13,7 +13,9 @@ with ``--train-scores`` and ``--dump-graph``), then runs ``score`` (with and
 without ``--neg-log-display``), ``ecdf``, ``explain`` (``--p-normal`` 0.5 and
 0.95) and ``grid`` on every model, and ``compare`` on each data file.  A
 copy of each data file with a quoted header and CRLF line ends is fitted by
-every method under both preprocessors and scored.  It prints
+every method under both preprocessors and scored, and a copy with the two
+feature column names swapped is scored by the same default models fitted on
+the data file, which must refuse it.  It prints
 ``<sha256>  <name>`` for every output file and for every command's exit code,
 stdout and stderr.  Run it on two checkouts and diff the manifests.  Commands
 that fail are listed on stderr; a failure is hashed like any other output.
@@ -98,12 +100,19 @@ for ds in ("scraping", "wifi"):
     quoted = f"{ds}_quoted.csv"
     with open(quoted, "w", newline="") as fh:
         fh.write("\r\n".join([",".join(f'"{h}"' for h in header.split(",")), *body]) + "\r\n")
+    swapped = f"{ds}_swapped.csv"
+    first, second, *rest = header.split(",")
+    with open(swapped, "w", newline="") as fh:
+        fh.write("\n".join([",".join([second, first, *rest]), *body]) + "\n")
     for name, flags in FITS:
         if name in QUOTED:
             tag, model = f"{ds}_quoted.{name}", f"{ds}_quoted.{name}.model.json"
             run(f"{tag}.fit", "fit", *flags, "--input", quoted, "--output", model)
             run(f"{tag}.score", "score", "--model", model, "--input", quoted,
                 "--output", f"{tag}.score.csv")
+            tag = f"{ds}_swapped.{name}"
+            run(f"{tag}.score", "score", "--model", f"{ds}.{name}.model.json",
+                "--input", swapped, "--output", f"{tag}.score.csv")
 
 for name in sorted(os.listdir(".")):
     with open(name, "rb") as fh:
