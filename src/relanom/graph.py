@@ -24,7 +24,6 @@ from enum import Enum
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import cdist
 
 from .dataset import Dataset, atomic_write_text
@@ -96,35 +95,27 @@ class SimilarityGraph:
         return sparse.issparse(self.matrix)
 
     def rows(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
-        """The dense rows in ``rows``, a fresh copy or written into ``out``; a kernel
-        graph evaluates them, and a cut's zeroes the entries it drops."""
-        if self.is_sparse or isinstance(self.matrix, np.ndarray):
-            return np.positive(self.matrix[rows], out=out)  # a copy, into out when given
+        """The dense rows in ``rows``, absent entries 0, a fresh copy or written into
+        ``out``; a kernel graph evaluates them, and a cut's zeroes those under its threshold."""
+        if isinstance(m := self.matrix, np.ndarray) or self.is_sparse:
+            return np.positive(m[rows].toarray() if self.is_sparse else m[rows], out=out)
         x = self.source.values
         block = kernel_rows(x[rows], x, self.gamma, self.metric, out)
-        if self.matrix is not None:
-            np.copyto(block, 0.0, where=~self.matrix.kept(rows, block))
+        if m is not None:
+            np.copyto(block, 0.0, where=block < m.threshold)
         return block
 
 
 @dataclass(frozen=True)
 class ThresholdCut:
     """The kernel entries ``threshold_sparsify`` keeps, ``nnz`` of them with the diagonal:
-    all but those below ``threshold`` (-inf if none is dropped) and the tied ``dropped``
-    (flat i * n + j, both halves, ascending).  The cut that drops nothing, a plain
-    popularity fit's, keeps all n^2.  As returned, it holds the ``kernel``, whose upper
+    those at or above ``threshold``.  The cut that drops nothing, a plain popularity fit's,
+    has threshold -inf and keeps all n^2.  As returned, it holds the ``kernel``, whose upper
     triangle, the half dsymv reads, is the cut's; its reader frees it by replacing it."""
 
     threshold: float
-    dropped: np.ndarray
     nnz: int
     kernel: np.ndarray | None = None
-
-    def kept(self, rows: slice, block: np.ndarray) -> np.ndarray:
-        """The bool mask of the kept entries of kernel rows ``rows``, evaluated in ``block``."""
-        keep, (a, b) = block >= self.threshold, np.array([rows.start, rows.stop]) * block.shape[1]
-        keep.reshape(-1)[self.dropped[(self.dropped >= a) & (self.dropped < b)] - a] = False
-        return keep
 
 
 def sq_distances(
@@ -288,11 +279,12 @@ def knn_truncate(graph: SimilarityGraph, k: int, read_rows=None) -> SimilarityGr
 def threshold_sparsify(graph: SimilarityGraph, drop_fraction: float) -> SimilarityGraph:
     """Drop the smallest symmetric off-diagonal pairs of a kernel graph (``kernel_graph``).
 
-    Exactly floor(drop_fraction * n*(n-1)/2) pairs are removed, smallest values first,
-    tied ones in (i, j) order.  If that disconnects the graph, the largest dropped pairs
-    are restored until it is connected: only when the cut reaches the least edge of a
-    maximum spanning tree, which an O(n^2) Prim pass over a dense kernel built here finds.
-    Its pairs are partitioned in its buffer, which then holds the returned cut's ``kernel``.
+    The cut keeps every entry at or above one threshold: just above q, the
+    floor(drop_fraction * n*(n-1)/2)-th smallest pair, so that the pairs tied at q go too,
+    unless that disconnects the graph.  Then it is the least edge of a maximum spanning
+    tree, which an O(n^2) Prim pass over a dense kernel built here finds, and the pairs
+    tied at it stay.  Equal observations therefore keep equal rows.  The pairs are
+    partitioned in the kernel's buffer, which then holds the returned cut's ``kernel``.
     """
     if graph.matrix is not None:
         raise ValueError("threshold sparsification expects a kernel graph (matrix=None)")
@@ -302,45 +294,29 @@ def threshold_sparsify(graph: SimilarityGraph, drop_fraction: float) -> Similari
     drop = int(math.floor(drop_fraction * (pairs := n * (n - 1) // 2) + 1e-9))
     if not drop:
         s = rbf_similarity_matrix(graph.source, graph.gamma, graph.metric, upper_only=True).matrix
-        return replace(graph, matrix=ThresholdCut(-np.inf, np.empty(0, dtype=np.int64), n * n, s))
+        return replace(graph, matrix=ThresholdCut(-np.inf, n * n, s))
     s = rbf_similarity_matrix(graph.source, graph.gamma, graph.metric).matrix
-    key, parent, weight = s[0].copy(), np.zeros(n, dtype=np.int64), np.full(n, np.nan)
-    key[0] = weight[0] = -np.inf  # Prim from 0; weight[v]: v's edge into the tree, nan before
-    # open_: not in the tree; better: the open vertices u is closer to (False once closed)
-    open_, better = np.arange(n) > 0, np.zeros(n, dtype=bool)
+    key, open_, vb = s[0].copy(), np.arange(n) > 0, np.inf
+    key[0] = -np.inf  # Prim from 0; key[v]: open vertex v's largest pair into the tree
     for _ in range(n - 1):
         u = key.argmax()
-        weight[u], key[u], open_[u], better[u] = key[u], -np.inf, False, False
-        np.greater(s[u], key, out=better, where=open_)
-        np.copyto(parent, u, where=better)
-        np.copyto(key, s[u], where=better)
-    vb = weight[1:].min()
-    # Kruskal in descending (value, i, j) order: tree edges above vb (weight 1) span what
-    # all pairs above vb do; pairs tied at vb join them, latest first.  The last it adds stays.
-    above, tied = np.flatnonzero(weight > vb), np.flatnonzero(s == vb)
-    tied = tied[tied // n < tied % n]  # flat i * n + j, i < j: in (i, j) order
-    tree = minimum_spanning_tree(sparse.csr_matrix(
-        (np.r_[np.ones(above.size), n * n + 1.0 - tied],
-         (np.r_[above, tied // n], np.r_[parent[above], tied % n])), shape=(n, n)))
+        vb, key[u], open_[u] = min(vb, key[u]), -np.inf, False
+        np.maximum(key, s[u], out=key, where=open_)
     vals = s.reshape(-1)[:pairs]
     for i in range(n - 1):  # the pairs, row by row, to the front of the kernel's buffer
         vals[i * n - i * (i + 1) // 2:][: n - 1 - i] = s[i, i + 1:]
-    drop = min(drop, np.count_nonzero(vals < vb) + (tied <= n * n - tree.data.max()).sum())
     vals.partition(drop - 1)
-    threshold = float(vals[drop - 1])
-    below = np.count_nonzero(vals[: drop - 1] < threshold)  # the dropped pairs under it
-    del vals, tied
+    threshold = float(min(np.nextafter(vals[drop - 1], np.inf), vb))
+    drop = int(np.count_nonzero(vals < threshold))  # before the cut pass overwrites vals
+    del vals
 
-    def cut(rows, scratch):  # the upper rows again, zeroed under the threshold; their ties
+    def cut(rows, scratch):  # the upper rows again, zeroed under the threshold
         v = _upper_rows(s, graph, rows, scratch)
         mask = scratch.reshape(-1).view(np.bool_)[: v.size].reshape(v.shape)  # the distances' room
         np.copyto(v, 0.0, where=np.less(v, threshold, out=mask))
-        k, c = np.divmod(np.flatnonzero(np.equal(v, threshold, out=mask)), v.shape[1])
-        return (rows.start + k[c > k]) * n + rows.start + c[c > k]  # i < j, in (i, j) order
 
-    dropped = np.concatenate(for_row_blocks(cut, n, n))[: drop - below]  # ties go in (i, j) order
-    s.reshape(-1)[dropped := np.sort(np.r_[dropped, dropped % n * n + dropped // n])] = 0.0
-    return replace(graph, matrix=ThresholdCut(threshold, dropped, n + 2 * (pairs - drop), s))
+    for_row_blocks(cut, n, n)
+    return replace(graph, matrix=ThresholdCut(threshold, n + 2 * (pairs - drop), s))
 
 
 def max_symmetrize(graph: SimilarityGraph) -> SimilarityGraph:
@@ -361,13 +337,10 @@ def dump_graph(graph: SimilarityGraph, path) -> None:
         m = graph.matrix.tocsr()
         rows = (zip(m.indices[lo:hi].tolist(), m.data[lo:hi].tolist())
                 for lo, hi in zip(m.indptr[:-1].tolist(), m.indptr[1:].tolist()))
-    elif isinstance(graph.matrix, ThresholdCut):
+    else:  # a cut's rows are 0 under its threshold, which is 0 or less if it keeps zeros
+        threshold = graph.matrix.threshold if isinstance(graph.matrix, ThresholdCut) else -np.inf
         rows = (zip(np.flatnonzero(keep).tolist(), row[keep].tolist())
-                for block in row_blocks(graph.n, graph.n)
-                for values in [replace(graph, matrix=None).rows(block)]
-                for row, keep in zip(values, graph.matrix.kept(block, values)))
-    else:
-        rows = (enumerate(row) for block in row_blocks(graph.n, graph.n)
-                for row in graph.rows(block).tolist())
+                for block in row_blocks(graph.n, graph.n) for row in graph.rows(block)
+                for keep in [row >= threshold])
     atomic_write_text(path, ("".join([f"{i},{j},{v!r}\n" for j, v in row])
                              for i, row in enumerate(rows)))

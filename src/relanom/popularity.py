@@ -18,7 +18,6 @@ from .dataset import Dataset
 from .graph import (
     DistanceMetric,
     SimilarityGraph,
-    ThresholdCut,
     kernel_graph,
     kernel_rows,
     threshold_sparsify,
@@ -71,7 +70,7 @@ def _check_stopping(tol: float, max_iter: int) -> None:
         raise ValueError("tol must be a positive finite real and max_iter at least 1")
 
 
-def _symmetric_product(s_matrix, equal_rows=None, cut: ThresholdCut | None = None):
+def _symmetric_product(s_matrix, equal_rows=None):
     """The function v -> S v that ``power_iteration`` applies: the BLAS ``dsymv`` on the
     upper triangle of S (the lower one is never read).
 
@@ -79,22 +78,18 @@ def _symmetric_product(s_matrix, equal_rows=None, cut: ThresholdCut | None = Non
     with S's upper triangle as its lower one; any other layout is copied once, here,
     not by f2py in every product.  ``dsymv`` sums each entry in an order set by its
     index, so equal rows can differ in the last bits; entry i is copied from entry
-    ``equal_rows[i]`` where that names another row of the kernel.  If S is a ``cut`` of
-    the kernel, the copy then adds the difference the two rows' dropped entries make,
-    summed in column order: 0 where they drop the same columns.
+    ``equal_rows[i]`` where that names another, equal row of S.
     """
     a = np.asarray(s_matrix, dtype=np.float64)
     a, lower = (a.T, 1) if a.flags.c_contiguous else (np.asfortranarray(a), 0)
     if equal_rows is None:
         return lambda v: dsymv(1.0, a, v, lower=lower)
-    twins = np.flatnonzero(equal_rows != np.arange(n := len(a)))
+    twins = np.flatnonzero(equal_rows != np.arange(len(a)))
     firsts = equal_rows[twins]
-    rows, cols = np.divmod(cut.dropped if cut else np.empty(0, dtype=np.int64), n)
 
     def product(v):
         y = dsymv(1.0, a, v, lower=lower)
-        lost = np.bincount(rows, weights=cut.threshold * v[cols] if cut else None, minlength=n)
-        y[twins] = y[firsts] + (lost[firsts] - lost[twins])
+        y[twins] = y[firsts]
         return y
 
     return product
@@ -106,7 +101,6 @@ def power_iteration(
     tol: float = 1e-8,
     max_iter: int = 10_000,
     equal_rows: np.ndarray | None = None,
-    cut: ThresholdCut | None = None,
 ) -> PowerResult:
     """Dominant eigenpair of a symmetric matrix by power iteration.
 
@@ -116,8 +110,8 @@ def power_iteration(
     residual of the returned vector.  The sign is fixed to the
     all-positive orientation.  The products read only S's upper triangle, in the
     BLAS symmetric product ``dsymv`` on the library's threads (see
-    ``_symmetric_product``).  ``equal_rows[i]``, when given, is a row of S (of the
-    kernel if S is its ``cut``) equal to row i, or i; equal rows stay bit-equal.
+    ``_symmetric_product``).  ``equal_rows[i]``, when given, is a row of S equal to
+    row i, or i; equal rows stay bit-equal.
     """
     n = s_matrix.shape[0]
     if s_matrix.shape[0] != s_matrix.shape[1]:
@@ -126,7 +120,7 @@ def power_iteration(
     if np.any(diag <= 0.0):
         raise ValueError("matrix must have a strictly positive diagonal")
     _check_stopping(tol, max_iter)
-    product = _symmetric_product(s_matrix, equal_rows, cut)
+    product = _symmetric_product(s_matrix, equal_rows)
     if s0 is None:
         s = np.full(n, 1.0 / math.sqrt(n))
     else:
@@ -214,7 +208,9 @@ def fit_popularity(
     (seeded positive entries), or "rff" (random Fourier feature warm
     start of dimension ``rff_dim``).  The cut is ``threshold_sparsify``'s: it
     drops the ``sparsify`` fraction of the smallest off-diagonal similarity
-    pairs, which must lie in [0, 1); a plain fit's fraction 0 drops nothing.
+    pairs, which must lie in [0, 1), and the pairs tied with the last of them,
+    unless that disconnects the graph; a plain fit's fraction 0 drops nothing.
+    Equal observations keep equal rows, so their entries are copied bit-equal.
     """
     # Every flag is checked, and the warm start built, before the n x n kernel exists.
     _check_stopping(tol, max_iter)
@@ -234,7 +230,7 @@ def fit_popularity(
     cut = (graph := threshold_sparsify(kernel_graph(data, gamma, metric), sparsify)).matrix
     graph = replace(graph, matrix=replace(cut, kernel=None))  # the kernel goes to dsymv only
     result = power_iteration(cut.kernel, s0, tol=tol, max_iter=max_iter,  # freed on return
-                             equal_rows=first[inverse.ravel()], cut=graph.matrix)
+                             equal_rows=first[inverse.ravel()])
     if np.any(result.s_vec <= 0.0):
         raise FloatingPointError("dominant eigenvector is not strictly positive; the graph is "
                                  "effectively disconnected at this gamma")

@@ -124,11 +124,12 @@ def test_fit_warns_on_boundary_transform(tmp_path, capsys):
 
 def test_fit_warns_when_sparsify_keeps_pairs_for_connectivity(tmp_path, capsys):
     # The wifi analogue's repeated rows make the connectivity bottleneck a tie
-    # block: past about 0.4 every --sparsify drops the same pairs.
+    # block: past about 0.4 every --sparsify drops the same pairs.  Below that the
+    # cut drops every pair at or under q, the floor(F * pairs)-th smallest, ties too.
     data, model = tmp_path / "wifi.csv", tmp_path / "m.json"
     assert run("synth", "--dataset", "wifi", "--n", "300", "--seed", "0",
                "--output", str(data)) == 0
-    warned, dropped = {}, {}
+    warned, dropped, pairs = {}, {}, 300 * 299 // 2
     for fraction in ("0.1", "0.9"):
         dump = tmp_path / f"graph{fraction}.csv"
         capsys.readouterr()
@@ -137,9 +138,12 @@ def test_fit_warns_when_sparsify_keeps_pairs_for_connectivity(tmp_path, capsys):
         warned[fraction] = [line for line in capsys.readouterr().err.splitlines()
                             if "--sparsify" in line]
         nnz = len(dump.read_text().splitlines())  # the diagonal and both halves of each pair
-        dropped[fraction] = 300 * 299 // 2 - (nnz - 300) // 2
-    pairs = 300 * 299 // 2
-    assert dropped["0.1"] == int(0.1 * pairs) and warned["0.1"] == []
+        dropped[fraction] = pairs - (nnz - 300) // 2
+    bundle = load_model(model)  # both fits share the training rows and gamma
+    vals = rbf_similarity_matrix(bundle.training, bundle.gamma).matrix[np.triu_indices(300, 1)]
+    q = np.sort(vals)[int(0.1 * pairs) - 1]
+    assert dropped["0.1"] == np.count_nonzero(vals <= q) > int(0.1 * pairs)
+    assert warned["0.1"] == []
     assert dropped["0.9"] < 0.5 * pairs
     assert warned["0.9"] == [f"warning: --sparsify 0.9 dropped only {dropped['0.9'] / pairs:.4f} "
                              "of the pairs; the rest keep the graph connected"]

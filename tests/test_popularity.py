@@ -38,7 +38,7 @@ from relanom.scoring import label_top_fraction
 from relanom.synth import scraping_analogue, wifi_analogue
 
 from conftest import random_dataset
-from test_similarity_graph import argsort_sparsify
+from test_similarity_graph import brute_force_cut
 
 
 def oracle_leading_eigenpair(s: np.ndarray):
@@ -250,10 +250,10 @@ def test_plain_fit_is_the_cut_that_drops_nothing():
     plain = fit_popularity(data, 0.5)
     cut = plain.graph.matrix
     assert isinstance(cut, ThresholdCut) and cut.kernel is None  # freed after the iteration
-    assert cut.threshold == -np.inf and cut.dropped.size == 0 and cut.nnz == data.n ** 2
+    assert cut.threshold == -np.inf and cut.nnz == data.n ** 2
     # floor(1e-4 * 780 pairs) = 0: a sparsified fit that drops no pair
     nothing = fit_popularity(data, 0.5, sparsify=1e-4)
-    assert nothing.graph.matrix.dropped.size == 0
+    assert nothing.graph.matrix == cut
     assert np.array_equal(plain.s_vec, nothing.s_vec)
     assert (plain.lambda1, plain.iterations) == (nothing.lambda1, nothing.iterations)
 
@@ -273,9 +273,8 @@ def test_plain_fit_builds_one_upper_triangle(small_data, monkeypatch):
 
 def assert_fit_is_the_iteration_on_the_oracle_cut(data, gamma, metric, drop_fraction):
     # The oracle's CSR, in the same loop with scipy's CSR product: the same cut matrix,
-    # summed in another order.  The fit copies equal observations' entries, and adds
-    # the difference their dropped pairs make.
-    csr, _ = argsort_sparsify(rbf_similarity_matrix(data, gamma, metric), drop_fraction)
+    # summed in another order.  The fit copies equal observations' entries.
+    csr, _ = brute_force_cut(rbf_similarity_matrix(data, gamma, metric), drop_fraction)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(popularity_module, "_symmetric_product", lambda m, *_: m.__matmul__)
         try:
@@ -312,6 +311,35 @@ def test_sparsified_fit_is_the_iteration_on_the_oracle_cut_of_the_analogues(
     raw = generate(300, 0)[0]
     data = apply_preprocessor(raw, fit_preprocessor(raw))
     assert_fit_is_the_iteration_on_the_oracle_cut(data, 0.2, metric, drop_fraction)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    points=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=2, max_size=30),
+    drop_fraction=st.floats(0.0, 0.99),
+    metric=st.sampled_from(list(DistanceMetric)),
+)
+def test_equal_observations_keep_equal_cut_rows_and_bit_equal_entries(
+    points, drop_fraction, metric
+):
+    # The cut keeps or drops the pairs tied at its threshold together, so equal
+    # observations keep equal rows, and the fit's copy of their entries is exact.
+    data = Dataset(np.array(points, dtype=float))
+    _, first, inverse = np.unique(data.values, axis=0, return_index=True, return_inverse=True)
+    equal = first[inverse.ravel()]
+    model = fit_popularity(data, 5.0, metric=metric, sparsify=drop_fraction)
+    rows = model.graph.rows(slice(0, data.n))
+    assert np.array_equal(rows, rows[equal])
+    assert np.array_equal(model.s_vec, model.s_vec[equal])
+
+
+def test_sparsified_fit_converges_where_split_ties_stalled_the_copy():
+    # q, the 5th smallest of the 10 pairs, lies inside a block of six tied pairs that the
+    # graph needs to stay connected.  A cut that split the block would give the two
+    # (0, 1) rows unequal rows, and copying their entries stalls.
+    data = Dataset(np.array([(1, 1), (0, 0), (0, 1), (0, 1), (1, 1)], dtype=float))
+    assert_fit_is_the_iteration_on_the_oracle_cut(data, 5.0, DistanceMetric.EUCLIDEAN, 0.5)
+    assert fit_popularity(data, 5.0, sparsify=0.5).iterations == 18
 
 
 def test_rff_start_requires_euclidean(small_data):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
+from scipy.sparse.csgraph import connected_components
 
 from relanom import graph as graph_module
 from relanom.dataset import Dataset
@@ -305,9 +305,9 @@ def test_knn_selection_holds_the_pool_scratch_and_its_output():
 
 def kept_entries(t) -> sparse.csr_matrix:
     """The kept entries of a threshold cut as a CSR matrix, built like the oracle's: the
-    kernel's entries where the cut's mask keeps them, zeros included."""
+    kernel's entries at or above the cut's threshold, zeros included."""
     k = rbf_similarity_matrix(t.source, t.gamma, t.metric).matrix
-    keep = t.matrix.kept(slice(0, t.n), k)
+    keep = k >= t.matrix.threshold
     return sparse.coo_matrix((k[keep], np.nonzero(keep)), shape=k.shape).tocsr()
 
 
@@ -345,6 +345,20 @@ def test_dropped_fraction_and_exactness():
     np.testing.assert_allclose(vertex_degrees(t), m.sum(axis=1), rtol=1e-14)
 
 
+def test_rows_are_dense_for_every_matrix_kind():
+    # absent entries read 0, and the rows go into out when it is given
+    data = random_dataset(9, 2, seed=17)
+    kernel, dense = kernel_graph(data, 0.2), rbf_similarity_matrix(data, 0.2)
+    knn, cut = max_symmetrize(knn_truncate(kernel, 3)), threshold_sparsify(kernel, 0.5)
+    kept = np.where(dense.matrix >= cut.matrix.threshold, dense.matrix, 0.0)
+    assert np.count_nonzero(kept == 0.0) and np.count_nonzero(knn.matrix.toarray() == 0.0)
+    for graph, want in [(dense, dense.matrix), (knn, knn.matrix.toarray()), (cut, kept),
+                        (kernel, dense.matrix)]:
+        assert np.array_equal(graph.rows(slice(2, 5)), want[2:5])
+        out = np.full((3, data.n), np.nan)
+        assert graph.rows(slice(2, 5), out) is out and np.array_equal(out, want[2:5])
+
+
 def test_sparsify_rejects_bad_inputs():
     data = random_dataset(8, 2, seed=12)
     g = kernel_graph(data, 1.0)
@@ -371,6 +385,19 @@ def test_sparsify_backs_off_to_stay_connected():
     assert bfs_connected(kept_entries(t).toarray() > 0.0)
 
 
+def pair_values(s: np.ndarray):
+    rows, cols = np.triu_indices(len(s), k=1)
+    return rows, cols, s[rows, cols]
+
+
+def connected_at(s: np.ndarray, threshold: float) -> bool:
+    """Whether the pairs of ``s`` at or above ``threshold`` connect its vertices."""
+    rows, cols, vals = pair_values(s)
+    keep = vals >= threshold
+    adj = sparse.coo_matrix((np.ones(keep.sum()), (rows[keep], cols[keep])), shape=s.shape)
+    return connected_components(adj, directed=False)[0] == 1
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     points=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=12),
@@ -378,25 +405,21 @@ def test_sparsify_backs_off_to_stay_connected():
     gamma=st.sampled_from([0.1, 1.0, 10.0]),
 )
 def test_sparsify_keeps_the_smallest_connected_suffix(points, drop_fraction, gamma):
-    # Integer-grid points, many of them duplicated, make the similarity ties
-    # that the (value, i, j) order has to break.
+    # Integer-grid points, many of them duplicated, tie pairs at the threshold; the cut
+    # keeps whole tie blocks.  Of the suffixes of the distinct pair values that keep every
+    # pair above q, the floor(F * pairs)-th smallest, it keeps the smallest connected one.
     data = Dataset(np.array(points, dtype=float))
     n = data.n
     g = rbf_similarity_matrix(data, gamma)
-    rows, cols = np.triu_indices(n, k=1)
-    vals = g.matrix[rows, cols]
-    order = np.lexsort((cols, rows, vals))
+    _, _, vals = pair_values(g.matrix)
     start = int(math.floor(drop_fraction * vals.size + 1e-9))
-
-    def connected(kept):
-        adj = sparse.coo_matrix((np.ones(kept.size), (rows[kept], cols[kept])), shape=(n, n))
-        return connected_components(adj, directed=False)[0] == 1
-
-    while not connected(order[start:]):
-        start -= 1
-    expect = np.eye(n, dtype=bool)
-    expect[rows[order[start:]], cols[order[start:]]] = True
-    expect |= expect.T
+    threshold = -np.inf
+    if start:  # the next float above q, then the distinct values up to q, descending
+        q = np.sort(vals)[start - 1]
+        distinct = np.unique(vals)
+        threshold = next(t for t in [np.nextafter(q, np.inf), *distinct[distinct <= q][::-1]]
+                         if connected_at(g.matrix, t))
+    expect = g.matrix >= threshold
 
     t = threshold_sparsify(kernel_graph(data, gamma), drop_fraction)
     coo = kept_entries(t).tocoo()
@@ -404,46 +427,43 @@ def test_sparsify_keeps_the_smallest_connected_suffix(points, drop_fraction, gam
     stored[coo.row, coo.col] = True
     assert np.array_equal(stored, expect)
     assert np.array_equal(coo.data, g.matrix[coo.row, coo.col])
-    assert t.matrix.threshold == (float(vals[order[start - 1]]) if start else -np.inf)
+    assert t.matrix.threshold == threshold
 
 
-def argsort_sparsify(graph, drop_fraction):
-    """Test oracle: the sparsifier as a full stable argsort of the pairs and a
-    spanning tree over their ranks; returns the CSR matrix and drop threshold."""
+def brute_force_cut(graph, drop_fraction):
+    """Test oracle: the sparsifier's cut of a dense graph by brute force over the sorted
+    distinct pair values; returns the CSR matrix of the kept entries and the threshold.
+
+    The candidates are the values up to q, the floor(F * pairs)-th smallest pair, and the
+    next float above q, which drops the pairs tied at q; the threshold is the largest
+    candidate whose pairs at or above it connect the graph, found by bisection."""
     n, s = graph.n, graph.matrix
-    rows, cols = np.triu_indices(n, k=1)
-    vals = s[rows, cols]
-    npairs = vals.size
-    m_drop = int(math.floor(drop_fraction * npairs + 1e-9))
-    order = np.argsort(vals, kind="stable")  # ties by (i, j)
+    _, _, vals = pair_values(s)
+    m_drop = int(math.floor(drop_fraction * vals.size + 1e-9))
+    threshold = -np.inf
     if m_drop:
-        # Descending ranks are distinct weights; the tree's heaviest edge is
-        # the lowest-ranked pair that keeps the kept suffix connected.
-        rank = np.empty(npairs)
-        rank[order] = np.arange(npairs, 0, -1)
-        tree = minimum_spanning_tree(sparse.csr_matrix((rank, (rows, cols)), shape=(n, n)))
-        m_drop = min(m_drop, npairs - int(tree.data.max()))
-    kept = order[m_drop:]
-    threshold = float(vals[order[m_drop - 1]]) if m_drop else None
-    ki, kj, diag = rows[kept], cols[kept], np.arange(n)
-    coo = sparse.coo_matrix(
-        (np.concatenate((vals[kept], vals[kept], s[diag, diag])),
-         (np.concatenate((ki, kj, diag)), np.concatenate((kj, ki, diag)))),
-        shape=(n, n),
-    )
-    return coo.tocsr(), threshold
+        q = np.sort(vals)[m_drop - 1]
+        distinct = np.unique(vals)
+        candidates = np.r_[distinct[distinct <= q], np.nextafter(q, np.inf)]
+        lo, hi = 0, candidates.size - 1  # the least pair keeps every pair: connected
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if connected_at(s, candidates[mid]) else (lo, mid - 1)
+        threshold = float(candidates[lo])
+    keep = (s >= threshold) | np.eye(n, dtype=bool)
+    return sparse.coo_matrix((s[keep], np.nonzero(keep)), shape=(n, n)).tocsr(), threshold
 
 
 def assert_sparsify_matches_oracle(kernel, drop_fraction):
     got = threshold_sparsify(kernel, drop_fraction)
-    expect, threshold = argsort_sparsify(
+    expect, threshold = brute_force_cut(
         rbf_similarity_matrix(kernel.source, kernel.gamma, kernel.metric), drop_fraction)
     kept = kept_entries(got)
     for name in ("indptr", "indices", "data"):
         a, b = getattr(kept, name), getattr(expect, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert got.matrix.threshold == (-np.inf if threshold is None else threshold)
-    assert got.matrix.nnz == expect.nnz
+    assert got.matrix.threshold == threshold
+    assert got.matrix.nnz == expect.nnz and type(got.matrix.nnz) is int
     # the kernel the power iteration reads: the oracle's entries in the upper triangle,
     # each dropped entry 0
     upper = np.triu_indices(kernel.n)
@@ -458,7 +478,7 @@ def assert_sparsify_matches_oracle(kernel, drop_fraction):
     gamma=st.sampled_from([0.02, 0.5, 5.0]),
     metric=st.sampled_from(list(DistanceMetric)),
 )
-def test_sparsify_matches_the_argsort_oracle_on_duplicated_grids(
+def test_sparsify_matches_the_brute_force_cut_on_duplicated_grids(
     points, drop_fraction, gamma, metric
 ):
     # gamma=0.02 underflows the far pairs to exact zeros.
@@ -472,39 +492,39 @@ def test_sparsify_matches_the_argsort_oracle_on_duplicated_grids(
     far=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=15),
     drop_fraction=st.floats(0.0, 0.99),
 )
-def test_sparsify_keeps_a_zero_bottleneck_pair_stored(near, far, drop_fraction):
-    # Two groups 100 apart: every cross pair underflows to 0, so the graph
-    # stays connected only through a zero pair, which must stay stored.
+def test_sparsify_keeps_a_zero_bottleneck_tie_block_stored(near, far, drop_fraction):
+    # Two groups 100 apart: every cross pair underflows to 0, so the graph stays
+    # connected only through the zero pairs, a tie block at the bottleneck.  A cut
+    # that drops anything has threshold 0, so it keeps every pair, the zeros stored.
     points = np.array(near + [(x + 100, y) for x, y in far], dtype=float)
     m = assert_sparsify_matches_oracle(kernel_graph(Dataset(points), 1.0), drop_fraction)
     a, n = len(near), len(points)
     assert np.count_nonzero(rbf_similarity_matrix(Dataset(points), 1.0).matrix == 0.0) == \
         2 * a * (n - a)
-    if int(math.floor(drop_fraction * n * (n - 1) / 2 + 1e-9)) >= a * (n - a):
-        # Every zero is cut; of the tied zero pairs the last in (i, j) order
-        # joins the groups and is kept, both ways.
-        assert np.count_nonzero(m.data == 0.0) == 2
-        assert n - 1 in m.indices[m.indptr[a - 1]:m.indptr[a]]
-        assert a - 1 in m.indices[m.indptr[n - 1]:]
+    if int(math.floor(drop_fraction * n * (n - 1) / 2 + 1e-9)):
+        assert m.nnz == n * n and np.count_nonzero(m.data == 0.0) == 2 * a * (n - a)
 
 
 @settings(max_examples=100, deadline=None)
 @given(points=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=4, max_size=40),
        data=st.data())
-def test_sparsify_cut_inside_a_tie_block_matches_the_argsort_oracle(points, data):
+def test_sparsify_cut_inside_a_tie_block_matches_the_brute_force_cut(points, data):
     g = kernel_graph(Dataset(np.array(points, dtype=float)), 1.0)
     vals = np.sort(rbf_similarity_matrix(g.source, 1.0).matrix[np.triu_indices(g.n, 1)])
     # Drop counts m whose cut splits a tie block: vals[m - 1] == vals[m].
     inside = np.flatnonzero(vals[:-1] == vals[1:]) + 1
     assume(inside.size > 0)
     m = int(data.draw(st.sampled_from(inside.tolist())))
-    assert_sparsify_matches_oracle(g, (m + 0.5) / vals.size)
+    kept = assert_sparsify_matches_oracle(g, (m + 0.5) / vals.size)
+    off = kept.tocoo()  # the block is kept or dropped whole, both halves of each pair
+    tied = np.count_nonzero(off.data[off.row != off.col] == vals[m])
+    assert tied in (0, 2 * np.count_nonzero(vals == vals[m]))
 
 
 @pytest.mark.parametrize("drop_fraction", [0.5, 0.9])
 @pytest.mark.parametrize("metric", list(DistanceMetric))
 @pytest.mark.parametrize("generate", [wifi_analogue, scraping_analogue])
-def test_sparsify_matches_the_argsort_oracle_on_the_analogues(generate, metric, drop_fraction):
+def test_sparsify_matches_the_brute_force_cut_on_the_analogues(generate, metric, drop_fraction):
     raw = generate(300, 0)[0]
     data = apply_preprocessor(raw, fit_preprocessor(raw))
     assert_sparsify_matches_oracle(kernel_graph(data, 0.2, metric), drop_fraction)

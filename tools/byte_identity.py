@@ -15,7 +15,11 @@ without ``--neg-log-display``), ``ecdf``, ``explain`` (``--p-normal`` 0.5 and
 copy of each data file with a quoted header and CRLF line ends is fitted by
 every method under both preprocessors and scored, and a copy with the two
 feature column names swapped is scored by the same default models fitted on
-the data file, which must refuse it.  It prints
+the data file, which must refuse it.  A duplicated integer grid (40 rows, 20
+distinct points, 4 and 5 values per column), whose pairs tie at the cut's
+threshold, is fitted by popularity with ``--preprocess standardize
+--sparsify 0.5`` (with ``--train-scores`` and ``--dump-graph``) and scored;
+its outputs change whenever the cut's tie rule does.  It prints
 ``<sha256>  <name>`` for every output file and for every command's exit code,
 stdout and stderr.  Run it on two checkouts and diff the manifests.  Commands
 that fail are listed on stderr; a failure is hashed like any other output.
@@ -113,6 +117,15 @@ for ds in ("scraping", "wifi"):
             tag = f"{ds}_swapped.{name}"
             run(f"{tag}.score", "score", "--model", f"{ds}.{name}.model.json",
                 "--input", swapped, "--output", f"{tag}.score.csv")
+
+with open("ties.csv", "w", newline="") as fh:
+    fh.write("x1,x2\n" + "".join(f"{i % 4},{i * 3 % 5}\n" for i in range(40)))
+run("ties.pop_std_sparse.fit", "fit", "--method", "popularity", "--preprocess", "standardize",
+    "--sparsify", "0.5", "--input", "ties.csv", "--output", "ties.pop_std_sparse.model.json",
+    "--train-scores", "ties.pop_std_sparse.train.csv",
+    "--dump-graph", "ties.pop_std_sparse.graph.csv")
+run("ties.pop_std_sparse.score", "score", "--model", "ties.pop_std_sparse.model.json",
+    "--input", "ties.csv", "--output", "ties.pop_std_sparse.score.csv")
 
 for name in sorted(os.listdir(".")):
     with open(name, "rb") as fh:
