@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -139,9 +140,18 @@ def _load_features(path) -> Dataset:
     return loaded[0] if isinstance(loaded, tuple) else loaded
 
 
+def _fit(raw, method, **kwargs):
+    """``fit_model``, its warnings printed as one ``warning: ...`` line each."""
+    with warnings.catch_warnings(record=True) as caught:
+        fitted = fit_model(raw, method, **kwargs)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return fitted
+
+
 def _cmd_fit(args) -> int:
     raw = _load_features(args.input)
-    bundle, graph = fit_model(
+    bundle, graph = _fit(
         raw, args.method,
         gamma=args.gamma, metric=_METRICS[args.metric], preprocess=args.preprocess,
         q=args.q, k=args.k, sparsify=args.sparsify, start=args.start,
@@ -239,7 +249,7 @@ def _cmd_compare(args) -> int:
         raise ValueError("no rows labeled anomalous in the input")
     report = []
     for method in METHODS:
-        bundle, _ = fit_model(
+        bundle, _ = _fit(
             raw, method, gamma=getattr(args, f"gamma_{method}"), preprocess=args.preprocess,
             q=args.q if method == "shortest_path" else None,
         )

@@ -4,12 +4,15 @@ Observations become vertices; the edge weight between two observations is
 the radial basis similarity exp(-d(x_i, x_j)^2 / gamma).  A kernel graph
 evaluates its rows a block at a time and has no size limit; a dense graph
 holds all n^2 entries, or the upper triangle a symmetric product reads, up
-to ``DENSE_LIMIT`` rows.  Two sparsifiers are provided, a per-row
+to ``DENSE_LIMIT`` rows.  Equal observations have equal kernel rows, so the
+fits work on a dataset's distinct rows (``distinct_rows``), each weighted by
+the number of rows equal to it.  Two sparsifiers are provided, a per-row
 k-nearest-neighbor truncation of either and a global small-value threshold
-of a kernel graph that preserves symmetry and connectivity: an O(n^2)
+of a kernel graph that preserves symmetry and connectivity: an O(m^2)
 maximum spanning tree pass and a partition of the pairs find the cut in a
-dense kernel it builds, which then holds the cut.  Every popularity fit is
-such a cut, one that drops nothing unless it sparsifies.
+dense kernel of the m distinct rows it builds, which then holds the cut.
+Every popularity fit is such a cut, one that drops nothing unless it
+sparsifies.
 """
 
 from __future__ import annotations
@@ -30,8 +33,10 @@ from .dataset import Dataset, atomic_write_text
 
 __all__ = [
     "DistanceMetric",
+    "DistinctRows",
     "SimilarityGraph",
     "ThresholdCut",
+    "distinct_rows",
     "sq_distances",
     "kernel_rows",
     "kernel_graph",
@@ -94,9 +99,10 @@ class SimilarityGraph:
     def is_sparse(self) -> bool:
         return sparse.issparse(self.matrix)
 
-    def rows(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
-        """The dense rows in ``rows``, absent entries 0, a fresh copy or written into
-        ``out``; a kernel graph evaluates them, and a cut's zeroes those under its threshold."""
+    def rows(self, rows: slice | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The dense rows ``rows`` (a slice or indices), absent entries 0, a fresh copy or
+        written into ``out``; a kernel graph evaluates them, and a cut's zeroes those under
+        its threshold."""
         if isinstance(m := self.matrix, np.ndarray) or self.is_sparse:
             return np.positive(m[rows].toarray() if self.is_sparse else m[rows], out=out)
         x = self.source.values
@@ -110,12 +116,44 @@ class SimilarityGraph:
 class ThresholdCut:
     """The kernel entries ``threshold_sparsify`` keeps, ``nnz`` of them with the diagonal:
     those at or above ``threshold``.  The cut that drops nothing, a plain popularity fit's,
-    has threshold -inf and keeps all n^2.  As returned, it holds the ``kernel``, whose upper
-    triangle, the half dsymv reads, is the cut's; its reader frees it by replacing it."""
+    has threshold -inf and keeps all n^2.  As returned, it holds the ``kernel`` of the m
+    distinct rows, whose upper triangle, the half dsymv reads, is the cut's; its reader
+    frees it by replacing it."""
 
     threshold: float
     nnz: int
     kernel: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class DistinctRows:
+    """The distinct rows of a dataset: ``data`` holds its rows ``rows``, the first of
+    each group of equal rows, in order.  Row i of the dataset equals ``data`` row
+    ``inverse[i]``, and ``counts[u]`` of its rows equal row u.  Without equal rows
+    ``data`` is the dataset itself and ``counts`` None."""
+
+    data: Dataset
+    rows: np.ndarray
+    inverse: np.ndarray
+    counts: np.ndarray | None
+
+
+def distinct_rows(data: Dataset) -> DistinctRows:
+    """The distinct rows of ``data``, counted, in order of first occurrence."""
+    order = np.lexsort(data.values.T)  # stable: equal rows together, by index
+    ranked = data.values[order]
+    starts = np.ones(data.n, dtype=bool)  # the first row of each group in ``order``
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+    if starts.all():
+        return DistinctRows(data, order := np.arange(data.n), order, None)
+    first = order[starts]
+    label = np.empty_like(first)
+    label[np.argsort(first)] = np.arange(first.size)
+    inverse = np.empty_like(order)
+    inverse[order] = label[np.cumsum(starts) - 1]
+    first.sort()
+    return DistinctRows(Dataset(data.values[first], data.columns), first, inverse,
+                        np.bincount(inverse))
 
 
 def sq_distances(
@@ -191,8 +229,6 @@ def kernel_graph(
     its rows are evaluated when read, so it has no size limit."""
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise ValueError("gamma must be a positive finite real")
-    if data.n < 2:
-        raise ValueError("similarity graph needs at least 2 observations")
     return SimilarityGraph(None, gamma, metric, source=data)
 
 
@@ -276,46 +312,106 @@ def knn_truncate(graph: SimilarityGraph, k: int, read_rows=None) -> SimilarityGr
     return SimilarityGraph(mat, graph.gamma, graph.metric, source=graph.source)
 
 
-def threshold_sparsify(graph: SimilarityGraph, drop_fraction: float) -> SimilarityGraph:
+def _select(vals: np.ndarray, extra: np.ndarray, weights: np.ndarray, k: int) -> float:
+    """The k-th smallest of ``vals``, each counted once, and ``extra``, each counted
+    ``weights`` times.  With E = weights.sum(), it is at least the (k-E)-th smallest of
+    ``vals``, if k > E, and at most the k-th, if k <= vals.size.  ``vals`` is partitioned
+    in place at those ranks; the values between them and the extra ones in their range
+    are searched by quickselect, pivoting at k's share of the weight left, or at the
+    median after a step that kept over 3/4 of the values.  Time O(vals.size + extra.size);
+    without extra values it is one partition."""
+    if vals.size:
+        lo, hi = k - 1 - int(weights.sum()), min(k, vals.size) - 1
+        vals.partition(hi)
+        if 0 <= lo < hi:  # numpy's partition at two ranks at once is 5x slower
+            vals[:hi].partition(lo)
+        low, lo = (vals[lo], lo) if lo >= 0 else (-np.inf, 0)
+        inside = (extra >= low) & (extra <= (vals[hi] if k <= vals.size else np.inf))
+        k -= lo + int(weights.sum(where=extra < low))
+        extra = np.concatenate([vals[lo: hi + 1], extra[inside]])
+        weights = np.concatenate([np.ones(hi + 1 - lo, dtype=np.int64), weights[inside]])
+    share = True
+    while True:
+        r = min(extra.size - 1, extra.size * k // int(weights.sum())) if share else extra.size // 2
+        pivot = np.partition(extra, r)[r]
+        below, at = extra < pivot, extra == pivot
+        if (under := int(weights.sum(where=below))) >= k:
+            keep = below
+        elif (upto := under + int(weights.sum(where=at))) >= k:
+            return float(pivot)
+        else:
+            k, keep = k - upto, ~(below | at)
+        share = 4 * np.count_nonzero(keep) <= 3 * extra.size
+        extra, weights = extra[keep], weights[keep]
+
+
+def threshold_sparsify(
+    graph: SimilarityGraph, drop_fraction: float, distinct: DistinctRows | None = None
+) -> SimilarityGraph:
     """Drop the smallest symmetric off-diagonal pairs of a kernel graph (``kernel_graph``).
 
     The cut keeps every entry at or above one threshold: just above q, the
     floor(drop_fraction * n*(n-1)/2)-th smallest pair, so that the pairs tied at q go too,
     unless that disconnects the graph.  Then it is the least edge of a maximum spanning
-    tree, which an O(n^2) Prim pass over a dense kernel built here finds, and the pairs
-    tied at it stay.  Equal observations therefore keep equal rows.  The pairs are
-    partitioned in the kernel's buffer, which then holds the returned cut's ``kernel``.
+    tree, and the pairs tied at it stay.  Equal observations therefore keep equal rows,
+    and the cut is found on the m distinct rows (``distinct``, by default
+    ``distinct_rows(graph.source)``): a distinct pair stands for the product of its rows'
+    counts, a group of c equal rows for c(c-1)/2 pairs at 1.0, and an O(m^2) Prim pass
+    over a dense m x m kernel built here finds the spanning tree.  The pairs are
+    partitioned in the kernel's buffer, which then holds the returned cut's ``kernel``;
+    the graph returned is ``graph``, with n^2 entries, cut.
     """
     if graph.matrix is not None:
         raise ValueError("threshold sparsification expects a kernel graph (matrix=None)")
     if not 0.0 <= drop_fraction < 1.0:
         raise ValueError("drop_fraction must be in [0, 1)")
-    n = graph.n  # each branch builds through rbf_similarity_matrix, which refuses n first
+    distinct = distinct or distinct_rows(graph.source)
+    n, m, counts = graph.n, distinct.data.n, distinct.counts
+    if m > DENSE_LIMIT:
+        raise ValueError(f"{m} distinct rows exceed the dense limit of {DENSE_LIMIT} for "
+                         "popularity; --method vertex_degree and --method shortest_path "
+                         "scale past it")
     drop = int(math.floor(drop_fraction * (pairs := n * (n - 1) // 2) + 1e-9))
     if not drop:
-        s = rbf_similarity_matrix(graph.source, graph.gamma, graph.metric, upper_only=True).matrix
+        s = rbf_similarity_matrix(distinct.data, graph.gamma, graph.metric,
+                                  upper_only=True).matrix
         return replace(graph, matrix=ThresholdCut(-np.inf, n * n, s))
-    s = rbf_similarity_matrix(graph.source, graph.gamma, graph.metric).matrix
-    key, open_, vb = s[0].copy(), np.arange(n) > 0, np.inf
+    graph_m = replace(graph, source=distinct.data)
+    s = rbf_similarity_matrix(distinct.data, graph.gamma, graph.metric).matrix
+    key, open_, vb = s[0].copy(), np.arange(m) > 0, 1.0  # equal rows' pairs are 1.0, the most
     key[0] = -np.inf  # Prim from 0; key[v]: open vertex v's largest pair into the tree
-    for _ in range(n - 1):
+    for _ in range(m - 1):
         u = key.argmax()
         vb, key[u], open_[u] = min(vb, key[u]), -np.inf, False
         np.maximum(key, s[u], out=key, where=open_)
-    vals = s.reshape(-1)[:pairs]
-    for i in range(n - 1):  # the pairs, row by row, to the front of the kernel's buffer
-        vals[i * n - i * (i + 1) // 2:][: n - 1 - i] = s[i, i + 1:]
-    vals.partition(drop - 1)
-    threshold = float(min(np.nextafter(vals[drop - 1], np.inf), vb))
-    drop = int(np.count_nonzero(vals < threshold))  # before the cut pass overwrites vals
+    # A pair u < v of distinct rows stands for c_u c_v pairs.  The rows without equal ones
+    # move their pairs, row by row, to the front of the kernel's buffer, each counted once.
+    # First the other rows' pairs go to extra with their counts: those with a later row
+    # c_u c_v times, those with an earlier row, counted once there, c_u - 1 more times.
+    once = np.ones(m, dtype=bool) if counts is None else counts == 1
+    extra, weights = [np.empty(0)], [np.empty(0, dtype=np.int64)]
+    for u in np.flatnonzero(~once):
+        extra += [s[u, :u][once[:u]], s[u, u + 1:]]
+        weights += [np.full(np.count_nonzero(once[:u]), counts[u] - 1), counts[u] * counts[u + 1:]]
+    extra, weights = np.concatenate(extra), np.concatenate(weights)  # copies, before the moves
+    vals, size = s.reshape(-1), 0
+    for i in np.flatnonzero(once[:-1]):
+        vals[size: size + m - 1 - i] = s[i, i + 1:]
+        size += m - 1 - i
+    vals = vals[:size]
+    # the c(c-1)/2 pairs of a group of c equal rows are 1.0, the largest
+    q = 1.0 if drop > vals.size + weights.sum() else _select(vals, extra, weights, drop)
+    threshold = float(min(np.nextafter(q, np.inf), vb))
+    # the pairs under the threshold, before the cut pass overwrites vals
+    drop = int(np.count_nonzero(vals < threshold) + weights.sum(where=extra < threshold))
     del vals
 
     def cut(rows, scratch):  # the upper rows again, zeroed under the threshold
-        v = _upper_rows(s, graph, rows, scratch)
+        v = _upper_rows(s, graph_m, rows, scratch)
         mask = scratch.reshape(-1).view(np.bool_)[: v.size].reshape(v.shape)  # the distances' room
         np.copyto(v, 0.0, where=np.less(v, threshold, out=mask))
 
-    for_row_blocks(cut, n, n)
+    for_row_blocks(cut, m, m)
     return replace(graph, matrix=ThresholdCut(threshold, n + 2 * (pairs - drop), s))
 
 

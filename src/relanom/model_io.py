@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import Dataset, atomic_write_text
 from .degree import vertex_degrees
-from .graph import DistanceMetric, for_row_blocks, kernel_graph, kernel_rows
+from .graph import DistanceMetric, distinct_rows, for_row_blocks, kernel_graph, kernel_rows
 from .popularity import fit_popularity, kernel_extension
 from .preprocess import FeatureTransform, apply_preprocessor, fit_preprocessor
 from .scoring import ScoreDistribution, dora_batch
@@ -189,7 +189,8 @@ def fit_model(
         graph = model.graph
     elif method == "vertex_degree":
         graph = kernel_graph(data, gamma, metric)
-        vd = vertex_degrees(graph)
+        distinct = distinct_rows(data)  # equal rows have equal degrees
+        vd = vertex_degrees(graph, distinct.rows)[distinct.inverse]
         # symmetric full kernel S: the stationary distribution is exactly vd / sum(vd)
         # (detailed balance); iterating would stall on well-separated clusters
         state = {"vd": vd, "stationary": vd / vd.sum()}

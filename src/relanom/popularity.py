@@ -18,6 +18,7 @@ from .dataset import Dataset
 from .graph import (
     DistanceMetric,
     SimilarityGraph,
+    distinct_rows,
     kernel_graph,
     kernel_rows,
     threshold_sparsify,
@@ -70,29 +71,20 @@ def _check_stopping(tol: float, max_iter: int) -> None:
         raise ValueError("tol must be a positive finite real and max_iter at least 1")
 
 
-def _symmetric_product(s_matrix, equal_rows=None):
+def _symmetric_product(s_matrix, weights=None):
     """The function v -> S v that ``power_iteration`` applies: the BLAS ``dsymv`` on the
-    upper triangle of S (the lower one is never read).
+    upper triangle of S (the lower one is never read), or with ``weights`` w,
+    v -> w * (S (w * v)).
 
     ``dsymv`` takes a Fortran-ordered matrix.  The transpose of a C-ordered S is one,
     with S's upper triangle as its lower one; any other layout is copied once, here,
-    not by f2py in every product.  ``dsymv`` sums each entry in an order set by its
-    index, so equal rows can differ in the last bits; entry i is copied from entry
-    ``equal_rows[i]`` where that names another, equal row of S.
+    not by f2py in every product.
     """
     a = np.asarray(s_matrix, dtype=np.float64)
     a, lower = (a.T, 1) if a.flags.c_contiguous else (np.asfortranarray(a), 0)
-    if equal_rows is None:
+    if weights is None:
         return lambda v: dsymv(1.0, a, v, lower=lower)
-    twins = np.flatnonzero(equal_rows != np.arange(len(a)))
-    firsts = equal_rows[twins]
-
-    def product(v):
-        y = dsymv(1.0, a, v, lower=lower)
-        y[twins] = y[firsts]
-        return y
-
-    return product
+    return lambda v: np.multiply(weights, dsymv(1.0, a, weights * v, lower=lower))
 
 
 def power_iteration(
@@ -100,7 +92,7 @@ def power_iteration(
     s0: np.ndarray | None = None,
     tol: float = 1e-8,
     max_iter: int = 10_000,
-    equal_rows: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
 ) -> PowerResult:
     """Dominant eigenpair of a symmetric matrix by power iteration.
 
@@ -110,8 +102,12 @@ def power_iteration(
     residual of the returned vector.  The sign is fixed to the
     all-positive orientation.  The products read only S's upper triangle, in the
     BLAS symmetric product ``dsymv`` on the library's threads (see
-    ``_symmetric_product``).  ``equal_rows[i]``, when given, is a row of S equal to
-    row i, or i; equal rows stay bit-equal.
+    ``_symmetric_product``).
+
+    With ``weights`` w the iteration runs on W S W, W = diag(w), from w / ||w|| unless
+    ``s0`` is given: S over distinct rows that stand for w_u^2 equal rows each.  Its
+    eigenpair is the one of those rows' matrix, whose eigenvector is s / w on every row
+    of a group, with the same eigenvalue, norm and residual.
     """
     n = s_matrix.shape[0]
     if s_matrix.shape[0] != s_matrix.shape[1]:
@@ -120,11 +116,11 @@ def power_iteration(
     if np.any(diag <= 0.0):
         raise ValueError("matrix must have a strictly positive diagonal")
     _check_stopping(tol, max_iter)
-    product = _symmetric_product(s_matrix, equal_rows)
-    if s0 is None:
+    product = _symmetric_product(s_matrix, weights)
+    if s0 is None and weights is None:
         s = np.full(n, 1.0 / math.sqrt(n))
     else:
-        s = np.abs(np.asarray(s0, dtype=np.float64))
+        s = np.abs(np.asarray(weights if s0 is None else s0, dtype=np.float64))
         norm = np.linalg.norm(s)
         if norm == 0.0 or not np.isfinite(norm):
             raise ValueError("starting vector must be nonzero and finite")
@@ -210,9 +206,11 @@ def fit_popularity(
     drops the ``sparsify`` fraction of the smallest off-diagonal similarity
     pairs, which must lie in [0, 1), and the pairs tied with the last of them,
     unless that disconnects the graph; a plain fit's fraction 0 drops nothing.
-    Equal observations keep equal rows, so their entries are copied bit-equal.
+    Equal observations keep equal rows, so the iteration runs on the m x m cut of
+    the distinct rows, weighted by the square roots of their counts, from the start
+    vector's mean over each group; every row gets its group's entry.
     """
-    # Every flag is checked, and the warm start built, before the n x n kernel exists.
+    # Every flag is checked, and the warm start built, before the kernel exists.
     _check_stopping(tol, max_iter)
     if not 0.0 <= sparsify < 1.0:
         raise ValueError(f"sparsify must be in [0, 1), got {sparsify}")
@@ -226,15 +224,20 @@ def fit_popularity(
         s0 = rff_warm_start(data, rff_dim, gamma, seed)
     else:
         raise ValueError(f"unknown start '{start}'")
-    _, first, inverse = np.unique(data.values, axis=0, return_index=True, return_inverse=True)
-    cut = (graph := threshold_sparsify(kernel_graph(data, gamma, metric), sparsify)).matrix
+    distinct = distinct_rows(data)
+    w = None if distinct.counts is None else np.sqrt(distinct.counts)
+    if w is not None and s0 is not None:  # w * (the group means of |s0|)
+        s0 = np.bincount(distinct.inverse, np.abs(s0)) / w
+    cut = (graph := threshold_sparsify(kernel_graph(data, gamma, metric), sparsify,
+                                       distinct)).matrix
     graph = replace(graph, matrix=replace(cut, kernel=None))  # the kernel goes to dsymv only
     result = power_iteration(cut.kernel, s0, tol=tol, max_iter=max_iter,  # freed on return
-                             equal_rows=first[inverse.ravel()])
-    if np.any(result.s_vec <= 0.0):
+                             weights=w)
+    s_vec = (result.s_vec if w is None else result.s_vec / w)[distinct.inverse]
+    if np.any(s_vec <= 0.0):
         raise FloatingPointError("dominant eigenvector is not strictly positive; the graph is "
                                  "effectively disconnected at this gamma")
-    return PopularityModel(**vars(result), graph=graph)
+    return PopularityModel(**{**vars(result), "s_vec": s_vec}, graph=graph)
 
 
 def relative_anomaly(model: PopularityModel) -> np.ndarray:

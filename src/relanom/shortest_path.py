@@ -11,7 +11,7 @@ similarity product achievable along any path into the normal set.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -22,6 +22,7 @@ from .degree import vertex_degrees
 from .graph import (
     DistanceMetric,
     SimilarityGraph,
+    distinct_rows,
     for_row_blocks,
     kernel_graph,
     kernel_rows,
@@ -159,27 +160,31 @@ def fit_shortest_path(
 
     Vertex degrees are the row sums of the full kernel.  Without ``k`` the
     paths run on the dense graph, a kernel graph whose rows are evaluated as
-    Dijkstra reads them.  With ``k`` they run on the k-nearest-neighbor
-    graph, symmetrized by keeping an edge when either endpoint kept it; one
-    pass over kernel row blocks then gives both the degrees and the kNN
-    selection.  No n x n matrix is built.  Disconnected vertices score +inf
-    and trigger a warning.
+    Dijkstra reads them.  Equal rows have equal degrees and paths of weight 0
+    between them, so only the distinct rows' degrees are summed, and Dijkstra
+    runs on the graph of the distinct rows, from those holding a row of the
+    normal set, which is chosen over every row's degree.  With ``k`` they run
+    on the k-nearest-neighbor graph of every row, symmetrized by keeping an
+    edge when either endpoint kept it; one pass over kernel row blocks then
+    gives both the degrees and the kNN selection.  No n x n matrix is built.
+    Disconnected vertices score +inf and trigger a warning.
     """
     if not 0.0 < q < 1.0:  # before the kernel pass, which can take seconds
         raise ValueError("q must be in (0, 1)")
     kernel = kernel_graph(data, gamma, metric)
-    if k is None:
-        path_graph = kernel
-        vd = vertex_degrees(kernel)
+    if k is None:  # every row takes its distinct row's degree and distance
+        distinct = distinct_rows(data)
+        path_graph, paths, vertex = kernel, replace(kernel, source=distinct.data), distinct.inverse
+        vd = vertex_degrees(kernel, distinct.rows)[vertex]
     else:
-        vd = np.empty(data.n)
+        vd, vertex = np.empty(data.n), np.arange(data.n)
 
         def read_rows(rows, out):
             vd[rows] = kernel.rows(rows, out).sum(axis=1)  # before the diagonal is masked
 
-        path_graph = max_symmetrize(knn_truncate(kernel, k, read_rows))
+        path_graph = paths = max_symmetrize(knn_truncate(kernel, k, read_rows))
     _, normal = select_normal_set(vd, q)
-    ra_q = multi_source_shortest_paths(path_graph, normal)  # weighs a stored graph
+    ra_q = multi_source_shortest_paths(paths, vertex[normal])[vertex]  # weighs a stored graph
     unreachable = int(np.sum(np.isinf(ra_q)))
     if unreachable:
         warnings.warn(

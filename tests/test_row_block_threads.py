@@ -22,6 +22,7 @@ from relanom.dataset import Dataset
 from relanom.degree import vertex_degrees
 from relanom.graph import (
     DistanceMetric,
+    distinct_rows,
     for_row_blocks,
     kernel_graph,
     knn_truncate,
@@ -87,18 +88,21 @@ def test_threaded_blocks_give_the_unblocked_bits(workers, metric, monkeypatch):
        metric=st.sampled_from(list(DistanceMetric)), workers=st.sampled_from([1, 3]),
        block_entries=st.integers(1, 400), gamma=st.floats(1.0, 4.0))
 def test_upper_triangle_has_the_full_build_bits(values, metric, workers, block_entries, gamma):
-    # hypothesis draws equal rows often: the fit keeps their entries bit-equal
+    # hypothesis draws equal rows often: the fit iterates on the distinct rows' kernel
     data = Dataset(values)
+    distinct = distinct_rows(data)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph_module, "_WORKERS", workers)
         mp.setattr(graph_module, "_BLOCK_ENTRIES", block_entries)  # blocks of 1 to a few rows
         full = rbf_similarity_matrix(data, gamma, metric).matrix
         upper = rbf_similarity_matrix(data, gamma, metric, upper_only=True).matrix
+        distinct_full = rbf_similarity_matrix(distinct.data, gamma, metric).matrix
         model = fit_popularity(data, gamma, metric=metric)
     assert np.array_equal(np.triu(upper), np.triu(full))
-    _, first, inverse = np.unique(values, axis=0, return_index=True, return_inverse=True)
-    want = power_iteration(full, equal_rows=first[inverse.ravel()])
-    assert np.array_equal(model.s_vec, want.s_vec)
+    w = None if distinct.counts is None else np.sqrt(distinct.counts)
+    want = power_iteration(distinct_full, weights=w)
+    assert np.array_equal(model.s_vec, (want.s_vec if w is None else want.s_vec / w)[
+        distinct.inverse])
     assert model.lambda1 == want.lambda1 and model.iterations == want.iterations
 
 

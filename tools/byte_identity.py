@@ -17,9 +17,11 @@ every method under both preprocessors and scored, and a copy with the two
 feature column names swapped is scored by the same default models fitted on
 the data file, which must refuse it.  A duplicated integer grid (40 rows, 20
 distinct points, 4 and 5 values per column), whose pairs tie at the cut's
-threshold, is fitted by popularity with ``--preprocess standardize
---sparsify 0.5`` (with ``--train-scores`` and ``--dump-graph``) and scored;
-its outputs change whenever the cut's tie rule does.  It prints
+threshold, is fitted with ``--preprocess standardize`` (with ``--train-scores``
+and ``--dump-graph``) by popularity plain, with ``--sparsify 0.5`` and with
+``--start random``, by vertex_degree and by dense shortest_path, and each model
+is scored; these fits run on its distinct rows, and the cut's outputs change
+whenever its tie rule does.  It prints
 ``<sha256>  <name>`` for every output file and for every command's exit code,
 stdout and stderr.  Run it on two checkouts and diff the manifests.  Commands
 that fail are listed on stderr; a failure is hashed like any other output.
@@ -120,12 +122,20 @@ for ds in ("scraping", "wifi"):
 
 with open("ties.csv", "w", newline="") as fh:
     fh.write("x1,x2\n" + "".join(f"{i % 4},{i * 3 % 5}\n" for i in range(40)))
-run("ties.pop_std_sparse.fit", "fit", "--method", "popularity", "--preprocess", "standardize",
-    "--sparsify", "0.5", "--input", "ties.csv", "--output", "ties.pop_std_sparse.model.json",
-    "--train-scores", "ties.pop_std_sparse.train.csv",
-    "--dump-graph", "ties.pop_std_sparse.graph.csv")
-run("ties.pop_std_sparse.score", "score", "--model", "ties.pop_std_sparse.model.json",
-    "--input", "ties.csv", "--output", "ties.pop_std_sparse.score.csv")
+TIES = [
+    ("pop_std", ["--method", "popularity"]),
+    ("pop_std_sparse", ["--method", "popularity", "--sparsify", "0.5"]),
+    ("pop_std_random", ["--method", "popularity", "--start", "random"]),
+    ("vd_std", ["--method", "vertex_degree"]),
+    ("sp_std", ["--method", "shortest_path"]),
+]
+for name, flags in TIES:
+    tag = f"ties.{name}"
+    run(f"{tag}.fit", "fit", *flags, "--preprocess", "standardize", "--input", "ties.csv",
+        "--output", f"{tag}.model.json", "--train-scores", f"{tag}.train.csv",
+        "--dump-graph", f"{tag}.graph.csv")
+    run(f"{tag}.score", "score", "--model", f"{tag}.model.json", "--input", "ties.csv",
+        "--output", f"{tag}.score.csv")
 
 for name in sorted(os.listdir(".")):
     with open(name, "rb") as fh:
