@@ -2,7 +2,8 @@
 
 A :class:`Dataset` is an n x d table of real-valued observations with
 column names.  The same container is used before and after preprocessing;
-functions that require preprocessed input say so in their docstrings.
+functions that require preprocessed input say so in their docstrings.  The
+fits work on a dataset's distinct rows, found once (``Dataset.distinct``).
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ import io
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
-__all__ = ["Dataset", "load_csv", "write_csv", "atomic_write_text"]
+__all__ = ["Dataset", "DistinctRows", "distinct_rows", "load_csv", "write_csv",
+           "atomic_write_text"]
 
 
 @dataclass(frozen=True)
@@ -54,6 +57,40 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.values.shape[1]
+
+    @cached_property
+    def distinct(self) -> DistinctRows:
+        """``distinct_rows(self)``, found once: the values are read-only."""
+        return distinct_rows(self)
+
+
+@dataclass(frozen=True)
+class DistinctRows:
+    """The distinct rows of a dataset: ``data`` holds its rows ``rows``, the first of
+    each group of equal rows, in order.  Row i of the dataset equals ``data`` row
+    ``inverse[i]``, and ``counts[u]`` of its rows equal row u; without equal rows
+    ``counts`` is all ones.  ``data`` is always a new ``Dataset``."""
+
+    data: Dataset
+    rows: np.ndarray
+    inverse: np.ndarray
+    counts: np.ndarray
+
+
+def distinct_rows(data: Dataset) -> DistinctRows:
+    """The distinct rows of ``data``, counted, in order of first occurrence."""
+    order = np.lexsort(data.values.T)  # stable: equal rows together, by index
+    ranked = data.values[order]
+    starts = np.ones(data.n, dtype=bool)  # the first row of each group in ``order``
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+    first = order[starts]
+    label = np.empty_like(first)
+    label[np.argsort(first)] = np.arange(first.size)
+    inverse = np.empty_like(order)
+    inverse[order] = label[np.cumsum(starts) - 1]
+    first.sort()
+    return DistinctRows(Dataset(data.values[first], data.columns), first, inverse,
+                        np.bincount(inverse))
 
 
 def load_csv(path, label_column: str | None = None):

@@ -5,14 +5,14 @@ the radial basis similarity exp(-d(x_i, x_j)^2 / gamma).  A kernel graph
 evaluates its rows a block at a time and has no size limit; a dense graph
 holds all n^2 entries, or the upper triangle a symmetric product reads, up
 to ``DENSE_LIMIT`` rows.  Equal observations have equal kernel rows, so the
-fits work on a dataset's distinct rows (``distinct_rows``), each weighted by
-the number of rows equal to it.  Two sparsifiers are provided, a per-row
-k-nearest-neighbor truncation of either and a global small-value threshold
-of a kernel graph that preserves symmetry and connectivity: an O(m^2)
-maximum spanning tree pass and a partition of the pairs find the cut in a
-dense kernel of the m distinct rows it builds, which then holds the cut.
-Every popularity fit is such a cut, one that drops nothing unless it
-sparsifies.
+fits work on the distinct rows of a graph's source (``Dataset.distinct``),
+each weighted by the number of rows equal to it.  Two sparsifiers are
+provided, a per-row k-nearest-neighbor truncation of either and a global
+small-value threshold of a kernel graph that preserves symmetry and
+connectivity: an O(m^2) maximum spanning tree pass and a partition of the
+pairs find the cut in a dense kernel of the m distinct rows it builds, which
+then holds the cut.  Every popularity fit is such a cut, one that drops
+nothing unless it sparsifies.
 """
 
 from __future__ import annotations
@@ -33,10 +33,8 @@ from .dataset import Dataset, atomic_write_text
 
 __all__ = [
     "DistanceMetric",
-    "DistinctRows",
     "SimilarityGraph",
     "ThresholdCut",
-    "distinct_rows",
     "sq_distances",
     "kernel_rows",
     "kernel_graph",
@@ -123,37 +121,6 @@ class ThresholdCut:
     threshold: float
     nnz: int
     kernel: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class DistinctRows:
-    """The distinct rows of a dataset: ``data`` holds its rows ``rows``, the first of
-    each group of equal rows, in order.  Row i of the dataset equals ``data`` row
-    ``inverse[i]``, and ``counts[u]`` of its rows equal row u.  Without equal rows
-    ``data`` is the dataset itself and ``counts`` None."""
-
-    data: Dataset
-    rows: np.ndarray
-    inverse: np.ndarray
-    counts: np.ndarray | None
-
-
-def distinct_rows(data: Dataset) -> DistinctRows:
-    """The distinct rows of ``data``, counted, in order of first occurrence."""
-    order = np.lexsort(data.values.T)  # stable: equal rows together, by index
-    ranked = data.values[order]
-    starts = np.ones(data.n, dtype=bool)  # the first row of each group in ``order``
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
-    if starts.all():
-        return DistinctRows(data, order := np.arange(data.n), order, None)
-    first = order[starts]
-    label = np.empty_like(first)
-    label[np.argsort(first)] = np.arange(first.size)
-    inverse = np.empty_like(order)
-    inverse[order] = label[np.cumsum(starts) - 1]
-    first.sort()
-    return DistinctRows(Dataset(data.values[first], data.columns), first, inverse,
-                        np.bincount(inverse))
 
 
 def sq_distances(
@@ -345,28 +312,25 @@ def _select(vals: np.ndarray, extra: np.ndarray, weights: np.ndarray, k: int) ->
         extra, weights = extra[keep], weights[keep]
 
 
-def threshold_sparsify(
-    graph: SimilarityGraph, drop_fraction: float, distinct: DistinctRows | None = None
-) -> SimilarityGraph:
+def threshold_sparsify(graph: SimilarityGraph, drop_fraction: float) -> SimilarityGraph:
     """Drop the smallest symmetric off-diagonal pairs of a kernel graph (``kernel_graph``).
 
     The cut keeps every entry at or above one threshold: just above q, the
     floor(drop_fraction * n*(n-1)/2)-th smallest pair, so that the pairs tied at q go too,
     unless that disconnects the graph.  Then it is the least edge of a maximum spanning
     tree, and the pairs tied at it stay.  Equal observations therefore keep equal rows,
-    and the cut is found on the m distinct rows (``distinct``, by default
-    ``distinct_rows(graph.source)``): a distinct pair stands for the product of its rows'
-    counts, a group of c equal rows for c(c-1)/2 pairs at 1.0, and an O(m^2) Prim pass
-    over a dense m x m kernel built here finds the spanning tree.  The pairs are
-    partitioned in the kernel's buffer, which then holds the returned cut's ``kernel``;
-    the graph returned is ``graph``, with n^2 entries, cut.
+    and the cut is found on the m distinct rows of ``graph.source.distinct``: a distinct
+    pair stands for the product of its rows' counts, a group of c equal rows for c(c-1)/2
+    pairs at 1.0, and an O(m^2) Prim pass over a dense m x m kernel built here finds the
+    spanning tree.  The pairs are partitioned in the kernel's buffer, which then holds the
+    returned cut's ``kernel``; the graph returned is ``graph``, with n^2 entries, cut.
     """
     if graph.matrix is not None:
         raise ValueError("threshold sparsification expects a kernel graph (matrix=None)")
     if not 0.0 <= drop_fraction < 1.0:
         raise ValueError("drop_fraction must be in [0, 1)")
-    distinct = distinct or distinct_rows(graph.source)
-    n, m, counts = graph.n, distinct.data.n, distinct.counts
+    n, distinct = graph.n, graph.source.distinct
+    m, counts = distinct.data.n, distinct.counts
     if m > DENSE_LIMIT:
         raise ValueError(f"{m} distinct rows exceed the dense limit of {DENSE_LIMIT} for "
                          "popularity; --method vertex_degree and --method shortest_path "
@@ -388,7 +352,7 @@ def threshold_sparsify(
     # move their pairs, row by row, to the front of the kernel's buffer, each counted once.
     # First the other rows' pairs go to extra with their counts: those with a later row
     # c_u c_v times, those with an earlier row, counted once there, c_u - 1 more times.
-    once = np.ones(m, dtype=bool) if counts is None else counts == 1
+    once = counts == 1
     extra, weights = [np.empty(0)], [np.empty(0, dtype=np.int64)]
     for u in np.flatnonzero(~once):
         extra += [s[u, :u][once[:u]], s[u, u + 1:]]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import Dataset, atomic_write_text
 from .degree import vertex_degrees
-from .graph import DistanceMetric, distinct_rows, for_row_blocks, kernel_graph, kernel_rows
+from .graph import DistanceMetric, for_row_blocks, kernel_graph, kernel_rows
 from .popularity import fit_popularity, kernel_extension
 from .preprocess import FeatureTransform, apply_preprocessor, fit_preprocessor
 from .scoring import ScoreDistribution, dora_batch
@@ -189,8 +189,7 @@ def fit_model(
         graph = model.graph
     elif method == "vertex_degree":
         graph = kernel_graph(data, gamma, metric)
-        distinct = distinct_rows(data)  # equal rows have equal degrees
-        vd = vertex_degrees(graph, distinct.rows)[distinct.inverse]
+        vd = vertex_degrees(graph)
         # symmetric full kernel S: the stationary distribution is exactly vd / sum(vd)
         # (detailed balance); iterating would stall on well-separated clusters
         state = {"vd": vd, "stationary": vd / vd.sum()}
@@ -274,6 +273,11 @@ def load_model(path) -> ModelBundle:
         for key in ("s_vec", "vd", "ra_q", "stationary"):
             if key in state and np.shape(state[key]) != (n,):
                 raise ValueError(f"{path}: state.{key} needs one entry per training row ({n})")
+        gamma = float(doc["gamma"])
+        for key, value in (("gamma", gamma), ("state.denom", state.get("denom", 1.0))):
+            if np.ndim(value) or not 0.0 < value < np.inf:  # a score divides by either
+                raise ValueError(f"{path}: model file's '{key}' entry is {value}, "
+                                 "not a positive finite real")
         if "normal_set" in state:
             state["normal_set"] = np.asarray(state["normal_set"], dtype=np.int64)
         columns = list(doc["columns"])
@@ -282,7 +286,7 @@ def load_model(path) -> ModelBundle:
         bundle = ModelBundle(
             preprocess=doc["preprocess"],
             metric=DistanceMetric(doc["metric"]),
-            gamma=float(doc["gamma"]),
+            gamma=gamma,
             config=doc["config"],
             transforms=transforms,
             training=training,

@@ -18,7 +18,6 @@ from .dataset import Dataset
 from .graph import (
     DistanceMetric,
     SimilarityGraph,
-    distinct_rows,
     kernel_graph,
     kernel_rows,
     threshold_sparsify,
@@ -71,10 +70,10 @@ def _check_stopping(tol: float, max_iter: int) -> None:
         raise ValueError("tol must be a positive finite real and max_iter at least 1")
 
 
-def _symmetric_product(s_matrix, weights=None):
-    """The function v -> S v that ``power_iteration`` applies: the BLAS ``dsymv`` on the
-    upper triangle of S (the lower one is never read), or with ``weights`` w,
-    v -> w * (S (w * v)).
+def _symmetric_product(s_matrix, weights):
+    """The function v -> w * (S (w * v)) that ``power_iteration`` applies, for the
+    ``weights`` w: the BLAS ``dsymv`` on the upper triangle of S (the lower one is never
+    read).
 
     ``dsymv`` takes a Fortran-ordered matrix.  The transpose of a C-ordered S is one,
     with S's upper triangle as its lower one; any other layout is copied once, here,
@@ -82,8 +81,6 @@ def _symmetric_product(s_matrix, weights=None):
     """
     a = np.asarray(s_matrix, dtype=np.float64)
     a, lower = (a.T, 1) if a.flags.c_contiguous else (np.asfortranarray(a), 0)
-    if weights is None:
-        return lambda v: dsymv(1.0, a, v, lower=lower)
     return lambda v: np.multiply(weights, dsymv(1.0, a, weights * v, lower=lower))
 
 
@@ -104,10 +101,11 @@ def power_iteration(
     BLAS symmetric product ``dsymv`` on the library's threads (see
     ``_symmetric_product``).
 
-    With ``weights`` w the iteration runs on W S W, W = diag(w), from w / ||w|| unless
-    ``s0`` is given: S over distinct rows that stand for w_u^2 equal rows each.  Its
-    eigenpair is the one of those rows' matrix, whose eigenvector is s / w on every row
-    of a group, with the same eigenvalue, norm and residual.
+    The iteration runs on W S W, W = diag(w), from w / ||w|| unless ``s0`` is given:
+    S over distinct rows that stand for w_u^2 equal rows each.  Its eigenpair is the one
+    of those rows' matrix, whose eigenvector is s / w on every row of a group, with the
+    same eigenvalue, norm and residual.  The default weights, all ones, multiply exactly:
+    the plain iteration on S from the uniform vector.
     """
     n = s_matrix.shape[0]
     if s_matrix.shape[0] != s_matrix.shape[1]:
@@ -116,15 +114,13 @@ def power_iteration(
     if np.any(diag <= 0.0):
         raise ValueError("matrix must have a strictly positive diagonal")
     _check_stopping(tol, max_iter)
-    product = _symmetric_product(s_matrix, weights)
-    if s0 is None and weights is None:
-        s = np.full(n, 1.0 / math.sqrt(n))
-    else:
-        s = np.abs(np.asarray(weights if s0 is None else s0, dtype=np.float64))
-        norm = np.linalg.norm(s)
-        if norm == 0.0 or not np.isfinite(norm):
-            raise ValueError("starting vector must be nonzero and finite")
-        s = s / norm
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+    product = _symmetric_product(s_matrix, w)
+    s = np.abs(np.asarray(w if s0 is None else s0, dtype=np.float64))
+    norm = np.linalg.norm(s)
+    if norm == 0.0 or not np.isfinite(norm):
+        raise ValueError("starting vector must be nonzero and finite")
+    s = s / norm
     residual = np.inf
     for it in range(1, max_iter + 1):
         y = product(s)
@@ -207,8 +203,9 @@ def fit_popularity(
     pairs, which must lie in [0, 1), and the pairs tied with the last of them,
     unless that disconnects the graph; a plain fit's fraction 0 drops nothing.
     Equal observations keep equal rows, so the iteration runs on the m x m cut of
-    the distinct rows, weighted by the square roots of their counts, from the start
-    vector's mean over each group; every row gets its group's entry.
+    ``data.distinct``, weighted by the square roots of their counts (all 1 without
+    equal rows), from the start vector's mean over each group; every row gets its
+    group's entry.
     """
     # Every flag is checked, and the warm start built, before the kernel exists.
     _check_stopping(tol, max_iter)
@@ -224,16 +221,15 @@ def fit_popularity(
         s0 = rff_warm_start(data, rff_dim, gamma, seed)
     else:
         raise ValueError(f"unknown start '{start}'")
-    distinct = distinct_rows(data)
-    w = None if distinct.counts is None else np.sqrt(distinct.counts)
-    if w is not None and s0 is not None:  # w * (the group means of |s0|)
+    distinct = data.distinct
+    w = np.sqrt(distinct.counts)
+    if s0 is not None:  # w * (the group means of |s0|)
         s0 = np.bincount(distinct.inverse, np.abs(s0)) / w
-    cut = (graph := threshold_sparsify(kernel_graph(data, gamma, metric), sparsify,
-                                       distinct)).matrix
+    cut = (graph := threshold_sparsify(kernel_graph(data, gamma, metric), sparsify)).matrix
     graph = replace(graph, matrix=replace(cut, kernel=None))  # the kernel goes to dsymv only
     result = power_iteration(cut.kernel, s0, tol=tol, max_iter=max_iter,  # freed on return
                              weights=w)
-    s_vec = (result.s_vec if w is None else result.s_vec / w)[distinct.inverse]
+    s_vec = (result.s_vec / w)[distinct.inverse]
     if np.any(s_vec <= 0.0):
         raise FloatingPointError("dominant eigenvector is not strictly positive; the graph is "
                                  "effectively disconnected at this gamma")

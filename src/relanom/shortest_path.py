@@ -22,7 +22,6 @@ from .degree import vertex_degrees
 from .graph import (
     DistanceMetric,
     SimilarityGraph,
-    distinct_rows,
     for_row_blocks,
     kernel_graph,
     kernel_rows,
@@ -173,9 +172,8 @@ def fit_shortest_path(
         raise ValueError("q must be in (0, 1)")
     kernel = kernel_graph(data, gamma, metric)
     if k is None:  # every row takes its distinct row's degree and distance
-        distinct = distinct_rows(data)
-        path_graph, paths, vertex = kernel, replace(kernel, source=distinct.data), distinct.inverse
-        vd = vertex_degrees(kernel, distinct.rows)[vertex]
+        path_graph, paths = kernel, replace(kernel, source=data.distinct.data)
+        vd, vertex = vertex_degrees(kernel), data.distinct.inverse
     else:
         vd, vertex = np.empty(data.n), np.arange(data.n)
 

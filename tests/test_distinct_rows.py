@@ -16,9 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relanom import graph as graph_module
-from relanom.dataset import Dataset
+from relanom.dataset import Dataset, distinct_rows
 from relanom.degree import vertex_degrees
-from relanom.graph import DistanceMetric, distinct_rows, kernel_graph, rbf_similarity_matrix
+from relanom.graph import (
+    DistanceMetric,
+    kernel_graph,
+    rbf_similarity_matrix,
+    threshold_sparsify,
+)
 from relanom.model_io import fit_model
 from relanom.popularity import ConvergenceError, fit_popularity, power_iteration
 from relanom.shortest_path import (
@@ -100,7 +105,9 @@ def test_shortest_path_on_duplicated_grids_is_the_full_row_fit(points, gamma, q,
        metric=st.sampled_from(list(DistanceMetric)))
 def test_without_duplicates_the_fits_are_the_full_row_bits(points, drop_fraction, q, metric):
     data = Dataset(np.array(points, dtype=float))
-    assert distinct_rows(data).counts is None
+    distinct = distinct_rows(data)
+    assert np.array_equal(distinct.counts, np.ones(data.n)) and distinct.data is not data
+    assert np.array_equal(distinct.data.values, data.values)
     assert_popularity_is_the_full_row_fit(data, 5.0, metric, drop_fraction, exact=True)
     assert_shortest_path_is_the_full_row_fit(data, 1.0, q, metric)
 
@@ -156,3 +163,34 @@ def test_wifi_fits_are_the_full_row_fits(metric):
     for drop_fraction in (0.0, 0.5):
         assert_popularity_is_the_full_row_fit(data, 0.2, metric, drop_fraction, exact=False)
     assert_shortest_path_is_the_full_row_fit(data, 0.2, 0.5, metric)
+
+
+@pytest.mark.parametrize("method, flags, sorts", [
+    ("popularity", {}, 1),
+    ("popularity", {"sparsify": 0.5}, 1),
+    ("popularity", {"start": "random"}, 1),
+    ("popularity", {"start": "rff"}, 1),
+    ("vertex_degree", {}, 1),
+    ("shortest_path", {}, 1),
+    ("shortest_path", {"k": 10}, 0),
+], ids=["popularity", "sparsify", "random", "rff", "vertex_degree", "shortest_path", "knn"])
+@pytest.mark.filterwarnings("ignore:.*unreachable")
+def test_a_fit_finds_the_distinct_rows_once(method, flags, sorts, monkeypatch):
+    raw, _ = wifi_analogue(300, seed=0)
+    calls, lexsort = [], np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    fit_model(raw, method, **flags)
+    assert len(calls) == sorts
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=grids, gamma=st.sampled_from([0.5, 5.0]),
+       metric=st.sampled_from(list(DistanceMetric)))
+def test_degrees_of_a_kernel_and_its_cut_are_the_dense_row_sums(points, gamma, metric):
+    data = Dataset(np.array(points, dtype=float))
+    dense = rbf_similarity_matrix(data, gamma, metric)
+    degrees = vertex_degrees(kernel_graph(data, gamma, metric))
+    assert degrees.tobytes() == dense.matrix.sum(axis=1).tobytes()
+    cut = threshold_sparsify(kernel_graph(data, gamma, metric), 0.5)
+    oracle, _ = brute_force_cut(dense, 0.5)
+    assert vertex_degrees(cut).tobytes() == oracle.toarray().sum(axis=1).tobytes()

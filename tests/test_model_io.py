@@ -1,5 +1,7 @@
 """Model bundles: out-of-sample scoring under both distance metrics."""
 
+import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,9 +11,10 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from relanom import graph as graph_module
-from relanom.dataset import Dataset
+from relanom.cli import main
+from relanom.dataset import Dataset, write_csv
 from relanom.graph import DistanceMetric
-from relanom.model_io import METHODS, ModelBundle, fit_model
+from relanom.model_io import METHODS, ModelBundle, fit_model, load_model, save_model
 from relanom.synth import scraping_analogue
 
 
@@ -132,3 +135,37 @@ def test_fits_hold_no_second_kernel():
     assert fit_peak_bytes(raw, "vertex_degree") < kernel_bytes
     assert fit_peak_bytes(raw, "shortest_path", k=10) < kernel_bytes
     assert fit_peak_bytes(raw, "shortest_path") < kernel_bytes
+
+
+@pytest.mark.parametrize("method, key, value", [
+    ("popularity", "gamma", -0.2),
+    ("popularity", "gamma", 0.0),
+    ("popularity", "gamma", math.nan),
+    ("popularity", "gamma", math.inf),
+    ("popularity", "state.denom", 0.0),
+    ("popularity", "state.denom", -5.0),
+    ("popularity", "state.denom", math.nan),
+    ("vertex_degree", "gamma", -0.2),
+    ("shortest_path", "gamma", -0.2),
+])
+def test_a_model_that_divides_by_an_impossible_value_is_refused(tmp_path, capsys, method,
+                                                                key, value):
+    raw, _ = scraping_analogue(60, seed=0)
+    data = tmp_path / "data.csv"
+    write_csv(data, raw.columns, raw.values.tolist())
+    model = tmp_path / "model.json"
+    save_model(model, fit_model(raw, method)[0])
+    doc = json.loads(model.read_text())
+    if key == "gamma":
+        doc["gamma"] = value
+    else:
+        doc["state"]["denom"] = value
+    model.write_text(json.dumps(doc))  # nan and inf as the JSON module writes them
+    with pytest.raises(ValueError, match=f"'{key}' entry is {value}, not a positive finite"):
+        load_model(model)
+    out = tmp_path / "scores.csv"
+    assert main(["score", "--model", str(model), "--input", str(data),
+                 "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and f"'{key}'" in err
+    assert not out.exists()

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg.blas import dsymv as blas_dsymv
 
 import relanom
@@ -134,6 +135,36 @@ def test_rejects_malformed_inputs():
         power_iteration(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
+def plain_power_iteration(s, s0, tol=1e-8):
+    """Test oracle: the power iteration on S with no weights, from s0 or the uniform vector,
+    on the same dsymv product of S's upper triangle."""
+    v = np.full(len(s), 1.0 / math.sqrt(len(s))) if s0 is None else s0 / np.linalg.norm(s0)
+    for it in range(1, 10_001):
+        y = blas_dsymv(1.0, s.T, v, lower=1)
+        lam = float(v @ y)
+        if (residual := float(np.linalg.norm(y - lam * v))) <= tol:
+            return v, lam, it, residual
+        v = y / float(np.linalg.norm(y))
+    raise AssertionError("the oracle did not converge")
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.integers(1, 40).flatmap(lambda n: arrays(
+           np.float64, (n, 2), elements=st.floats(-1.0, 1.0, allow_subnormal=False))),
+       gamma=st.floats(1.0, 4.0), random_start=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_unit_weights_are_the_plain_iteration(values, gamma, random_start, seed):
+    s = rbf_similarity_matrix(Dataset(values), gamma).matrix
+    n = len(s)
+    s0 = np.random.default_rng(seed).random(n) + 1e-12 if random_start else None
+    plain, weighted = power_iteration(s, s0), power_iteration(s, s0, weights=np.ones(n))
+    assert weighted.s_vec.tobytes() == plain.s_vec.tobytes()
+    assert (weighted.lambda1, weighted.iterations, weighted.residual) == (
+        plain.lambda1, plain.iterations, plain.residual)
+    v, lam, iterations, residual = plain_power_iteration(s, s0)
+    assert plain.s_vec.tobytes() == v.tobytes()
+    assert (plain.lambda1, plain.iterations, plain.residual) == (lam, iterations, residual)
+
+
 def test_dense_product_reads_only_the_upper_triangle():
     rng = np.random.default_rng(10)
     s = random_positive_symmetric(rng, 30)
@@ -206,7 +237,8 @@ def test_same_seed_is_bit_identical():
         # S s from dsymv, the product the iteration uses.  The matrix it iterated on is
         # freed: the kernel, with the cut's dropped entries zeroed for a sparsified fit.
         s = model.graph.rows(slice(0, data.n))
-        assert model.lambda1 == float(model.s_vec @ _symmetric_product(s)(model.s_vec))
+        product = _symmetric_product(s, np.ones(data.n))
+        assert model.lambda1 == float(model.s_vec @ product(model.s_vec))
 
 
 def test_equal_observations_get_bit_equal_entries(wifi):

@@ -18,11 +18,10 @@ from dataclasses import replace
 from scipy import sparse
 
 from relanom import graph as graph_module
-from relanom.dataset import Dataset
+from relanom.dataset import Dataset, distinct_rows
 from relanom.degree import vertex_degrees
 from relanom.graph import (
     DistanceMetric,
-    distinct_rows,
     for_row_blocks,
     kernel_graph,
     knn_truncate,
@@ -99,10 +98,9 @@ def test_upper_triangle_has_the_full_build_bits(values, metric, workers, block_e
         distinct_full = rbf_similarity_matrix(distinct.data, gamma, metric).matrix
         model = fit_popularity(data, gamma, metric=metric)
     assert np.array_equal(np.triu(upper), np.triu(full))
-    w = None if distinct.counts is None else np.sqrt(distinct.counts)
+    w = np.sqrt(distinct.counts)
     want = power_iteration(distinct_full, weights=w)
-    assert np.array_equal(model.s_vec, (want.s_vec if w is None else want.s_vec / w)[
-        distinct.inverse])
+    assert np.array_equal(model.s_vec, (want.s_vec / w)[distinct.inverse])
     assert model.lambda1 == want.lambda1 and model.iterations == want.iterations
 
 

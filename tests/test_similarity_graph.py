@@ -15,11 +15,10 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from relanom import graph as graph_module
-from relanom.dataset import Dataset
+from relanom.dataset import Dataset, distinct_rows
 from relanom.degree import vertex_degrees
 from relanom.graph import (
     DistanceMetric,
-    distinct_rows,
     dump_graph,
     kernel_graph,
     knn_truncate,
