@@ -217,8 +217,9 @@ def rbf_similarity_matrix(
     """
     graph = kernel_graph(data, gamma, metric)
     if (n := graph.n) > DENSE_LIMIT:
-        raise ValueError(f"n = {n} exceeds the dense limit of {DENSE_LIMIT} for popularity; "
-                         "--method vertex_degree and --method shortest_path scale past it")
+        raise ValueError(f"{n} distinct rows exceed the dense limit of {DENSE_LIMIT} for "
+                         "popularity; --method vertex_degree and --method shortest_path "
+                         "scale past it")
     if not upper_only:
         s = np.empty((n, n))  # written in place, block by block: no scratch
         list(_POOL.map(lambda rows: graph.rows(rows, s[rows]), row_blocks(n, n * _WORKERS)))
@@ -331,10 +332,6 @@ def threshold_sparsify(graph: SimilarityGraph, drop_fraction: float) -> Similari
         raise ValueError("drop_fraction must be in [0, 1)")
     n, distinct = graph.n, graph.source.distinct
     m, counts = distinct.data.n, distinct.counts
-    if m > DENSE_LIMIT:
-        raise ValueError(f"{m} distinct rows exceed the dense limit of {DENSE_LIMIT} for "
-                         "popularity; --method vertex_degree and --method shortest_path "
-                         "scale past it")
     drop = int(math.floor(drop_fraction * (pairs := n * (n - 1) // 2) + 1e-9))
     if not drop:
         s = rbf_similarity_matrix(distinct.data, graph.gamma, graph.metric,

@@ -1,12 +1,15 @@
 """Fitting detectors into model bundles, and their versioned JSON persistence.
 
 ``fit_model`` is the one place the method state is written; ``ModelBundle``
-and ``load_model`` read it.  A model file stores the per-column transforms,
-the graph parameters, the method state (eigenvector and denominator, vertex
-degrees, or shortest path distances and normal set), the model-space
-training data, and the sorted training scores used for DORA.  Floats are
-written at full round-trip precision, and every write is atomic (temp file
-+ rename).
+and ``load_model`` read it.  A format-2 model file stores each fact once: the
+per-column transforms, the graph parameters, the model-space training data and
+the method state, popularity's ``s_vec`` and ``denom`` (and the fit's
+``iterations`` and ``residual``), vertex degree's ``vd`` or shortest path's
+``ra_q`` and ``normal_set``.  The training scores that DORA ranks against and
+the stationary column vd / sum(vd) are derived from the state.  Load refuses
+another format version (refit a format-1 file) and checks the transforms and
+the state entries that scoring reads (``_STATE``).  Floats are written at full
+round-trip precision, and every write is atomic (temp file + rename).
 """
 
 from __future__ import annotations
@@ -33,19 +36,39 @@ __all__ = [
     "load_model",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 DEFAULT_GAMMA = {"popularity": 0.2, "vertex_degree": 0.5, "shortest_path": 0.2}
 
 METHODS = tuple(DEFAULT_GAMMA)
 
-# What load_model reads: the document's keys, the float fields of each transform,
-# and the state keys of each method.
+
+def _positive(v, n, state):
+    return (0.0 < v) & (v < np.inf)
+
+
+def _normal_rows(v, n, state):
+    ok = (v == np.round(v)) & (0.0 <= v) & (v < n) & np.append(True, v[1:] > v[:-1])
+    ok[ok] = state["ra_q"][v[ok].astype(np.int64)] == 0.0
+    return ok
+
+
+# What load_model reads: the document's keys, the float fields of each transform, and
+# the state entries that scoring and the train table read, in the order they are
+# checked.  Each entry has a shape (_ROW, _LIST or _REAL, worded for the refusal), a
+# test of its values, (value, n rows, state) -> True per good value, and what it asks.
 _KEYS = ("method", "preprocess", "metric", "gamma", "config", "columns", "transforms",
-         "training", "state", "train_scores")
+         "training", "state")
 _TRANSFORM_FLOATS = ("delta", "lam", "mean", "sd", "raw_min", "raw_max")
-_STATE_KEYS = {"popularity": ("s_vec", "denom"), "vertex_degree": ("vd",),
-               "shortest_path": ("ra_q", "normal_set")}
+_ROW, _LIST, _REAL = "a list of one entry per training row ({n})", "a list", "one number"
+_POSITIVE = "a positive finite real"
+_STATE = {
+    "popularity": {"s_vec": (_ROW, _positive, _POSITIVE), "denom": (_REAL, _positive, _POSITIVE)},
+    "vertex_degree": {"vd": (_ROW, _positive, _POSITIVE)},
+    "shortest_path": {"ra_q": (_ROW, lambda v, n, state: v >= 0.0, "0, positive or +inf"),
+                      "normal_set": (_LIST, _normal_rows, "a training row index above the "
+                                     "one before it, with ra_q 0")},
+}
 
 
 @dataclass
@@ -111,12 +134,11 @@ class ModelBundle:
     def train_table(self):
         """Header and rows of the per-training-row score table."""
         if self.method == "vertex_degree":
-            stationary = self.state.get("stationary")
-            rows = [
-                (i, vd, "" if stationary is None else stationary[i])
-                for i, vd in enumerate(self.state["vd"])
-            ]
-            return ["row_index", "vertex_degree", "stationary_probability"], rows
+            # symmetric full kernel S: the stationary distribution is exactly vd / sum(vd)
+            # (detailed balance); iterating would stall on well-separated clusters
+            vd = np.asarray(self.state["vd"])
+            return (["row_index", "vertex_degree", "stationary_probability"],
+                    list(zip(range(len(vd)), vd, vd / vd.sum())))
         scores = self.train_scores_rowwise()
         columns = [range(len(scores)), scores, self.dora_of(scores)]
         if self.method == "popularity":
@@ -184,38 +206,24 @@ def fit_model(
         )
         config.update({"sparsify": sparsify, "start": start,
                        "rff_dim": rff_dim if start == "rff" else None})
-        state = {"s_vec": model.s_vec, "lambda1": model.lambda1, "denom": model.lambda1,
+        state = {"s_vec": model.s_vec, "denom": model.lambda1,
                  "iterations": model.iterations, "residual": model.residual}
         graph = model.graph
     elif method == "vertex_degree":
         graph = kernel_graph(data, gamma, metric)
-        vd = vertex_degrees(graph)
-        # symmetric full kernel S: the stationary distribution is exactly vd / sum(vd)
-        # (detailed balance); iterating would stall on well-separated clusters
-        state = {"vd": vd, "stationary": vd / vd.sum()}
+        state = {"vd": vertex_degrees(graph)}
     else:
         model = fit_shortest_path(data, gamma, q, k, metric=metric)
         config.update({"q": q, "k": k})
-        state = {"vd": model.vd, "normal_set": model.normal_set, "ra_q": model.ra_q}
+        state = {"ra_q": model.ra_q, "normal_set": model.normal_set}
         graph = model.graph
-    bundle = ModelBundle(
-        method=method,
-        preprocess=preprocess,
-        metric=metric,
-        gamma=gamma,
-        config=config,
-        transforms=transforms,
-        training=data,
-        state=state,
-    )
-    return bundle, graph
+    return ModelBundle(method=method, preprocess=preprocess, metric=metric, gamma=gamma,
+                       config=config, transforms=transforms, training=data, state=state), graph
 
 
 def save_model(path, bundle: ModelBundle) -> None:
-    state = {
-        key: (value.tolist() if isinstance(value, np.ndarray) else value)
-        for key, value in bundle.state.items()
-    }
+    state = {key: (value.tolist() if isinstance(value, np.ndarray) else value)
+             for key, value in bundle.state.items()}
     doc = {
         "format_version": FORMAT_VERSION,
         "method": bundle.method,
@@ -227,7 +235,6 @@ def save_model(path, bundle: ModelBundle) -> None:
         "transforms": [asdict(tf) for tf in bundle.transforms],
         "training": bundle.training.values.tolist(),
         "state": state,
-        "train_scores": bundle.train_scores.sorted_scores.tolist(),
     }
     atomic_write_text(path, json.dumps(doc))
 
@@ -241,6 +248,13 @@ class _Document(dict):
         return super().__getitem__(key)
 
 
+def _refuse_unless(path, key, value, ok, what):
+    """Refuse a model file whose entry ``key`` fails ``ok``, naming its first bad value."""
+    if not np.all(ok):
+        bad = value if np.ndim(value) == 0 else f"{value[np.argmin(ok)]} at index {np.argmin(ok)}"
+        raise ValueError(f"{path}: model file's '{key}' entry is {bad}, not {what}")
+
+
 def load_model(path) -> ModelBundle:
     with open(path) as fh:
         try:
@@ -251,55 +265,46 @@ def load_model(path) -> ModelBundle:
         raise ValueError(f"{path}: model file holds no JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: model file format version {version} is not supported "
-            f"(expected {FORMAT_VERSION})"
-        )
+        raise ValueError(f"{path}: model file format version {version} is not supported "
+                         f"(expected {FORMAT_VERSION}); refit the model")
     doc = _Document(doc)
     try:
-        missing = [key for key in _KEYS if key not in doc] or [
-            f"state.{key}" for key in _STATE_KEYS.get(doc["method"], ())
-            if key not in doc["state"]]
+        missing = [key for key in _KEYS if key not in doc]
         if missing:
             raise ValueError(f"{path}: model file has no '{missing[0]}' key")
+        columns = list(doc["columns"])
         transforms = [FeatureTransform(**t) for t in doc["transforms"]]
         transforms = [replace(tf, **{key: float(getattr(tf, key)) for key in _TRANSFORM_FLOATS})
                       for tf in transforms]
-        state = {
-            key: (np.asarray(value, dtype=np.float64) if isinstance(value, list) else float(value))
-            for key, value in doc["state"].items()
-        }
-        n = len(doc["training"])
-        for key in ("s_vec", "vd", "ra_q", "stationary"):
-            if key in state and np.shape(state[key]) != (n,):
-                raise ValueError(f"{path}: state.{key} needs one entry per training row ({n})")
+        if len(transforms) != len(columns):
+            raise ValueError(f"{path}: model file's 'transforms' entry holds {len(transforms)} "
+                             f"transforms for {len(columns)} columns")
+        for tf in transforms:  # scoring divides by sd
+            if not (np.isfinite([tf.delta, tf.lam, tf.mean]).all() and 0.0 < tf.sd < np.inf):
+                raise ValueError(f"{path}: model file's 'transforms' entry for column "
+                                 f"'{tf.column}' is not finite with sd > 0: delta {tf.delta}, "
+                                 f"lam {tf.lam}, mean {tf.mean}, sd {tf.sd}")
         gamma = float(doc["gamma"])
-        for key, value in (("gamma", gamma), ("state.denom", state.get("denom", 1.0))):
-            if np.ndim(value) or not 0.0 < value < np.inf:  # a score divides by either
-                raise ValueError(f"{path}: model file's '{key}' entry is {value}, "
-                                 "not a positive finite real")
-        if "normal_set" in state:
-            state["normal_set"] = np.asarray(state["normal_set"], dtype=np.int64)
-        columns = list(doc["columns"])
+        _refuse_unless(path, "gamma", gamma, 0.0 < gamma < np.inf, _POSITIVE)
+        if not isinstance(doc["state"], dict):
+            raise TypeError("it is not a JSON object")
+        state = {key: (np.asarray(value, dtype=np.float64) if isinstance(value, list)
+                       else float(value)) for key, value in doc["state"].items()}
+        n = len(doc["training"])
+        for key, (shape, test, what) in _STATE.get(doc["method"], {}).items():
+            if key not in state:
+                raise ValueError(f"{path}: model file has no 'state.{key}' key")
+            if np.ndim(state[key]) != (shape != _REAL) or shape == _ROW and len(state[key]) != n:
+                raise ValueError(f"{path}: model file's 'state.{key}' entry is not "
+                                 + shape.format(n=n))
+            _refuse_unless(path, f"state.{key}", state[key], test(state[key], n, state), what)
+            state[key] = state[key].astype(np.int64) if shape == _LIST else state[key]
         training = Dataset(np.asarray(doc["training"], dtype=np.float64), columns)
         # method is read last, so an unknown method is the entry named below
-        bundle = ModelBundle(
-            preprocess=doc["preprocess"],
-            metric=DistanceMetric(doc["metric"]),
-            gamma=gamma,
-            config=doc["config"],
-            transforms=transforms,
-            training=training,
-            state=state,
-            method=doc["method"],
-        )
-        stored = np.asarray(doc["train_scores"], dtype=np.float64)
+        return ModelBundle(preprocess=doc["preprocess"], metric=DistanceMetric(doc["metric"]),
+                           gamma=gamma, config=doc["config"], transforms=transforms,
+                           training=training, state=state, method=doc["method"])
     except (TypeError, ValueError) as exc:
         if str(exc).startswith(f"{path}: "):
             raise
         raise ValueError(f"{path}: model file has a malformed '{doc.last}' entry: {exc}") from None
-    if stored.size != bundle.train_scores.n or not np.array_equal(
-        stored, bundle.train_scores.sorted_scores
-    ):
-        raise ValueError(f"{path}: stored training scores disagree with the model state")
-    return bundle

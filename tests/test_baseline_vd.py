@@ -83,12 +83,13 @@ def test_ranking_invariant_to_diagonal():
 
 
 def test_symmetric_case_proportional_to_degree():
-    # The vertex-degree fit stores vd / sum(vd): check it is stationary for
-    # the random walk on the fitted model-space graph.
+    # The vertex-degree train table's stationary column is vd / sum(vd): check it
+    # is stationary for the random walk on the fitted model-space graph.
     raw = random_dataset(25, 2, seed=2)
     bundle, _ = fit_model(raw, "vertex_degree", gamma=0.6)
     s = rbf_similarity_matrix(bundle.training, 0.6).matrix
-    pi = bundle.state["stationary"]
+    header, rows = bundle.train_table()
+    pi = np.array([row[header.index("stationary_probability")] for row in rows])
     p = s / s.sum(axis=1, keepdims=True)
     np.testing.assert_allclose(pi @ p, pi, rtol=1e-12)
     np.testing.assert_allclose(pi, oracle_stationary(p), atol=1e-9)

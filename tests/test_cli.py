@@ -4,6 +4,7 @@ Commands run in-process through main(argv) against temp files.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -499,7 +500,7 @@ def test_ecdf_export(tmp_path, pop_model):
 
 def test_model_round_trip_preserves_scores(tmp_path, train_csv, pop_model):
     doc = json.loads(pop_model.read_text())
-    assert doc["format_version"] == 1
+    assert doc["format_version"] == 2
     assert doc["method"] == "popularity"
     out1 = tmp_path / "s1.csv"
     assert run("score", "--model", str(pop_model), "--input", str(train_csv),
@@ -543,6 +544,15 @@ def test_malformed_model_file_gives_one_error_line(tmp_path, train_csv, pop_mode
     assert not out.exists()
 
 
+NOT_FINITE = "'transforms' entry for column 'x1' is not finite with sd > 0"
+
+
+def with_transform(doc, **fields):
+    """The model document with fields of its first transform replaced."""
+    first, *rest = doc["transforms"]
+    return {**doc, "transforms": [{**first, **fields}, *rest]}
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda doc: [], "holds no JSON object"),
     (lambda doc: {**doc, "transforms": [{"column": "x"}]}, "malformed 'transforms' entry"),
@@ -559,13 +569,24 @@ def test_malformed_model_file_gives_one_error_line(tmp_path, train_csv, pop_mode
      "malformed 'training' entry"),
     (lambda doc: {**doc, "method": "x"}, "malformed 'method' entry: unknown method 'x'"),
     (lambda doc: "{", "model file is not JSON"),  # a string is written as it is
-    (lambda doc: {**doc, "format_version": 2}, "format version 2 is not supported"),
-    (lambda doc: {**doc, "train_scores": [doc["train_scores"][0] + 1.0,
-                                          *doc["train_scores"][1:]]},
-     "stored training scores disagree"),
+    (lambda doc: {**doc, "format_version": 1},
+     "format version 1 is not supported (expected 2); refit the model"),
+    (lambda doc: {**doc, "state": list(doc["state"])}, "malformed 'state' entry"),
+    (lambda doc: {**doc, "state": {**doc["state"], "s_vec": [-0.5, *doc["state"]["s_vec"][1:]]}},
+     "'state.s_vec' entry is -0.5 at index 0, not a positive finite real"),
+    (lambda doc: {**doc, "transforms": [*doc["transforms"], doc["transforms"][0]]},
+     "'transforms' entry holds 3 transforms for 2 columns"),
+    (lambda doc: with_transform(doc, sd=0.0), NOT_FINITE),
+    (lambda doc: with_transform(doc, sd=-1.0), NOT_FINITE),
+    (lambda doc: with_transform(doc, sd=math.inf), NOT_FINITE),
+    (lambda doc: with_transform(doc, delta=math.nan), NOT_FINITE),
+    (lambda doc: with_transform(doc, lam=math.inf), NOT_FINITE),
+    (lambda doc: with_transform(doc, mean=-math.inf), NOT_FINITE),
 ], ids=["list", "transform-without-fields", "method-list", "columns-number", "gamma-null",
         "training-null", "lam-null", "denom-string", "metric-list", "training-string",
-        "method-unknown", "not-json", "version-2", "train-scores-edited"])
+        "method-unknown", "not-json", "version-1", "state-list", "s_vec-negative",
+        "transforms-extra", "sd-zero", "sd-negative", "sd-inf", "delta-nan", "lam-inf",
+        "mean-inf"])
 def test_model_file_of_the_wrong_shape_gives_one_error_line(tmp_path, train_csv, pop_model,
                                                             capsys, corrupt, message):
     bad = tmp_path / "bad.json"

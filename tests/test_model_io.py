@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from relanom import graph as graph_module
+from relanom import model_io
 from relanom.cli import main
 from relanom.dataset import Dataset, write_csv
 from relanom.graph import DistanceMetric
@@ -137,35 +138,71 @@ def test_fits_hold_no_second_kernel():
     assert fit_peak_bytes(raw, "shortest_path") < kernel_bytes
 
 
-@pytest.mark.parametrize("method, key, value", [
-    ("popularity", "gamma", -0.2),
-    ("popularity", "gamma", 0.0),
-    ("popularity", "gamma", math.nan),
-    ("popularity", "gamma", math.inf),
-    ("popularity", "state.denom", 0.0),
-    ("popularity", "state.denom", -5.0),
-    ("popularity", "state.denom", math.nan),
-    ("vertex_degree", "gamma", -0.2),
-    ("shortest_path", "gamma", -0.2),
-])
+NOT_POSITIVE = "not a positive finite real"
+NOT_NORMAL = "not a training row index above the one before it, with ra_q 0"
+
+
+def far_row(state):
+    """A one-row normal set: the training row farthest from the fitted set."""
+    return [int(np.argmax(state["ra_q"]))]
+
+
+REFUSED = [
+    ("popularity", "gamma", -0.2, f"is -0.2, {NOT_POSITIVE}"),
+    ("popularity", "gamma", 0.0, f"is 0.0, {NOT_POSITIVE}"),
+    ("popularity", "gamma", math.nan, f"is nan, {NOT_POSITIVE}"),
+    ("popularity", "gamma", math.inf, f"is inf, {NOT_POSITIVE}"),
+    ("popularity", "state.denom", 0.0, f"is 0.0, {NOT_POSITIVE}"),
+    ("popularity", "state.denom", -5.0, f"is -5.0, {NOT_POSITIVE}"),
+    ("popularity", "state.denom", math.nan, f"is nan, {NOT_POSITIVE}"),
+    ("popularity", "state.s_vec", -0.5, f"is -0.5 at index 0, {NOT_POSITIVE}"),
+    ("vertex_degree", "gamma", -0.2, f"is -0.2, {NOT_POSITIVE}"),
+    ("vertex_degree", "state.vd", -3.0, f"is -3.0 at index 0, {NOT_POSITIVE}"),
+    ("shortest_path", "gamma", -0.2, f"is -0.2, {NOT_POSITIVE}"),
+    ("shortest_path", "state.ra_q", -1.0, "is -1.0 at index 0, not 0, positive or +inf"),
+    ("shortest_path", "state.ra_q", math.nan, "is nan at index 0, not 0, positive or +inf"),
+    ("shortest_path", "state.normal_set", [1000000], f"is 1000000.0 at index 0, {NOT_NORMAL}"),
+    ("shortest_path", "state.normal_set", [-1], f"is -1.0 at index 0, {NOT_NORMAL}"),
+    ("shortest_path", "state.normal_set", [5, 5, 3], f"is 5.0 at index 1, {NOT_NORMAL}"),
+    ("shortest_path", "state.normal_set", far_row, f"is {{0}}.0 at index 0, {NOT_NORMAL}"),
+]
+
+
+@pytest.mark.parametrize("method, key, value, message", REFUSED, ids=[
+    f"{method}-{key}-{getattr(value, '__name__', value)}" for method, key, value, _ in REFUSED])
 def test_a_model_that_divides_by_an_impossible_value_is_refused(tmp_path, capsys, method,
-                                                                key, value):
+                                                                key, value, message):
     raw, _ = scraping_analogue(60, seed=0)
     data = tmp_path / "data.csv"
     write_csv(data, raw.columns, raw.values.tolist())
     model = tmp_path / "model.json"
     save_model(model, fit_model(raw, method)[0])
     doc = json.loads(model.read_text())
+    state, name = doc["state"], key.removeprefix("state.")
+    if callable(value):
+        value = value(state)
+        message = message.format(value[0])
     if key == "gamma":
         doc["gamma"] = value
+    elif isinstance(state[name], list) and not isinstance(value, list):
+        state[name][0] = value  # one bad entry, in the first row
     else:
-        doc["state"]["denom"] = value
+        state[name] = value
     model.write_text(json.dumps(doc))  # nan and inf as the JSON module writes them
-    with pytest.raises(ValueError, match=f"'{key}' entry is {value}, not a positive finite"):
+    with pytest.raises(ValueError) as refused:
         load_model(model)
+    assert f"'{key}' entry {message}" in str(refused.value)
     out = tmp_path / "scores.csv"
     assert main(["score", "--model", str(model), "--input", str(data),
                  "--output", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and f"'{key}'" in err
-    assert not out.exists()
+    assert str(model) in err and not out.exists()
+
+
+def test_a_fit_stores_each_state_entry_that_load_checks_and_no_other():
+    raw, _ = scraping_analogue(60, seed=0)
+    for method in METHODS:
+        state = fit_model(raw, method)[0].state
+        diagnostics = {"iterations", "residual"} if method == "popularity" else set()
+        assert state.keys() == model_io._STATE[method].keys() | diagnostics
