@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import Dataset, load_csv, write_csv
 from .graph import DistanceMetric, dump_graph
-from .model_io import DEFAULT_GAMMA, METHODS, fit_model, load_model, save_model
+from .model_io import DEFAULT_GAMMA, METHODS, SETTINGS, fit_model, load_model, save_model
 from .scoring import explain_deviations, label_top_fraction
 from .synth import LABEL_ANOMALOUS, scraping_analogue, wifi_analogue
 
@@ -43,18 +43,14 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--metric", choices=("l2", "l1"), default="l2")
     fit.add_argument("--preprocess", choices=("box-cox", "standardize"),
                      default="box-cox")
-    fit.add_argument("--q", type=float, default=None,
-                     help="normal-set fraction for shortest_path (default 0.5)")
-    fit.add_argument("--k", type=int, default=None,
-                     help="kNN sparsification for shortest_path graphs")
-    fit.add_argument("--sparsify", type=float, default=0.0,
-                     help="drop this fraction of smallest similarity pairs")
-    fit.add_argument("--start", choices=("uniform", "random", "rff"), default=None,
-                     help="popularity power iteration start vector (default uniform)")
-    fit.add_argument("--rff-dim", type=int, default=None, help="default 256")
-    fit.add_argument("--tol", type=float, default=None, help="default 1e-8")
-    fit.add_argument("--max-iter", type=int, default=None, help="default 10000")
-    fit.add_argument("--seed", type=int, default=None, help="default 0")
+    _setting(fit, "q", "normal-set fraction", type=float)
+    _setting(fit, "k", "kNN degree of the path graph, dense when unset", type=int)
+    _setting(fit, "sparsify", "drop this fraction of the smallest similarity pairs", type=float)
+    _setting(fit, "start", "power iteration start vector", choices=("uniform", "random", "rff"))
+    _setting(fit, "rff_dim", "random Fourier features of --start rff", type=int)
+    _setting(fit, "tol", "power iteration tolerance", type=float)
+    _setting(fit, "max_iter", "power iteration step limit", type=int)
+    _setting(fit, "seed", "seed of --start random or rff", type=int)
     fit.add_argument("--train-scores", default=None,
                      help="also write per-row training scores to this CSV")
     fit.add_argument("--dump-graph", default=None,
@@ -90,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--top-fraction", type=float, default=0.2)
     compare.add_argument("--preprocess", choices=("box-cox", "standardize"),
                          default="box-cox")
-    compare.add_argument("--q", type=float, default=None, help="default 0.5")
+    _setting(compare, "q", "normal-set fraction", type=float)
     for method in METHODS:
         compare.add_argument(f"--gamma-{method.replace('_', '-')}", type=float, default=None,
                              help=f"default {DEFAULT_GAMMA[method]}")
@@ -109,6 +105,14 @@ def _build_parser() -> argparse.ArgumentParser:
     ecdf.add_argument("--output", required=True)
     ecdf.add_argument("--neg-log-display", action="store_true")
     return parser
+
+
+def _setting(parser, name, what, **kwargs) -> None:
+    """Add fit setting ``name``'s flag; its help names the setting's method and default."""
+    owner, default = SETTINGS[name]
+    default = "" if default is None else f", default {default}"
+    parser.add_argument(f"--{name.replace('_', '-')}", help=f"{what} ({owner}{default})",
+                        **kwargs)
 
 
 def main(argv=None) -> int:
@@ -151,12 +155,9 @@ def _fit(raw, method, **kwargs):
 
 def _cmd_fit(args) -> int:
     raw = _load_features(args.input)
-    bundle, graph = _fit(
-        raw, args.method,
-        gamma=args.gamma, metric=_METRICS[args.metric], preprocess=args.preprocess,
-        q=args.q, k=args.k, sparsify=args.sparsify, start=args.start,
-        rff_dim=args.rff_dim, tol=args.tol, max_iter=args.max_iter, seed=args.seed,
-    )
+    bundle, graph = _fit(raw, args.method, gamma=args.gamma, metric=_METRICS[args.metric],
+                         preprocess=args.preprocess,
+                         **{name: getattr(args, name) for name in SETTINGS})
     save_model(args.model, bundle)
     if args.train_scores:
         write_csv(args.train_scores, *bundle.train_table())
@@ -251,7 +252,7 @@ def _cmd_compare(args) -> int:
     for method in METHODS:
         bundle, _ = _fit(
             raw, method, gamma=getattr(args, f"gamma_{method}"), preprocess=args.preprocess,
-            q=args.q if method == "shortest_path" else None,
+            q=args.q if SETTINGS["q"][0] == method else None,
         )
         predicted = label_top_fraction(bundle.train_scores_rowwise(), args.top_fraction)
         precision, recall = _precision_recall(predicted, truth)

@@ -2,13 +2,15 @@
 
 ``fit_model`` is the one place the method state is written; ``ModelBundle``
 and ``load_model`` read it.  A format-2 model file stores each fact once: the
-per-column transforms, the graph parameters, the model-space training data and
-the method state, popularity's ``s_vec`` and ``denom`` (and the fit's
-``iterations`` and ``residual``), vertex degree's ``vd`` or shortest path's
-``ra_q`` and ``normal_set``.  The training scores that DORA ranks against and
-the stationary column vd / sum(vd) are derived from the state.  Load refuses
-another format version (refit a format-1 file) and checks the transforms and
-the state entries that scoring reads (``_STATE``).  Floats are written at full
+per-column transforms, the graph parameters, the method's fit settings
+(``SETTINGS``), the model-space training data and the method state,
+popularity's ``s_vec`` and ``denom`` (and the fit's ``iterations`` and
+``residual``), vertex degree's ``vd`` or shortest path's ``ra_q`` and
+``normal_set``.  The training scores that DORA ranks against and the stationary
+column vd / sum(vd) are derived from the state.  Load refuses another format
+version (refit a format-1 file), checks the transforms and the state entries
+that scoring reads (``_STATE``) and keeps every other entry as JSON gave it, so
+a saved bundle saves again to the same bytes.  Floats are written at full
 round-trip precision, and every write is atomic (temp file + rename).
 """
 
@@ -42,6 +44,14 @@ DEFAULT_GAMMA = {"popularity": 0.2, "vertex_degree": 0.5, "shortest_path": 0.2}
 
 METHODS = tuple(DEFAULT_GAMMA)
 
+# Each fit setting: the method that takes it and its default.  A model file's config
+# holds its method's settings in this order; popularity's rff_dim is null unless its
+# start is rff.
+SETTINGS = {"seed": ("popularity", 0), "tol": ("popularity", 1e-8),
+            "max_iter": ("popularity", 10_000), "sparsify": ("popularity", 0.0),
+            "start": ("popularity", "uniform"), "rff_dim": ("popularity", 256),
+            "q": ("shortest_path", 0.5), "k": ("shortest_path", None)}
+
 
 def _positive(v, n, state):
     return (0.0 < v) & (v < np.inf)
@@ -60,7 +70,7 @@ def _normal_rows(v, n, state):
 _KEYS = ("method", "preprocess", "metric", "gamma", "config", "columns", "transforms",
          "training", "state")
 _TRANSFORM_FLOATS = ("delta", "lam", "mean", "sd", "raw_min", "raw_max")
-_ROW, _LIST, _REAL = "a list of one entry per training row ({n})", "a list", "one number"
+_ROW, _LIST, _REAL = "a list of one entry per training row ({n})", "a nonempty list", "one number"
 _POSITIVE = "a positive finite real"
 _STATE = {
     "popularity": {"s_vec": (_ROW, _positive, _POSITIVE), "denom": (_REAL, _positive, _POSITIVE)},
@@ -148,64 +158,39 @@ class ModelBundle:
         return ["row_index", "ra_q", "dora", "is_normal_set"], list(zip(*columns, normal))
 
 
-def fit_model(
-    raw: Dataset,
-    method: str,
-    *,
-    gamma: float | None = None,
-    metric: DistanceMetric = DistanceMetric.EUCLIDEAN,
-    preprocess: str = "box-cox",
-    q: float | None = None,
-    k: int | None = None,
-    sparsify: float = 0.0,
-    start: str | None = None,
-    rff_dim: int | None = None,
-    tol: float | None = None,
-    max_iter: int | None = None,
-    seed: int | None = None,
-):
+def fit_model(raw: Dataset, method: str, *, gamma: float | None = None,
+              metric: DistanceMetric = DistanceMetric.EUCLIDEAN, preprocess: str = "box-cox",
+              **settings):
     """Fit one method end to end on raw data; returns (bundle, fitted graph).
 
-    ``q`` (default 0.5) and ``k`` apply only to shortest_path; ``sparsify``,
-    ``start`` (default "uniform"), ``rff_dim`` (default 256), ``tol``
-    (default 1e-8), ``max_iter`` (default 10000) and ``seed`` (default 0)
-    only to popularity, ``rff_dim`` only with start "rff" and ``seed`` only
-    with start "random" or "rff".  Setting one where it does not apply is an
-    error, not ignored.
+    ``settings`` are fit settings named in ``SETTINGS``; each is taken only by its
+    method, and one left out or None takes its default.  ``rff_dim`` applies only
+    with start "rff" and ``seed`` only with start "random" or "rff".  Setting one
+    where it does not apply is an error, not ignored.  The bundle's config holds
+    every setting of its method.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}'")
-    for name, value, owner in (("q", q, "shortest_path"), ("k", k, "shortest_path"),
-                               ("sparsify", sparsify or None, "popularity"),
-                               ("start", start, "popularity"), ("rff_dim", rff_dim, "popularity"),
-                               ("tol", tol, "popularity"), ("max_iter", max_iter, "popularity"),
-                               ("seed", seed, "popularity")):
-        if value is not None and method != owner:
-            raise ValueError(f"{name} applies only to method {owner}, not {method}")
-    if rff_dim is not None and start != "rff":
-        raise ValueError(f"rff_dim applies only to start rff, not {start or 'uniform'}")
-    if seed is not None and start in (None, "uniform"):
+    for name, value in settings.items():
+        if name not in SETTINGS:
+            raise TypeError(f"fit_model() got an unexpected keyword argument '{name}'")
+        if value is not None and SETTINGS[name][0] != method:
+            raise ValueError(f"{name} applies only to method {SETTINGS[name][0]}, not {method}")
+    config = {name: default if settings.get(name) is None else settings[name]
+              for name, (owner, default) in SETTINGS.items() if owner == method}
+    if settings.get("rff_dim") is not None and config["start"] != "rff":
+        raise ValueError(f"rff_dim applies only to start rff, not {config['start']}")
+    if settings.get("seed") is not None and config["start"] == "uniform":
         raise ValueError("seed applies only to start random or rff, not uniform")
-    if gamma is None:
-        gamma = DEFAULT_GAMMA[method]
-    q = 0.5 if q is None else q
-    start = "uniform" if start is None else start
-    rff_dim = 256 if rff_dim is None else rff_dim
-    tol = 1e-8 if tol is None else tol
-    max_iter = 10_000 if max_iter is None else max_iter
-    seed = 0 if seed is None else seed
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    if config.get("seed", 0) < 0:
+        raise ValueError(f"seed must be nonnegative, got {config['seed']}")
+    if method == "popularity" and config["start"] != "rff":
+        config["rff_dim"] = None
+    gamma = float(DEFAULT_GAMMA[method] if gamma is None else gamma)
     transforms = fit_preprocessor(raw, preprocess)
     data = apply_preprocessor(raw, transforms)
-    config = {"seed": seed, "tol": tol, "max_iter": max_iter}
     if method == "popularity":
-        model = fit_popularity(
-            data, gamma, metric=metric, sparsify=sparsify, start=start,
-            rff_dim=rff_dim, seed=seed, tol=tol, max_iter=max_iter,
-        )
-        config.update({"sparsify": sparsify, "start": start,
-                       "rff_dim": rff_dim if start == "rff" else None})
+        model = fit_popularity(data, gamma, metric=metric, **config)
         state = {"s_vec": model.s_vec, "denom": model.lambda1,
                  "iterations": model.iterations, "residual": model.residual}
         graph = model.graph
@@ -213,8 +198,7 @@ def fit_model(
         graph = kernel_graph(data, gamma, metric)
         state = {"vd": vertex_degrees(graph)}
     else:
-        model = fit_shortest_path(data, gamma, q, k, metric=metric)
-        config.update({"q": q, "k": k})
+        model = fit_shortest_path(data, gamma, metric=metric, **config)
         state = {"ra_q": model.ra_q, "normal_set": model.normal_set}
         graph = model.graph
     return ModelBundle(method=method, preprocess=preprocess, metric=metric, gamma=gamma,
@@ -286,19 +270,21 @@ def load_model(path) -> ModelBundle:
                                  f"lam {tf.lam}, mean {tf.mean}, sd {tf.sd}")
         gamma = float(doc["gamma"])
         _refuse_unless(path, "gamma", gamma, 0.0 < gamma < np.inf, _POSITIVE)
+        checks, n = _STATE.get(doc["method"], {}), len(doc["training"])
         if not isinstance(doc["state"], dict):
             raise TypeError("it is not a JSON object")
-        state = {key: (np.asarray(value, dtype=np.float64) if isinstance(value, list)
-                       else float(value)) for key, value in doc["state"].items()}
-        n = len(doc["training"])
-        for key, (shape, test, what) in _STATE.get(doc["method"], {}).items():
+        state = dict(doc["state"])  # an entry that scoring does not read stays as JSON gave it
+        for key, (shape, test, what) in checks.items():
             if key not in state:
                 raise ValueError(f"{path}: model file has no 'state.{key}' key")
-            if np.ndim(state[key]) != (shape != _REAL) or shape == _ROW and len(state[key]) != n:
+            value = np.asarray(state[key], dtype=np.float64)
+            if (value.ndim != (shape != _REAL) or shape == _ROW and len(value) != n
+                    or shape == _LIST and not value.size):
                 raise ValueError(f"{path}: model file's 'state.{key}' entry is not "
                                  + shape.format(n=n))
-            _refuse_unless(path, f"state.{key}", state[key], test(state[key], n, state), what)
-            state[key] = state[key].astype(np.int64) if shape == _LIST else state[key]
+            _refuse_unless(path, f"state.{key}", value, test(value, n, state), what)
+            state[key] = (value if shape == _ROW else value.astype(np.int64) if shape == _LIST
+                          else float(value))
         training = Dataset(np.asarray(doc["training"], dtype=np.float64), columns)
         # method is read last, so an unknown method is the entry named below
         return ModelBundle(preprocess=doc["preprocess"], metric=DistanceMetric(doc["metric"]),

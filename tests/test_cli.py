@@ -180,6 +180,7 @@ def test_fit_missing_input_fails(tmp_path, capsys):
 @pytest.mark.parametrize("method, flag", [
     ("shortest_path", ("--sparsify", "0.5")),
     ("vertex_degree", ("--sparsify", "0.5")),
+    ("vertex_degree", ("--sparsify", "0")),
     ("popularity", ("--k", "5")),
     ("vertex_degree", ("--k", "5")),
     ("popularity", ("--q", "0.5")),
@@ -229,17 +230,20 @@ def test_fit_rejects_a_popularity_flag_out_of_range_or_ignored(
 
 
 def test_default_fit_config_is_unchanged(tmp_path, train_csv):
-    # Unset method flags resolve to the defaults a model file has always stored.
+    # Unset method flags resolve to their defaults; a model file stores only its
+    # method's settings, and popularity's as it always has.
     stored = {}
-    for method in ("popularity", "shortest_path"):
+    for method in ("popularity", "shortest_path", "vertex_degree"):
         model = tmp_path / f"{method}.json"
         assert run("fit", "--method", method, "--input", str(train_csv),
                    "--output", str(model)) == 0
         stored[method] = json.loads(model.read_text())["config"]
     assert stored["popularity"] == {"seed": 0, "tol": 1e-8, "max_iter": 10_000,
                                     "sparsify": 0.0, "start": "uniform", "rff_dim": None}
-    assert stored["shortest_path"] == {"seed": 0, "tol": 1e-8, "max_iter": 10_000,
-                                       "q": 0.5, "k": None}
+    assert list(stored["popularity"]) == ["seed", "tol", "max_iter", "sparsify", "start",
+                                          "rff_dim"]
+    assert stored["shortest_path"] == {"q": 0.5, "k": None}
+    assert stored["vertex_degree"] == {}
 
 
 def test_unknown_flag_exits_two(tmp_path):

@@ -165,6 +165,7 @@ REFUSED = [
     ("shortest_path", "state.normal_set", [-1], f"is -1.0 at index 0, {NOT_NORMAL}"),
     ("shortest_path", "state.normal_set", [5, 5, 3], f"is 5.0 at index 1, {NOT_NORMAL}"),
     ("shortest_path", "state.normal_set", far_row, f"is {{0}}.0 at index 0, {NOT_NORMAL}"),
+    ("shortest_path", "state.normal_set", [], "is not a nonempty list"),
 ]
 
 
@@ -206,3 +207,84 @@ def test_a_fit_stores_each_state_entry_that_load_checks_and_no_other():
         state = fit_model(raw, method)[0].state
         diagnostics = {"iterations", "residual"} if method == "popularity" else set()
         assert state.keys() == model_io._STATE[method].keys() | diagnostics
+
+
+ROUND_TRIP_FITS = [("popularity", {}), ("popularity", {"sparsify": 0.5}),
+                   ("popularity", {"start": "rff"}), ("vertex_degree", {}),
+                   ("vertex_degree", {"gamma": 1}),
+                   ("shortest_path", {}), ("shortest_path", {"k": 10})]
+
+
+@pytest.mark.parametrize("method, flags", ROUND_TRIP_FITS,
+                         ids=[f"{m}-{f}" for m, f in ROUND_TRIP_FITS])
+def test_a_fitted_model_file_saves_again_to_its_own_bytes(tmp_path, method, flags):
+    raw, _ = scraping_analogue(60, seed=0)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_model(first, fit_model(raw, method, **flags)[0])
+    save_model(second, load_model(first))
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_state_entries_that_scoring_does_not_read_load_as_json_gave_them(tmp_path):
+    raw, _ = scraping_analogue(60, seed=0)
+    bundle = fit_model(raw, "vertex_degree")[0]
+    bundle.state.update(passes=35, stationary=[0.25, 0.75], note="kept")
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_model(first, bundle)
+    loaded = load_model(first)
+    assert {key: loaded.state[key] for key in ("passes", "stationary", "note")} == {
+        "passes": 35, "stationary": [0.25, 0.75], "note": "kept"}
+    assert type(loaded.state["passes"]) is int
+    save_model(second, loaded)
+    assert second.read_bytes() == first.read_bytes()
+
+
+# The settings a model file's config holds, per method, in its order, with their defaults.
+DEFAULT_CONFIG = {
+    "popularity": {"seed": 0, "tol": 1e-8, "max_iter": 10_000, "sparsify": 0.0,
+                   "start": "uniform", "rff_dim": 256},
+    "vertex_degree": {},
+    "shortest_path": {"q": 0.5, "k": None},
+}
+SETTING_VALUES = {
+    "seed": st.integers(0, 2**16), "tol": st.sampled_from([1e-6, 1e-8, 1e-10]),
+    "max_iter": st.integers(5_000, 20_000), "sparsify": st.sampled_from([0.0, 0.3, 0.5]),
+    "start": st.sampled_from(["uniform", "random", "rff"]), "rff_dim": st.integers(8, 64),
+    "q": st.sampled_from([0.1, 0.5, 0.9]), "k": st.integers(1, 10),
+}
+
+
+@st.composite
+def method_and_settings(draw):
+    """A method and a valid subset of its settings: rff_dim only with start rff, seed
+    only with start random or rff."""
+    method = draw(st.sampled_from(METHODS))
+    names = draw(st.sets(st.sampled_from(sorted(DEFAULT_CONFIG[method])))) if (
+        DEFAULT_CONFIG[method]) else set()
+    chosen = {name: draw(SETTING_VALUES[name]) for name in sorted(names)}
+    start = chosen.get("start", "uniform")
+    if start != "rff":
+        chosen.pop("rff_dim", None)
+    if start == "uniform":
+        chosen.pop("seed", None)
+    return method, chosen
+
+
+@pytest.mark.filterwarnings("ignore:.*unreachable from the normal set")
+@settings(max_examples=25, deadline=None)
+@given(drawn=method_and_settings())
+def test_the_stored_config_is_the_methods_settings_given_or_default(drawn):
+    method, given_settings = drawn
+    raw, _ = scraping_analogue(30, seed=0)
+    config = fit_model(raw, method, **given_settings)[0].config
+    want = {**DEFAULT_CONFIG[method], **given_settings}
+    if method == "popularity" and want["start"] != "rff":
+        want["rff_dim"] = None
+    assert config == want and list(config) == list(DEFAULT_CONFIG[method])
+    for other in METHODS:
+        for name, value in DEFAULT_CONFIG[other].items():
+            if other != method:
+                with pytest.raises(ValueError) as refused:
+                    fit_model(raw, method, **given_settings, **{name: 5 if value is None
+                                                                else value})
+                assert str(refused.value) == f"{name} applies only to method {other}, not {method}"

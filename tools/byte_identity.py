@@ -25,7 +25,8 @@ fits run on its distinct rows, and the cut's outputs change whenever its tie
 rule does.  It prints ``<sha256>  <name>`` for every output file and for every
 command's exit code, stdout and stderr.  Run it on two checkouts and diff the
 manifests.  Commands that fail are listed on stderr; a failure is hashed like
-any other output.
+any other output.  Every model file a fit writes is loaded and saved again, and
+one whose second save differs from it by a byte is listed on stderr too.
 """
 
 import contextlib
@@ -38,6 +39,7 @@ import warnings
 src, work = sys.argv[1], sys.argv[2]
 sys.path.insert(0, os.path.abspath(src))
 from relanom.cli import main  # noqa: E402
+from relanom.model_io import load_model, save_model  # noqa: E402
 
 os.makedirs(work)
 os.chdir(work)
@@ -59,6 +61,13 @@ def run(tag, *argv):
     hashes.append((hashlib.sha256(blob.encode()).hexdigest(), f"{tag}.stdout"))
     if code:
         print(f"{tag}: exit {code}: {err.getvalue().strip()[:150]}", file=sys.stderr)
+    elif argv[0] == "fit":
+        model = argv[argv.index("--output") + 1]
+        save_model("resaved.json", load_model(model))
+        with open(model, "rb") as fitted, open("resaved.json", "rb") as resaved:
+            if fitted.read() != resaved.read():
+                print(f"{tag}: model file changes when loaded and saved again", file=sys.stderr)
+        os.remove("resaved.json")
 
 
 FITS = [
