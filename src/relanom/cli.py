@@ -16,9 +16,11 @@ import numpy as np
 
 from .dataset import Dataset, load_csv, write_csv
 from .graph import DistanceMetric, dump_graph
-from .model_io import DEFAULT_GAMMA, METHODS, SETTINGS, fit_model, load_model, save_model
+from .model_io import DEFAULT_GAMMA, METHODS, SETTINGS, defaults, fit_model, load_model, save_model
+from .popularity import STARTS
+from .preprocess import PREPROCESSORS
 from .scoring import explain_deviations, label_top_fraction
-from .synth import LABEL_ANOMALOUS, scraping_analogue, wifi_analogue
+from .synth import DATASETS, LABEL_ANOMALOUS
 
 __all__ = ["main"]
 
@@ -31,8 +33,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Relative anomaly detection on kernel similarity graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    preprocess = dict(choices=PREPROCESSORS, default=defaults(fit_model)["preprocess"])
+    top_fraction = dict(type=float, default=defaults(label_top_fraction)["fraction"])
 
     fit = sub.add_parser("fit", help="fit a detector and write a model file")
+    fit.set_defaults(handler=_cmd_fit)
     fit.add_argument("--method", required=True, choices=sorted(METHODS))
     fit.add_argument("--input", required=True,
                      help="training CSV (header row; a trailing 'label' column is ignored)")
@@ -40,13 +45,12 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="output model JSON path")
     fit.add_argument("--gamma", type=float, default=None,
                      help="kernel bandwidth (default depends on method)")
-    fit.add_argument("--metric", choices=("l2", "l1"), default="l2")
-    fit.add_argument("--preprocess", choices=("box-cox", "standardize"),
-                     default="box-cox")
+    fit.add_argument("--metric", choices=_METRICS, default="l2")
+    fit.add_argument("--preprocess", **preprocess)
     _setting(fit, "q", "normal-set fraction", type=float)
     _setting(fit, "k", "kNN degree of the path graph, dense when unset", type=int)
     _setting(fit, "sparsify", "drop this fraction of the smallest similarity pairs", type=float)
-    _setting(fit, "start", "power iteration start vector", choices=("uniform", "random", "rff"))
+    _setting(fit, "start", "power iteration start vector", choices=STARTS)
     _setting(fit, "rff_dim", "random Fourier features of --start rff", type=int)
     _setting(fit, "tol", "power iteration tolerance", type=float)
     _setting(fit, "max_iter", "power iteration step limit", type=int)
@@ -57,14 +61,16 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="write the fitted graph in i,j,s coordinate format")
 
     score = sub.add_parser("score", help="score new observations with a model")
+    score.set_defaults(handler=_cmd_score)
     score.add_argument("--model", required=True)
     score.add_argument("--input", required=True)
     score.add_argument("--output", required=True)
-    score.add_argument("--top-fraction", type=float, default=0.2)
+    score.add_argument("--top-fraction", **top_fraction)
     score.add_argument("--neg-log-display", action="store_true",
                        help="add a -ln(-score) display column")
 
     explain = sub.add_parser("explain", help="explain one observation's deviation")
+    explain.set_defaults(handler=_cmd_explain)
     explain.add_argument("--model", required=True)
     explain.add_argument("--input", required=True)
     explain.add_argument("--row", type=int, default=0)
@@ -74,18 +80,19 @@ def _build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--output", default=None, help="optional CSV output")
 
     synth = sub.add_parser("synth", help="generate a labeled synthetic dataset")
-    synth.add_argument("--dataset", required=True, choices=("scraping", "wifi"))
-    synth.add_argument("--n", type=int, default=1000)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.set_defaults(handler=_cmd_synth)
+    synth.add_argument("--dataset", required=True, choices=DATASETS)
+    for name, default in defaults(DATASETS["scraping"]).items():  # every generator's n, seed
+        synth.add_argument(f"--{name}", type=int, default=default)
     synth.add_argument("--output", required=True)
 
     compare = sub.add_parser(
         "compare", help="precision/recall of all methods on a labeled CSV")
+    compare.set_defaults(handler=_cmd_compare)
     compare.add_argument("--input", required=True,
                          help="CSV with a trailing 'label' column")
-    compare.add_argument("--top-fraction", type=float, default=0.2)
-    compare.add_argument("--preprocess", choices=("box-cox", "standardize"),
-                         default="box-cox")
+    compare.add_argument("--top-fraction", **top_fraction)
+    compare.add_argument("--preprocess", **preprocess)
     _setting(compare, "q", "normal-set fraction", type=float)
     for method in METHODS:
         compare.add_argument(f"--gamma-{method.replace('_', '-')}", type=float, default=None,
@@ -93,6 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--output", default=None, help="optional CSV report")
 
     grid = sub.add_parser("grid", help="score a rectangular grid (2-D models)")
+    grid.set_defaults(handler=_cmd_grid)
     grid.add_argument("--model", required=True)
     grid.add_argument("--output", required=True)
     grid.add_argument("--resolution", type=int, default=50)
@@ -101,6 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="raw-space bounds (default: training data range)")
 
     ecdf = sub.add_parser("ecdf", help="export the training-score ECDF for plotting")
+    ecdf.set_defaults(handler=_cmd_ecdf)
     ecdf.add_argument("--model", required=True)
     ecdf.add_argument("--output", required=True)
     ecdf.add_argument("--neg-log-display", action="store_true")
@@ -118,23 +127,10 @@ def _setting(parser, name, what, **kwargs) -> None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return args.handler(args)
     except (ValueError, OSError, FloatingPointError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _dispatch(args) -> int:
-    handler = {
-        "fit": _cmd_fit,
-        "score": _cmd_score,
-        "explain": _cmd_explain,
-        "synth": _cmd_synth,
-        "compare": _cmd_compare,
-        "grid": _cmd_grid,
-        "ecdf": _cmd_ecdf,
-    }[args.command]
-    return handler(args)
 
 
 def _load_features(path) -> Dataset:
@@ -170,12 +166,10 @@ def _cmd_fit(args) -> int:
             + ", ".join(boundary),
             file=sys.stderr,
         )
-    if args.sparsify:  # threshold_sparsify drops floor(F * pairs) unless connectivity needs some
-        pairs = graph.n * (graph.n - 1) // 2
-        dropped = pairs - (graph.matrix.nnz - graph.n) // 2
-        if dropped < math.floor(args.sparsify * pairs + 1e-9):
-            print(f"warning: --sparsify {args.sparsify:g} dropped only {dropped / pairs:.4f} of "
-                  "the pairs; the rest keep the graph connected", file=sys.stderr)
+    if args.sparsify and (cut := graph.matrix).dropped < cut.asked:  # kept for connectivity
+        print(f"warning: --sparsify {args.sparsify:g} dropped only "
+              f"{cut.dropped / (graph.n * (graph.n - 1) // 2):.4f} of the pairs; the rest keep "
+              "the graph connected", file=sys.stderr)
     print(f"fitted {args.method} model on {bundle.training.n} rows -> {args.model}")
     return 0
 
@@ -231,8 +225,7 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    maker = scraping_analogue if args.dataset == "scraping" else wifi_analogue
-    data, labels = maker(args.n, args.seed)
+    data, labels = DATASETS[args.dataset](args.n, args.seed)
     header = data.columns + ["label"]
     rows = [list(vals) + [lab] for vals, lab in zip(data.values, labels)]
     write_csv(args.output, header, rows)
@@ -283,11 +276,8 @@ def _cmd_grid(args) -> int:
     raw_points = np.column_stack((np.repeat(xs, len(ys)), np.tile(ys, len(xs))))
     grid_raw = Dataset(raw_points, list(bundle.training.columns))
     scores = bundle.score_raw(grid_raw)
-    write_csv(
-        args.output,
-        [bundle.training.columns[0], bundle.training.columns[1], "score"],
-        zip(raw_points[:, 0].tolist(), raw_points[:, 1].tolist(), scores.tolist()),
-    )
+    write_csv(args.output, [*bundle.training.columns, "score"],
+              zip(raw_points[:, 0].tolist(), raw_points[:, 1].tolist(), scores.tolist()))
     print(f"scored {scores.size} grid points -> {args.output}")
     return 0
 

@@ -113,13 +113,14 @@ class SimilarityGraph:
 @dataclass(frozen=True)
 class ThresholdCut:
     """The kernel entries ``threshold_sparsify`` keeps, ``nnz`` of them with the diagonal:
-    those at or above ``threshold``.  The cut that drops nothing, a plain popularity fit's,
-    has threshold -inf and keeps all n^2.  As returned, it holds the ``kernel`` of the m
-    distinct rows, whose upper triangle, the half dsymv reads, is the cut's; its reader
-    frees it by replacing it."""
+    those at or above ``threshold``; it dropped ``dropped`` pairs for the ``asked`` ones.  A
+    plain fit's cut drops none (threshold -inf).  As returned, it holds the ``kernel`` of the
+    m distinct rows, whose upper triangle, the half dsymv reads, is the cut's until freed."""
 
     threshold: float
     nnz: int
+    asked: int
+    dropped: int
     kernel: np.ndarray | None = None
 
 
@@ -316,9 +317,9 @@ def _select(vals: np.ndarray, extra: np.ndarray, weights: np.ndarray, k: int) ->
 def threshold_sparsify(graph: SimilarityGraph, drop_fraction: float) -> SimilarityGraph:
     """Drop the smallest symmetric off-diagonal pairs of a kernel graph (``kernel_graph``).
 
-    The cut keeps every entry at or above one threshold: just above q, the
-    floor(drop_fraction * n*(n-1)/2)-th smallest pair, so that the pairs tied at q go too,
-    unless that disconnects the graph.  Then it is the least edge of a maximum spanning
+    The cut keeps every entry at or above one threshold: just above q, the ``asked``-th
+    smallest pair, asked = floor(drop_fraction * n*(n-1)/2), so that the pairs tied at q go
+    too, unless that disconnects the graph.  Then it is the least edge of a maximum spanning
     tree, and the pairs tied at it stay.  Equal observations therefore keep equal rows,
     and the cut is found on the m distinct rows of ``graph.source.distinct``: a distinct
     pair stands for the product of its rows' counts, a group of c equal rows for c(c-1)/2
@@ -332,11 +333,11 @@ def threshold_sparsify(graph: SimilarityGraph, drop_fraction: float) -> Similari
         raise ValueError("drop_fraction must be in [0, 1)")
     n, distinct = graph.n, graph.source.distinct
     m, counts = distinct.data.n, distinct.counts
-    drop = int(math.floor(drop_fraction * (pairs := n * (n - 1) // 2) + 1e-9))
-    if not drop:
+    asked = int(math.floor(drop_fraction * (pairs := n * (n - 1) // 2) + 1e-9))
+    if not asked:
         s = rbf_similarity_matrix(distinct.data, graph.gamma, graph.metric,
                                   upper_only=True).matrix
-        return replace(graph, matrix=ThresholdCut(-np.inf, n * n, s))
+        return replace(graph, matrix=ThresholdCut(-np.inf, n * n, 0, 0, s))
     graph_m = replace(graph, source=distinct.data)
     s = rbf_similarity_matrix(distinct.data, graph.gamma, graph.metric).matrix
     key, open_, vb = s[0].copy(), np.arange(m) > 0, 1.0  # equal rows' pairs are 1.0, the most
@@ -361,7 +362,7 @@ def threshold_sparsify(graph: SimilarityGraph, drop_fraction: float) -> Similari
         size += m - 1 - i
     vals = vals[:size]
     # the c(c-1)/2 pairs of a group of c equal rows are 1.0, the largest
-    q = 1.0 if drop > vals.size + weights.sum() else _select(vals, extra, weights, drop)
+    q = 1.0 if asked > vals.size + weights.sum() else _select(vals, extra, weights, asked)
     threshold = float(min(np.nextafter(q, np.inf), vb))
     # the pairs under the threshold, before the cut pass overwrites vals
     drop = int(np.count_nonzero(vals < threshold) + weights.sum(where=extra < threshold))
@@ -373,7 +374,7 @@ def threshold_sparsify(graph: SimilarityGraph, drop_fraction: float) -> Similari
         np.copyto(v, 0.0, where=np.less(v, threshold, out=mask))
 
     for_row_blocks(cut, m, m)
-    return replace(graph, matrix=ThresholdCut(threshold, n + 2 * (pairs - drop), s))
+    return replace(graph, matrix=ThresholdCut(threshold, n + 2 * (pairs - drop), asked, drop, s))
 
 
 def max_symmetrize(graph: SimilarityGraph) -> SimilarityGraph:

@@ -16,6 +16,7 @@ round-trip precision, and every write is atomic (temp file + rename).
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import asdict, dataclass, field, replace
 
@@ -44,13 +45,18 @@ DEFAULT_GAMMA = {"popularity": 0.2, "vertex_degree": 0.5, "shortest_path": 0.2}
 
 METHODS = tuple(DEFAULT_GAMMA)
 
-# Each fit setting: the method that takes it and its default.  A model file's config
-# holds its method's settings in this order; popularity's rff_dim is null unless its
-# start is rff.
-SETTINGS = {"seed": ("popularity", 0), "tol": ("popularity", 1e-8),
-            "max_iter": ("popularity", 10_000), "sparsify": ("popularity", 0.0),
-            "start": ("popularity", "uniform"), "rff_dim": ("popularity", 256),
-            "q": ("shortest_path", 0.5), "k": ("shortest_path", None)}
+
+def defaults(fn) -> dict:
+    """Each parameter of ``fn`` that has a default, with that default, in order."""
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not p.empty}
+
+
+# Each fit setting, in a model file's config order: the method whose fit takes it and its
+# default, read off that fit's signature.  Popularity's rff_dim is null unless start is rff.
+SETTINGS = {name: (fit.__name__.removeprefix("fit_"), default)
+            for fit in (fit_popularity, fit_shortest_path)
+            for name, default in defaults(fit).items() if name != "metric"}
 
 
 def _positive(v, n, state):
@@ -135,32 +141,30 @@ class ModelBundle:
 
     @property
     def score_column(self) -> str:
-        return {
-            "popularity": "relative_anomaly",
-            "vertex_degree": "vertex_degree",
-            "shortest_path": "ra_q",
-        }[self.method]
+        return {"popularity": "relative_anomaly", "vertex_degree": "vertex_degree",
+                "shortest_path": "ra_q"}[self.method]
 
     def train_table(self):
         """Header and rows of the per-training-row score table."""
+        header = ["row_index", self.score_column]
         if self.method == "vertex_degree":
             # symmetric full kernel S: the stationary distribution is exactly vd / sum(vd)
             # (detailed balance); iterating would stall on well-separated clusters
             vd = np.asarray(self.state["vd"])
-            return (["row_index", "vertex_degree", "stationary_probability"],
+            return (header + ["stationary_probability"],
                     list(zip(range(len(vd)), vd, vd / vd.sum())))
         scores = self.train_scores_rowwise()
         columns = [range(len(scores)), scores, self.dora_of(scores)]
         if self.method == "popularity":
-            return ["row_index", "relative_anomaly", "dora"], list(zip(*columns))
+            return header + ["dora"], list(zip(*columns))
         normal = np.zeros(len(scores), dtype=bool)
         normal[self.state["normal_set"]] = True
-        return ["row_index", "ra_q", "dora", "is_normal_set"], list(zip(*columns, normal))
+        return header + ["dora", "is_normal_set"], list(zip(*columns, normal))
 
 
 def fit_model(raw: Dataset, method: str, *, gamma: float | None = None,
-              metric: DistanceMetric = DistanceMetric.EUCLIDEAN, preprocess: str = "box-cox",
-              **settings):
+              metric: DistanceMetric = DistanceMetric.EUCLIDEAN,
+              preprocess: str = defaults(fit_preprocessor)["mode"], **settings):
     """Fit one method end to end on raw data; returns (bundle, fitted graph).
 
     ``settings`` are fit settings named in ``SETTINGS``; each is taken only by its

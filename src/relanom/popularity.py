@@ -35,6 +35,9 @@ __all__ = [
     "kernel_extension",
 ]
 
+_TOL, _MAX_ITER = 1e-8, 10_000  # the power iteration's stopping rule unless given
+STARTS = ("uniform", "random", "rff")  # fit_popularity's start vectors
+
 
 class ConvergenceError(RuntimeError):
     """Iteration budget exhausted; carries the last observed residual."""
@@ -87,8 +90,8 @@ def _symmetric_product(s_matrix, weights):
 def power_iteration(
     s_matrix,
     s0: np.ndarray | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
+    tol: float = _TOL,
+    max_iter: int = _MAX_ITER,
     weights: np.ndarray | None = None,
 ) -> PowerResult:
     """Dominant eigenpair of a symmetric matrix by power iteration.
@@ -174,7 +177,7 @@ def rff_warm_start(data: Dataset, n_features: int, gamma: float, seed: int) -> n
     small = dsyrk(1.0, phi.T, trans=1)  # phi phi', upper triangle only: the one dsymv reads
     # Lift any tiny negative diagonal noise; the matrix is PSD by form.
     np.fill_diagonal(small, np.maximum(small.diagonal(), 1e-12))
-    lead = power_iteration(small, tol=1e-10, max_iter=10_000)
+    lead = power_iteration(small, tol=1e-10)
     start = np.abs(dgemv(1.0, phi.T, lead.s_vec))
     norm = float(np.linalg.norm(start))
     if norm == 0.0:
@@ -187,40 +190,39 @@ def fit_popularity(
     gamma: float,
     *,
     metric: DistanceMetric = DistanceMetric.EUCLIDEAN,
+    seed: int = 0,
+    tol: float = _TOL,
+    max_iter: int = _MAX_ITER,
     sparsify: float = 0.0,
     start: str = "uniform",
     rff_dim: int = 256,
-    seed: int = 0,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
 ) -> PopularityModel:
     """Cut the similarity graph and run the power iteration on the cut.
 
-    ``start`` selects the initial vector: "uniform" (default), "random"
-    (seeded positive entries), or "rff" (random Fourier feature warm
-    start of dimension ``rff_dim``).  The cut is ``threshold_sparsify``'s: it
-    drops the ``sparsify`` fraction of the smallest off-diagonal similarity
-    pairs, which must lie in [0, 1), and the pairs tied with the last of them,
-    unless that disconnects the graph; a plain fit's fraction 0 drops nothing.
-    Equal observations keep equal rows, so the iteration runs on the m x m cut of
-    ``data.distinct``, weighted by the square roots of their counts (all 1 without
-    equal rows), from the start vector's mean over each group; every row gets its
+    The keyword arguments after ``metric`` are the fit settings, in a model file's order.
+    ``start``, one of ``STARTS``, selects the initial vector: "uniform", "random" (seeded
+    positive entries), or "rff" (random Fourier feature warm start of dimension
+    ``rff_dim``).  The cut is ``threshold_sparsify``'s: it drops the ``sparsify`` fraction
+    of the smallest off-diagonal similarity pairs, which must lie in [0, 1), and the pairs
+    tied with the last of them, unless that disconnects the graph; a plain fit's fraction
+    0 drops nothing.  Equal observations keep equal rows, so the iteration runs on the
+    m x m cut of ``data.distinct``, weighted by the square roots of their counts (all 1
+    without equal rows), from the start vector's mean over each group; every row gets its
     group's entry.
     """
     # Every flag is checked, and the warm start built, before the kernel exists.
     _check_stopping(tol, max_iter)
     if not 0.0 <= sparsify < 1.0:
         raise ValueError(f"sparsify must be in [0, 1), got {sparsify}")
-    if start == "uniform":
-        s0 = None
-    elif start == "random":
+    if start not in STARTS:
+        raise ValueError(f"unknown start '{start}'")
+    s0 = None  # uniform
+    if start == "random":
         s0 = np.random.default_rng(seed).random(data.n) + 1e-12
     elif start == "rff":
         if metric is not DistanceMetric.EUCLIDEAN:
             raise ValueError("the random-feature warm start requires the euclidean metric")
         s0 = rff_warm_start(data, rff_dim, gamma, seed)
-    else:
-        raise ValueError(f"unknown start '{start}'")
     distinct = data.distinct
     w = np.sqrt(distinct.counts)
     if s0 is not None:  # w * (the group means of |s0|)

@@ -193,22 +193,19 @@ def _golden_section(f, lo: float, hi: float, tol: float = 1e-9):
 def fit_preprocessor(data: Dataset, mode: str = "box-cox") -> list[FeatureTransform]:
     """Fit one :class:`FeatureTransform` per column.
 
-    ``mode="box-cox"`` runs the full likelihood fit; ``mode="standardize"``
-    pins lam = 1 (with a positivity shift folded into the mean) so the
-    output is plain standardization.
+    ``mode``, one of ``PREPROCESSORS``, names the fit: "box-cox" runs the full
+    likelihood fit; "standardize" pins lam = 1 (with a positivity shift folded
+    into the mean) so the output is plain standardization.
     """
     if data.n < 2:
         raise ValueError("preprocessing needs at least 2 observations")
-    if mode not in ("box-cox", "standardize"):
+    if mode not in PREPROCESSORS:
         raise ValueError(f"unknown preprocessing mode '{mode}'")
     transforms = []
     for j, name in enumerate(data.columns):
         col = data.values[:, j]
         try:
-            if mode == "box-cox":
-                tf = fit_box_cox(col)
-            else:
-                tf = _standardize_transform(col)
+            tf = PREPROCESSORS[mode](col)
         except ValueError as exc:
             raise ValueError(f"column '{name}': {exc}") from None
         transforms.append(replace(tf, column=name))
@@ -220,6 +217,9 @@ def _standardize_transform(column: np.ndarray) -> FeatureTransform:
     if np.unique(arr).size < 2:
         raise ValueError("constant column cannot be transformed")
     return _transform(arr, 0.0 if np.min(arr) > 0.0 else _shift_floor(arr), 1.0)
+
+
+PREPROCESSORS = {"box-cox": fit_box_cox, "standardize": _standardize_transform}
 
 
 def apply_preprocessor(data: Dataset, transforms: list[FeatureTransform]) -> Dataset:

@@ -65,7 +65,7 @@ def dora_batch(dist: ScoreDistribution, scores: np.ndarray) -> np.ndarray:
     return out
 
 
-def label_top_fraction(scores: np.ndarray, fraction: float) -> np.ndarray:
+def label_top_fraction(scores: np.ndarray, fraction: float = 0.2) -> np.ndarray:
     """Boolean mask marking exactly ceil(fraction * n) largest scores.
 
     Ties at the cutoff resolve toward the smaller index.

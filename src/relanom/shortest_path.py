@@ -150,7 +150,7 @@ def multi_source_shortest_paths(weights, sources: np.ndarray) -> np.ndarray:
 def fit_shortest_path(
     data: Dataset,
     gamma: float,
-    q: float,
+    q: float = 0.5,
     k: int | None = None,
     *,
     metric: DistanceMetric = DistanceMetric.EUCLIDEAN,

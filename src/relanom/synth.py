@@ -97,3 +97,6 @@ def wifi_analogue(n: int = 1000, seed: int = 0):
         ClusterSpec(0.13, (4.6, 4.6), 0.10, LABEL_ANOMALOUS),
     ]
     return generate_mixture(specs, n, seed)
+
+
+DATASETS = {"scraping": scraping_analogue, "wifi": wifi_analogue}

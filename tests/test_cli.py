@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from relanom.cli import main
-from relanom.dataset import Dataset, write_csv
+from relanom.dataset import Dataset, load_csv, write_csv
 from relanom.graph import dump_graph, kernel_rows, rbf_similarity_matrix
-from relanom.model_io import load_model
+from relanom.model_io import fit_model, load_model
 
 
 def run(*argv):
@@ -127,10 +127,12 @@ def test_fit_warns_when_sparsify_keeps_pairs_for_connectivity(tmp_path, capsys):
     # The wifi analogue's repeated rows make the connectivity bottleneck a tie
     # block: past about 0.4 every --sparsify drops the same pairs.  Below that the
     # cut drops every pair at or under q, the floor(F * pairs)-th smallest, ties too.
+    # The warning compares the cut's own counts, pairs dropped against pairs asked.
     data, model = tmp_path / "wifi.csv", tmp_path / "m.json"
     assert run("synth", "--dataset", "wifi", "--n", "300", "--seed", "0",
                "--output", str(data)) == 0
     warned, dropped, pairs = {}, {}, 300 * 299 // 2
+    asked = {"0.1": 4485, "0.9": 40365}  # floor(F * 44850)
     for fraction in ("0.1", "0.9"):
         dump = tmp_path / f"graph{fraction}.csv"
         capsys.readouterr()
@@ -140,6 +142,9 @@ def test_fit_warns_when_sparsify_keeps_pairs_for_connectivity(tmp_path, capsys):
                             if "--sparsify" in line]
         nnz = len(dump.read_text().splitlines())  # the diagonal and both halves of each pair
         dropped[fraction] = pairs - (nnz - 300) // 2
+        raw, _ = load_csv(data, label_column="label")
+        cut = fit_model(raw, "popularity", sparsify=float(fraction))[1].matrix
+        assert (cut.asked, cut.dropped) == (asked[fraction], dropped[fraction])
     bundle = load_model(model)  # both fits share the training rows and gamma
     vals = rbf_similarity_matrix(bundle.training, bundle.gamma).matrix[np.triu_indices(300, 1)]
     q = np.sort(vals)[int(0.1 * pairs) - 1]

@@ -284,6 +284,7 @@ def test_plain_fit_is_the_cut_that_drops_nothing():
     cut = plain.graph.matrix
     assert isinstance(cut, ThresholdCut) and cut.kernel is None  # freed after the iteration
     assert cut.threshold == -np.inf and cut.nnz == data.n ** 2
+    assert (cut.asked, cut.dropped) == (0, 0)  # asked to drop no pair, and dropped none
     # floor(1e-4 * 780 pairs) = 0: a sparsified fit that drops no pair
     nothing = fit_popularity(data, 0.5, sparsify=1e-4)
     assert nothing.graph.matrix == cut

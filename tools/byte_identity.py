@@ -23,10 +23,15 @@ and ``--dump-graph``) by popularity plain, with ``--sparsify 0.5``, with
 by vertex_degree and by dense shortest_path, and each model is scored; these
 fits run on its distinct rows, and the cut's outputs change whenever its tie
 rule does.  It prints ``<sha256>  <name>`` for every output file and for every
-command's exit code, stdout and stderr.  Run it on two checkouts and diff the
-manifests.  Commands that fail are listed on stderr; a failure is hashed like
-any other output.  Every model file a fit writes is loaded and saved again, and
-one whose second save differs from it by a byte is listed on stderr too.
+command's exit code, stdout and stderr, and for ``--help`` of the program and of
+every command, formatted at 80 columns.  Its first line names the CPU cores the
+process may run on and ``OPENBLAS_NUM_THREADS``: the popularity fits' BLAS
+product ``dsymv`` sums in an order that depends on the BLAS thread count, so
+two manifests compare only at one thread count.  Run it on two checkouts and
+diff the manifests.  Commands that fail are listed on stderr; a failure is
+hashed like any other output.  Every model file a fit writes is loaded and
+saved again, and one whose second save differs from it by a byte is listed on
+stderr too.
 """
 
 import contextlib
@@ -37,6 +42,7 @@ import sys
 import warnings
 
 src, work = sys.argv[1], sys.argv[2]
+os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal's width
 sys.path.insert(0, os.path.abspath(src))
 from relanom.cli import main  # noqa: E402
 from relanom.model_io import load_model, save_model  # noqa: E402
@@ -61,7 +67,7 @@ def run(tag, *argv):
     hashes.append((hashlib.sha256(blob.encode()).hexdigest(), f"{tag}.stdout"))
     if code:
         print(f"{tag}: exit {code}: {err.getvalue().strip()[:150]}", file=sys.stderr)
-    elif argv[0] == "fit":
+    elif argv[0] == "fit" and "--help" not in argv:
         model = argv[argv.index("--output") + 1]
         save_model("resaved.json", load_model(model))
         with open(model, "rb") as fitted, open("resaved.json", "rb") as resaved:
@@ -69,6 +75,12 @@ def run(tag, *argv):
                 print(f"{tag}: model file changes when loaded and saved again", file=sys.stderr)
         os.remove("resaved.json")
 
+
+print(f"# cores {len(os.sched_getaffinity(0))}, "
+      f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
+run("help", "--help")
+for command in ("fit", "score", "explain", "synth", "compare", "grid", "ecdf"):
+    run(f"{command}.help", command, "--help")
 
 FITS = [
     ("pop_l2", ["--method", "popularity", "--metric", "l2"]),
