@@ -35,6 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     preprocess = dict(choices=PREPROCESSORS, default=defaults(fit_model)["preprocess"])
     top_fraction = dict(type=float, default=defaults(label_top_fraction)["fraction"])
+    flag = {metric: name for name, metric in _METRICS.items()}  # --metric's value of a metric
 
     fit = sub.add_parser("fit", help="fit a detector and write a model file")
     fit.set_defaults(handler=_cmd_fit)
@@ -45,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="output model JSON path")
     fit.add_argument("--gamma", type=float, default=None,
                      help="kernel bandwidth (default depends on method)")
-    fit.add_argument("--metric", choices=_METRICS, default="l2")
+    fit.add_argument("--metric", choices=_METRICS, default=flag[defaults(fit_model)["metric"]])
     fit.add_argument("--preprocess", **preprocess)
     _setting(fit, "q", "normal-set fraction", type=float)
     _setting(fit, "k", "kNN degree of the path graph, dense when unset", type=int)
@@ -76,7 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--row", type=int, default=0)
     explain.add_argument("--p-normal", type=float, default=0.5,
                          help="DORA threshold under which training points count as normal")
-    explain.add_argument("--metric", choices=("l1", "l2"), default="l1")
+    explain.add_argument("--metric", choices=_METRICS,
+                         default=flag[defaults(explain_deviations)["metric"]])
     explain.add_argument("--output", default=None, help="optional CSV output")
 
     synth = sub.add_parser("synth", help="generate a labeled synthetic dataset")
@@ -159,17 +161,6 @@ def _cmd_fit(args) -> int:
         write_csv(args.train_scores, *bundle.train_table())
     if args.dump_graph:
         dump_graph(graph, args.dump_graph)
-    boundary = [tf.column for tf in bundle.transforms if tf.boundary]
-    if boundary:
-        print(
-            "warning: transform fit hit a search boundary for column(s) "
-            + ", ".join(boundary),
-            file=sys.stderr,
-        )
-    if args.sparsify and (cut := graph.matrix).dropped < cut.asked:  # kept for connectivity
-        print(f"warning: --sparsify {args.sparsify:g} dropped only "
-              f"{cut.dropped / (graph.n * (graph.n - 1) // 2):.4f} of the pairs; the rest keep "
-              "the graph connected", file=sys.stderr)
     print(f"fitted {args.method} model on {bundle.training.n} rows -> {args.model}")
     return 0
 
@@ -178,16 +169,8 @@ def _cmd_score(args) -> int:
     bundle = load_model(args.model)
     raw = _load_features(args.input)
     scores = bundle.score_raw(raw)
-    doras = bundle.dora_of(scores)
     labels = label_top_fraction(scores, args.top_fraction)
-    # The baseline's conventional export is the raw vertex degree
-    # (ascending = more anomalous); other methods export as-is.
-    exported = -scores if bundle.method == "vertex_degree" else scores
-    header = ["row_index", bundle.score_column, "dora", "label"]
-    columns = [range(raw.n), exported.tolist(), doras.tolist(), labels.tolist()]
-    if bundle.method == "shortest_path":
-        header.append("is_normal_set")
-        columns.append((scores == 0.0).tolist())
+    header, columns = bundle.score_table(scores, labels)
     if args.neg_log_display:
         header.append("display_score")
         columns.append(_neg_log_display(scores))
@@ -216,19 +199,15 @@ def _cmd_explain(args) -> int:
     for name, av, cv, diff in rows:
         print(f"{name:<20}{av:>14.6g}{cv:>16.6g}{diff:>14.6g}")
     if args.output:
-        write_csv(
-            args.output,
-            ["feature", "anomalous_value", "closest_normal_value", "difference"],
-            rows,
-        )
+        write_csv(args.output, ["feature", "anomalous_value", "closest_normal_value",
+                                "difference"], rows)
     return 0
 
 
 def _cmd_synth(args) -> int:
     data, labels = DATASETS[args.dataset](args.n, args.seed)
-    header = data.columns + ["label"]
-    rows = [list(vals) + [lab] for vals, lab in zip(data.values, labels)]
-    write_csv(args.output, header, rows)
+    write_csv(args.output, data.columns + ["label"],
+              [list(vals) + [lab] for vals, lab in zip(data.values, labels)])
     print(f"wrote {data.n} rows -> {args.output}")
     return 0
 

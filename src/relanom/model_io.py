@@ -161,6 +161,17 @@ class ModelBundle:
         normal[self.state["normal_set"]] = True
         return header + ["dora", "is_normal_set"], list(zip(*columns, normal))
 
+    def score_table(self, scores: np.ndarray, labels: np.ndarray):
+        """Header and columns of the table of scored rows, given their ``labels``.  The
+        baseline exports its conventional raw vertex degree (ascending = more anomalous)."""
+        exported = -scores if self.method == "vertex_degree" else scores
+        header = ["row_index", self.score_column, "dora", "label"]
+        columns = [range(len(scores)), exported.tolist(), self.dora_of(scores).tolist(),
+                   labels.tolist()]
+        if self.method == "shortest_path":  # which rows score as the normal set does
+            return header + ["is_normal_set"], columns + [(scores == 0.0).tolist()]
+        return header, columns
+
 
 def fit_model(raw: Dataset, method: str, *, gamma: float | None = None,
               metric: DistanceMetric = DistanceMetric.EUCLIDEAN,

@@ -9,6 +9,7 @@ score is the negated eigenvector entry, so larger means more anomalous.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -204,11 +205,11 @@ def fit_popularity(
     positive entries), or "rff" (random Fourier feature warm start of dimension
     ``rff_dim``).  The cut is ``threshold_sparsify``'s: it drops the ``sparsify`` fraction
     of the smallest off-diagonal similarity pairs, which must lie in [0, 1), and the pairs
-    tied with the last of them, unless that disconnects the graph; a plain fit's fraction
-    0 drops nothing.  Equal observations keep equal rows, so the iteration runs on the
-    m x m cut of ``data.distinct``, weighted by the square roots of their counts (all 1
-    without equal rows), from the start vector's mean over each group; every row gets its
-    group's entry.
+    tied with the last of them, unless that disconnects the graph (a ``UserWarning`` then
+    gives the fraction dropped); a plain fit's fraction 0 drops nothing.  Equal
+    observations keep equal rows, so the iteration runs on the m x m cut of
+    ``data.distinct``, weighted by the square roots of their counts (all 1 without equal
+    rows), from the start vector's mean over each group; every row gets its group's entry.
     """
     # Every flag is checked, and the warm start built, before the kernel exists.
     _check_stopping(tol, max_iter)
@@ -229,6 +230,10 @@ def fit_popularity(
         s0 = np.bincount(distinct.inverse, np.abs(s0)) / w
     cut = (graph := threshold_sparsify(kernel_graph(data, gamma, metric), sparsify)).matrix
     graph = replace(graph, matrix=replace(cut, kernel=None))  # the kernel goes to dsymv only
+    if cut.dropped < cut.asked:  # pairs kept for connectivity
+        warnings.warn(f"--sparsify {sparsify:g} dropped only "
+                      f"{cut.dropped / (data.n * (data.n - 1) // 2):.4f} of the pairs; the rest "
+                      "keep the graph connected", stacklevel=2)
     result = power_iteration(cut.kernel, s0, tol=tol, max_iter=max_iter,  # freed on return
                              weights=w)
     s_vec = (result.s_vec / w)[distinct.inverse]

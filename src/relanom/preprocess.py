@@ -10,6 +10,7 @@ Jacobian term of the transform.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -195,7 +196,8 @@ def fit_preprocessor(data: Dataset, mode: str = "box-cox") -> list[FeatureTransf
 
     ``mode``, one of ``PREPROCESSORS``, names the fit: "box-cox" runs the full
     likelihood fit; "standardize" pins lam = 1 (with a positivity shift folded
-    into the mean) so the output is plain standardization.
+    into the mean) so the output is plain standardization.  Columns whose fit
+    stopped at a search boundary are named in one ``UserWarning``.
     """
     if data.n < 2:
         raise ValueError("preprocessing needs at least 2 observations")
@@ -209,6 +211,9 @@ def fit_preprocessor(data: Dataset, mode: str = "box-cox") -> list[FeatureTransf
         except ValueError as exc:
             raise ValueError(f"column '{name}': {exc}") from None
         transforms.append(replace(tf, column=name))
+    if boundary := [tf.column for tf in transforms if tf.boundary]:
+        warnings.warn("transform fit hit a search boundary for column(s) "
+                      + ", ".join(boundary), stacklevel=2)
     return transforms
 
 

@@ -16,7 +16,7 @@ from relanom.graph import DistanceMetric
 from relanom.model_io import DEFAULT_GAMMA, METHODS, SETTINGS, defaults, fit_model, load_model
 from relanom.popularity import STARTS, fit_popularity, power_iteration
 from relanom.preprocess import PREPROCESSORS, apply_preprocessor, fit_preprocessor
-from relanom.scoring import label_top_fraction
+from relanom.scoring import explain_deviations, label_top_fraction
 from relanom.shortest_path import fit_shortest_path
 from relanom.synth import DATASETS, scraping_analogue
 
@@ -38,11 +38,14 @@ def test_each_command_names_its_own_handler():
 
 def test_cli_defaults_follow_the_library_defaults(monkeypatch):
     monkeypatch.setitem(fit_model.__kwdefaults__, "preprocess", "standardize")
+    monkeypatch.setitem(fit_model.__kwdefaults__, "metric", DistanceMetric.MANHATTAN)
+    monkeypatch.setattr(explain_deviations, "__defaults__", (DistanceMetric.EUCLIDEAN,))
     monkeypatch.setattr(label_top_fraction, "__defaults__", (0.3,))
     for generator in DATASETS.values():
         monkeypatch.setattr(generator, "__defaults__", (7, 3))
     fit, score, synth, compare = (flags(c) for c in ("fit", "score", "synth", "compare"))
     assert fit["preprocess"].default == compare["preprocess"].default == "standardize"
+    assert (fit["metric"].default, flags("explain")["metric"].default) == ("l1", "l2")
     assert score["top_fraction"].default == compare["top_fraction"].default == 0.3
     assert (synth["n"].default, synth["seed"].default) == (7, 3)
 
@@ -59,8 +62,11 @@ def test_cli_defaults_and_choices_are_the_librarys():
     for generator in DATASETS.values():  # one --n and one --seed serve every generator
         assert defaults(generator) == {"n": synth["n"].default, "seed": synth["seed"].default}
     assert fit["method"].choices == sorted(METHODS)
-    assert {cli._METRICS[m] for m in fit["metric"].choices} == set(DistanceMetric)
+    explain = flags("explain")
+    assert fit["metric"].choices is explain["metric"].choices is cli._METRICS
+    assert set(cli._METRICS.values()) == set(DistanceMetric)
     assert cli._METRICS[fit["metric"].default] is defaults(fit_model)["metric"]
+    assert cli._METRICS[explain["metric"].default] is defaults(explain_deviations)["metric"]
     # A fit setting's flag is unset by default, so fit_model applies the library's default;
     # its help names that default.
     for name, (owner, default) in SETTINGS.items():

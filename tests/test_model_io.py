@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from relanom.cli import main
 from relanom.dataset import Dataset, write_csv
 from relanom.graph import DistanceMetric
 from relanom.model_io import METHODS, ModelBundle, fit_model, load_model, save_model
-from relanom.synth import scraping_analogue
+from relanom.synth import scraping_analogue, wifi_analogue
 
 
 @pytest.mark.parametrize("metric", [DistanceMetric.EUCLIDEAN, DistanceMetric.MANHATTAN])
@@ -207,6 +208,25 @@ def test_a_fit_stores_each_state_entry_that_load_checks_and_no_other():
         state = fit_model(raw, method)[0].state
         diagnostics = {"iterations", "residual"} if method == "popularity" else set()
         assert state.keys() == model_io._STATE[method].keys() | diagnostics
+
+
+def test_a_fit_raises_each_warning_where_it_is_found():
+    # The transform fit names the columns pinned at a search boundary, then the cut
+    # reports the pairs it kept to stay connected: a library caller receives both.
+    raw, _ = wifi_analogue(300, seed=0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cut = fit_model(raw, "popularity", sparsify=0.9)[1].matrix
+    assert cut.dropped < cut.asked and f"{cut.dropped / (300 * 299 // 2):.4f}" == "0.3997"
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (UserWarning, "transform fit hit a search boundary for column(s) x1, x2"),
+        (UserWarning, "--sparsify 0.9 dropped only 0.3997 of the pairs; the rest keep the "
+                      "graph connected")]
+    raw, _ = scraping_analogue(2000, seed=0)  # no column at a boundary
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit_model(raw, "popularity")
+    assert caught == []
 
 
 ROUND_TRIP_FITS = [("popularity", {}), ("popularity", {"sparsify": 0.5}),

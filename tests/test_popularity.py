@@ -435,15 +435,14 @@ def test_rff_fit_holds_the_features_or_the_kernel_not_both():
 
 
 @pytest.mark.parametrize("analogue", ["wifi", "scraping"])
-def test_sparsified_fit_holds_the_kernel_or_the_csr_not_both(analogue, request):
-    # The cut is found in the dense kernel (8 n^2 bytes, and an n^2 bool mask of the pairs
-    # tied at the spanning tree's least edge), which then holds the cut matrix the power
-    # iteration reads: no CSR is built.  Small row blocks leave the n x n arrays to decide
-    # the peak.  Holding the kernel and a CSR together peaked at 16.2 (wifi) and 18.0
-    # (scraping) bytes per entry.
+def test_sparsified_fit_peaks_at_one_kernel_of_the_distinct_rows(analogue, request):
+    # The cut is found in the dense m x m kernel of the m distinct rows (8 m^2 bytes),
+    # which then holds the cut the power iteration reads.  Small row blocks leave that
+    # kernel to decide the peak: 1.3 MB on wifi (m = 281 of n = 1000), 8.8 MB on scraping
+    # (m = n = 1000).
     raw = request.getfixturevalue(analogue)[0]
     data = apply_preprocessor(raw, fit_preprocessor(raw))
-    n, blocks = data.n, 1 << 16
+    m, blocks = data.distinct.data.n, 1 << 16
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph_module, "_BLOCK_ENTRIES", blocks)
         tracemalloc.start()
@@ -453,8 +452,8 @@ def test_sparsified_fit_holds_the_kernel_or_the_csr_not_both(analogue, request):
         finally:
             tracemalloc.stop()
     assert model.graph.matrix.kernel is None  # freed after the iteration
-    # the row blocks in flight: their scratch and the ties collected from them
-    assert peak <= 9 * n * n + 3 * 8 * blocks
+    # the row blocks in flight, and beside the kernel the pairs of rows that have equal ones
+    assert peak <= 8 * m * m + 3 * 8 * blocks
 
 
 _RSS_SCRIPT = """
