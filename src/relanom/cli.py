@@ -143,12 +143,13 @@ def _load_features(path) -> Dataset:
 
 
 def _fit(raw, method, **kwargs):
-    """``fit_model``, its warnings printed as one ``warning: ...`` line each."""
+    """``fit_model``, its warnings printed as one ``warning: ...`` line each, failing or not."""
     with warnings.catch_warnings(record=True) as caught:
-        fitted = fit_model(raw, method, **kwargs)
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
-    return fitted
+        try:
+            return fit_model(raw, method, **kwargs)
+        finally:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
 
 
 def _cmd_fit(args) -> int:

@@ -4,7 +4,8 @@ Each feature column is shifted positive, power-transformed toward
 normality, and standardized to zero mean and unit sample variance.  The
 shift ``delta`` and exponent ``lam`` are chosen jointly by maximizing the
 Gaussian profile log-likelihood of the transformed values, including the
-Jacobian term of the transform.
+Jacobian term of the transform: a golden-section search over lam in
+[-2, 2] at each of a few candidate shifts, keeping the best pair.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
 
 LAMBDA_MIN = -2.0
 LAMBDA_MAX = 2.0
-LAMBDA_STEP = 0.05
 # Shift candidates place the shifted minimum one quartile-distance above
 # zero.  Smaller shifts invite the unbounded-likelihood degeneracy of the
 # shifted power transform (the likelihood grows without bound as the
@@ -70,23 +70,24 @@ def apply_box_cox(x, delta: float, lam: float):
         raise ValueError(
             f"Box-Cox domain error: value {bad} plus shift {delta} is not positive"
         )
-    if lam == 0.0:
-        out = np.log(t)
-    else:
-        out = (np.power(t, lam) - 1.0) / lam
+    out = _box_cox(t, lam)
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)
     return out
+
+
+def _box_cox(t: np.ndarray, lam: float) -> np.ndarray:
+    """The power transform (t^lam - 1)/lam of shifted values t > 0, log t at lam == 0."""
+    if lam == 0.0:
+        return np.log(t)
+    return (np.power(t, lam) - 1.0) / lam
 
 
 def _profile_loglik(shifted: np.ndarray, log_shifted_sum: float, lam: float) -> float:
     # Gaussian profile log-likelihood with the transform Jacobian,
     # constants dropped.  np.var's steps run in the one buffer y; a
     # non-finite y makes the mean nan or inf, checked before y - mean warns.
-    if lam == 0.0:
-        y = np.log(shifted)
-    else:
-        y = (np.power(shifted, lam) - 1.0) / lam
+    y = _box_cox(shifted, lam)
     n = shifted.size
     mean = np.add.reduce(y) / n
     if not math.isfinite(mean):
@@ -123,9 +124,9 @@ def _shift_candidates(column: np.ndarray) -> list[float]:
 def fit_box_cox(column) -> FeatureTransform:
     """Fit (delta, lam) for one column by profile likelihood.
 
-    Grid search over lam in [-2, 2] step 0.05 crossed with a small set of
-    positivity-ensuring shifts, then golden-section refinement of lam at
-    the winning shift.
+    A golden-section search over lam in [-2, 2] at each of a small set of
+    positivity-ensuring shifts; the best (delta, lam) wins, the first shift
+    on a tie.
     """
     arr = np.asarray(column, dtype=np.float64).ravel()
     distinct = np.unique(arr).size
@@ -133,25 +134,17 @@ def fit_box_cox(column) -> FeatureTransform:
         raise ValueError("constant column cannot be transformed")
     if distinct < 3:
         raise ValueError("column needs at least 3 distinct values")
-    lambdas = np.array([i * LAMBDA_STEP for i in range(-40, 41)])
     best = (-math.inf, 0.0, 0.0)  # (loglik, lam, delta)
     for delta in _shift_candidates(arr):
         shifted = arr + delta
         log_sum = float(np.sum(np.log(shifted)))
-        for lam in lambdas:
-            ll = _profile_loglik(shifted, log_sum, float(lam))
-            if ll > best[0]:
-                best = (ll, float(lam), delta)
+        lam, ll = _golden_section(lambda lam: _profile_loglik(shifted, log_sum, lam),
+                                  LAMBDA_MIN, LAMBDA_MAX)
+        if ll > best[0]:
+            best = (ll, lam, delta)
     if not math.isfinite(best[0]):
         raise ValueError("Box-Cox likelihood is degenerate for this column")
     _, lam_star, delta_star = best
-    lo = max(LAMBDA_MIN, lam_star - LAMBDA_STEP)
-    hi = min(LAMBDA_MAX, lam_star + LAMBDA_STEP)
-    shifted = arr + delta_star
-    log_sum = float(np.sum(np.log(shifted)))
-    lam_star, ll_star = _golden_section(
-        lambda lam: _profile_loglik(shifted, log_sum, lam), lo, hi
-    )
     boundary = (
         lam_star <= LAMBDA_MIN + 1e-9
         or lam_star >= LAMBDA_MAX - 1e-9
@@ -173,7 +166,8 @@ def _transform(column: np.ndarray, delta: float, lam: float,
 
 
 def _golden_section(f, lo: float, hi: float, tol: float = 1e-9):
-    # Maximize a unimodal-ish scalar function on [lo, hi].
+    # Maximize a unimodal-ish f on [lo, hi], here all of lam's [-2, 2]: 49
+    # evaluations of f, and a maximum at an edge ends within tol / 2 of it.
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
@@ -247,6 +241,5 @@ def apply_preprocessor(data: Dataset, transforms: list[FeatureTransform]) -> Dat
                 f"row {row}, column '{tf.column}': value {col[row]} is outside "
                 f"the fitted transform domain (shift {tf.delta})"
             )
-        y = apply_box_cox(col, tf.delta, tf.lam)
-        out[:, j] = (y - tf.mean) / tf.sd
+        out[:, j] = (_box_cox(shifted, tf.lam) - tf.mean) / tf.sd
     return Dataset(out, list(data.columns))

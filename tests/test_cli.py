@@ -178,6 +178,19 @@ def test_fit_and_compare_print_unreachable_rows_as_one_warning_line(tmp_path, ca
     assert capsys.readouterr().err.splitlines() == [boundary] * 3 + [lines["dense"]]
 
 
+def test_a_failing_fit_prints_the_warnings_raised_before_it_failed(tmp_path, capsys):
+    data = tmp_path / "wifi.csv"
+    assert run("synth", "--dataset", "wifi", "--n", "300", "--seed", "0",
+               "--output", str(data)) == 0
+    capsys.readouterr()
+    assert run("fit", "--method", "popularity", "--max-iter", "1", "--input", str(data),
+               "--output", str(tmp_path / "m.json")) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: transform fit hit a search boundary for column(s) x1, x2",
+        "error: power iteration did not converge (last residual 5.933e+01)",
+    ]
+
+
 def test_fit_missing_input_fails(tmp_path, capsys):
     assert run("fit", "--method", "popularity", "--input",
                str(tmp_path / "nope.csv"), "--output", str(tmp_path / "m.json")) == 1
@@ -228,11 +241,15 @@ def test_fit_rejects_a_flag_the_method_ignores(tmp_path, train_csv, capsys, meth
 def test_fit_rejects_a_popularity_flag_out_of_range_or_ignored(
     tmp_path, train_csv, capsys, flag, name
 ):
+    # fit_popularity checks sparsify and tol after the transform fit, whose
+    # boundary warning on this file prints before the error line
     model = tmp_path / "m.json"
     assert run("fit", "--method", "popularity", "--input", str(train_csv),
                "--output", str(model), *flag) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1 and name in err
+    *warned, err = capsys.readouterr().err.splitlines()
+    assert err.startswith("error:") and name in err
+    assert warned == (["warning: transform fit hit a search boundary for column(s) x2"]
+                      if name in ("sparsify", "tol") else [])
     assert not model.exists()
 
 

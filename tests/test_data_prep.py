@@ -8,10 +8,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from relanom import preprocess
 from relanom.dataset import Dataset
 from relanom.preprocess import (
+    LAMBDA_MAX,
     FeatureTransform,
+    _shift_candidates,
     apply_box_cox,
     apply_preprocessor,
     fit_box_cox,
@@ -141,12 +146,55 @@ def test_fitted_likelihood_beats_identity_baseline():
 
 
 def test_boundary_flag_set_when_lambda_pegs():
-    # extremely heavy right tail pushes lam to the lower search edge
+    # extremely heavy right tail: the fit settles at the shift floor
     rng = np.random.default_rng(5)
-    col = np.exp(4.0 * rng.standard_normal(400)) + 1.0
-    tf = fit_box_cox(col)
-    if tf.lam <= -2.0 + 1e-6 or tf.lam >= 2.0 - 1e-6:
+    assert fit_box_cox(np.exp(4.0 * rng.standard_normal(400)) + 1.0).boundary
+    # a long left tail pins lam at the upper search edge
+    for seed in range(4):
+        col = 100.0 - np.exp(2.0 * np.random.default_rng(seed).standard_normal(500))
+        tf = fit_box_cox(col)
+        assert tf.lam >= LAMBDA_MAX - 1e-9
         assert tf.boundary
+
+
+def test_search_costs_at_most_fifty_evaluations_per_shift(monkeypatch):
+    calls = []
+    evaluate = preprocess._profile_loglik
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(preprocess, "_profile_loglik", counted)
+    col = np.random.default_rng(3).gamma(2.0, 1.0, 300)
+    fit_box_cox(col)
+    assert len(calls) <= 50 * len(_shift_candidates(col))
+
+
+COLUMN_KINDS = {
+    "lognormal": lambda rng, n: np.exp(rng.standard_normal(n)),
+    "gamma": lambda rng, n: rng.gamma(2.0, 1.0, n),
+    "left-skewed": lambda rng, n: 100.0 - np.exp(2.0 * rng.standard_normal(n)),
+    "rounded": lambda rng, n: np.round(rng.gamma(1.5, 2.0, n)),
+    "reciprocal": lambda rng, n: 1.0 / rng.normal(5.0, 1.0, n),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(COLUMN_KINDS)), n=st.integers(5, 400),
+       seed=st.integers(0, 2**32 - 1))
+def test_fit_matches_or_beats_a_lambda_grid_at_every_shift(kind, n, seed):
+    # The search must find at least the best value of an 81-point lam grid
+    # over every candidate shift, whatever the likelihood's shape in lam.
+    col = COLUMN_KINDS[kind](np.random.default_rng(seed), n)
+    assume(np.unique(col).size >= 3)
+    candidates = _shift_candidates(col)
+    tf = fit_box_cox(col)
+    assert tf.delta in candidates
+    grid_best = max(oracle_loglik(col, delta, lam)
+                    for delta in candidates for lam in np.linspace(-2.0, 2.0, 81))
+    fitted = oracle_loglik(col, tf.delta, tf.lam)
+    assert fitted >= grid_best - 1e-9 * abs(grid_best)
 
 
 # ---------------------------------------------------------------------------
