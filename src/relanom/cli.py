@@ -16,7 +16,8 @@ import numpy as np
 
 from .dataset import Dataset, load_csv, write_csv
 from .graph import DistanceMetric, dump_graph
-from .model_io import DEFAULT_GAMMA, METHODS, SETTINGS, defaults, fit_model, load_model, save_model
+from .model_io import (DEFAULT_GAMMA, METHODS, SETTINGS, defaults, fit_config, fit_model,
+                       load_model, save_model)
 from .popularity import STARTS
 from .preprocess import PREPROCESSORS
 from .scoring import explain_deviations, label_top_fraction
@@ -221,12 +222,15 @@ def _cmd_compare(args) -> int:
     truth = labels == LABEL_ANOMALOUS
     if not truth.any():
         raise ValueError("no rows labeled anomalous in the input")
+    settings = {method: {"gamma": getattr(args, f"gamma_{method}"),
+                         "q": args.q if SETTINGS["q"][0] == method else None}
+                for method in METHODS}
+    for method in METHODS:  # every setting and the fraction are refused before the first fit
+        fit_config(raw.n, method, **settings[method])
+    label_top_fraction(truth, args.top_fraction)
     report = []
     for method in METHODS:
-        bundle, _ = _fit(
-            raw, method, gamma=getattr(args, f"gamma_{method}"), preprocess=args.preprocess,
-            q=args.q if SETTINGS["q"][0] == method else None,
-        )
+        bundle, _ = _fit(raw, method, preprocess=args.preprocess, **settings[method])
         predicted = label_top_fraction(bundle.train_scores_rowwise(), args.top_fraction)
         precision, recall = _precision_recall(predicted, truth)
         report.append((method, precision, recall))

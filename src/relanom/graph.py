@@ -79,9 +79,10 @@ class SimilarityGraph:
     ``matrix`` is a dense ndarray, a CSR matrix whose stored entries equal
     the dense kernel values exactly, a ``ThresholdCut``, or None for a kernel
     graph, whose rows ``rows`` evaluates on demand.  Absent entries in the
-    sparse case mean "no edge", and for shortest paths so do zero entries
-    (kernel values below the float range).  ``source`` keeps the (model-space)
-    observations, so downstream scorers can evaluate the kernel on new points.
+    sparse case mean "no edge", and for shortest paths on a stored matrix so
+    do zero entries (kernel values below the float range); a kernel graph's
+    path weights are d^2/gamma, finite even there.  ``source`` keeps the
+    (model-space) observations, so scorers can evaluate the kernel on new points.
     """
 
     matrix: np.ndarray | sparse.csr_matrix | ThresholdCut | None
@@ -195,9 +196,17 @@ def kernel_graph(
 ) -> SimilarityGraph:
     """Similarity graph S_ij = exp(-d(x_i, x_j)^2 / gamma) with no matrix:
     its rows are evaluated when read, so it has no size limit."""
+    check_graph(gamma)
+    return SimilarityGraph(None, gamma, metric, source=data)
+
+
+def check_graph(gamma: float, k: int | None = None, n: int = 0) -> None:
+    """Refuse a bandwidth that is not a positive finite real, and a kNN degree ``k``
+    outside [1, n - 1] for ``n`` rows."""
     if not (gamma > 0.0 and math.isfinite(gamma)):
         raise ValueError("gamma must be a positive finite real")
-    return SimilarityGraph(None, gamma, metric, source=data)
+    if k is not None and not 1 <= k <= n - 1:
+        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
 
 
 def rbf_similarity_matrix(
@@ -247,8 +256,7 @@ def knn_truncate(graph: SimilarityGraph, k: int, read_rows=None) -> SimilarityGr
     if graph.is_sparse:
         raise ValueError("kNN truncation expects a dense or kernel graph")
     n, read_rows = graph.n, read_rows or graph.rows
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in [1, {n - 1}], got {k}")
+    check_graph(graph.gamma, k, n)
     cols, values = np.empty((n, k + 1), dtype=np.int64), np.empty((n, k + 1))
 
     def select(rows, scratch):  # per row, ascending: the diagonal and the k kept columns

@@ -24,11 +24,11 @@ import numpy as np
 
 from .dataset import Dataset, atomic_write_text
 from .degree import vertex_degrees
-from .graph import DistanceMetric, for_row_blocks, kernel_graph, kernel_rows
-from .popularity import fit_popularity, kernel_extension
+from .graph import DistanceMetric, check_graph, for_row_blocks, kernel_graph, kernel_rows
+from .popularity import check_popularity, fit_popularity, kernel_extension
 from .preprocess import FeatureTransform, apply_preprocessor, fit_preprocessor
 from .scoring import ScoreDistribution, dora_batch
-from .shortest_path import fit_shortest_path, one_hop_extension
+from .shortest_path import check_q, fit_shortest_path, one_hop_extension
 
 __all__ = [
     "FORMAT_VERSION",
@@ -173,16 +173,15 @@ class ModelBundle:
         return header, columns
 
 
-def fit_model(raw: Dataset, method: str, *, gamma: float | None = None,
-              metric: DistanceMetric = DistanceMetric.EUCLIDEAN,
-              preprocess: str = defaults(fit_preprocessor)["mode"], **settings):
-    """Fit one method end to end on raw data; returns (bundle, fitted graph).
+def fit_config(n: int, method: str, gamma: float | None = None,
+               metric: DistanceMetric = DistanceMetric.EUCLIDEAN, **settings):
+    """The bandwidth and config of a fit of ``method`` on ``n`` rows, every setting checked.
 
     ``settings`` are fit settings named in ``SETTINGS``; each is taken only by its
     method, and one left out or None takes its default.  ``rff_dim`` applies only
     with start "rff" and ``seed`` only with start "random" or "rff".  Setting one
-    where it does not apply is an error, not ignored.  The bundle's config holds
-    every setting of its method.
+    where it does not apply is an error, not ignored.  The config holds every
+    setting of its method.  A value is refused by the check its fit runs.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}'")
@@ -202,6 +201,20 @@ def fit_model(raw: Dataset, method: str, *, gamma: float | None = None,
     if method == "popularity" and config["start"] != "rff":
         config["rff_dim"] = None
     gamma = float(DEFAULT_GAMMA[method] if gamma is None else gamma)
+    check_graph(gamma, config.get("k"), n)
+    if method == "popularity":
+        check_popularity(metric, **config)
+    elif method == "shortest_path":
+        check_q(config["q"])
+    return gamma, config
+
+
+def fit_model(raw: Dataset, method: str, *, gamma: float | None = None,
+              metric: DistanceMetric = DistanceMetric.EUCLIDEAN,
+              preprocess: str = defaults(fit_preprocessor)["mode"], **settings):
+    """Fit one method end to end on raw data; returns (bundle, fitted graph).  Its
+    settings are those of ``fit_config``, which refuses a bad one before any fit."""
+    gamma, config = fit_config(raw.n, method, gamma, metric, **settings)
     transforms = fit_preprocessor(raw, preprocess)
     data = apply_preprocessor(raw, transforms)
     if method == "popularity":

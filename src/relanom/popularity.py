@@ -19,6 +19,7 @@ from .dataset import Dataset
 from .graph import (
     DistanceMetric,
     SimilarityGraph,
+    check_graph,
     kernel_graph,
     kernel_rows,
     threshold_sparsify,
@@ -72,6 +73,25 @@ class PopularityModel(PowerResult):
 def _check_stopping(tol: float, max_iter: int) -> None:
     if not (tol > 0.0 and math.isfinite(tol)) or max_iter < 1:
         raise ValueError("tol must be a positive finite real and max_iter at least 1")
+
+
+def _check_features(n_features: int) -> None:
+    if n_features < 1:
+        raise ValueError("n_features must be at least 1")
+
+
+def check_popularity(metric: DistanceMetric, *, tol: float, max_iter: int, sparsify: float,
+                     start: str, rff_dim: int | None, **_) -> None:
+    """Refuse the settings ``fit_popularity`` refuses before it reads its data, but gamma."""
+    _check_stopping(tol, max_iter)
+    if not 0.0 <= sparsify < 1.0:
+        raise ValueError(f"sparsify must be in [0, 1), got {sparsify}")
+    if start not in STARTS:
+        raise ValueError(f"unknown start '{start}'")
+    if start == "rff":
+        if metric is not DistanceMetric.EUCLIDEAN:
+            raise ValueError("the random-feature warm start requires the euclidean metric")
+        _check_features(rff_dim)
 
 
 def _symmetric_product(s_matrix, weights):
@@ -150,10 +170,8 @@ def rff_feature_map(data: Dataset, n_features: int, gamma: float, seed: int) -> 
     uniform on [0, 2*pi), so z(x)'z(y) is an unbiased estimate of
     exp(-||x - y||^2 / gamma).
     """
-    if n_features < 1:
-        raise ValueError("n_features must be at least 1")
-    if not (gamma > 0.0 and math.isfinite(gamma)):
-        raise ValueError("gamma must be a positive finite real")
+    _check_features(n_features)
+    check_graph(gamma)
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, math.sqrt(2.0 / gamma), size=(n_features, data.d))
     b = rng.uniform(0.0, 2.0 * math.pi, size=n_features)
@@ -212,17 +230,12 @@ def fit_popularity(
     rows), from the start vector's mean over each group; every row gets its group's entry.
     """
     # Every flag is checked, and the warm start built, before the kernel exists.
-    _check_stopping(tol, max_iter)
-    if not 0.0 <= sparsify < 1.0:
-        raise ValueError(f"sparsify must be in [0, 1), got {sparsify}")
-    if start not in STARTS:
-        raise ValueError(f"unknown start '{start}'")
+    check_popularity(metric, tol=tol, max_iter=max_iter, sparsify=sparsify, start=start,
+                     rff_dim=rff_dim)
     s0 = None  # uniform
     if start == "random":
         s0 = np.random.default_rng(seed).random(data.n) + 1e-12
     elif start == "rff":
-        if metric is not DistanceMetric.EUCLIDEAN:
-            raise ValueError("the random-feature warm start requires the euclidean metric")
         s0 = rff_warm_start(data, rff_dim, gamma, seed)
     distinct = data.distinct
     w = np.sqrt(distinct.counts)

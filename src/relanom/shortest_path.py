@@ -3,7 +3,8 @@
 The top-q fraction of observations by vertex degree form the "normal
 set".  Every edge gets weight -ln s_ij, so a path's weight is the negated
 log of its similarity product; the score of an observation is its
-shortest-path distance to the normal set.  A zero similarity is no edge.
+shortest-path distance to the normal set.  A kernel graph weighs -ln s_ij as
+d_ij^2 / gamma, finite where s_ij underflows; a stored zero is no edge.
 Normal observations score exactly 0, and exp(-score) is the best
 similarity product achievable along any path into the normal set.
 """
@@ -24,7 +25,6 @@ from .graph import (
     SimilarityGraph,
     for_row_blocks,
     kernel_graph,
-    kernel_rows,
     knn_truncate,
     max_symmetrize,
     sq_distances,
@@ -49,6 +49,11 @@ class ShortestPathModel:
     graph: SimilarityGraph
 
 
+def check_q(q: float) -> None:
+    if not 0.0 < q < 1.0:
+        raise ValueError("q must be in (0, 1)")
+
+
 def select_normal_set(vd: np.ndarray, q: float):
     """Indices whose vertex degree exceeds that of a 1-q share of the data.
 
@@ -57,8 +62,7 @@ def select_normal_set(vd: np.ndarray, q: float):
     together.  Returns ``(distribution, indices)``; the set is never empty
     since the maximum always qualifies.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must be in (0, 1)")
+    check_q(q)
     dist = ScoreDistribution.from_scores(vd)
     members = np.nonzero(dist.ecdf(vd) > 1.0 - q)[0]
     return dist, members
@@ -67,11 +71,9 @@ def select_normal_set(vd: np.ndarray, q: float):
 def path_weights(graph: SimilarityGraph):
     """Edge-weight view -ln s_ij of a stored graph; a zero similarity is no edge.
 
-    A kernel graph is refused: ``multi_source_shortest_paths`` reads its weights
-    as it needs them.  Negative similarities are rejected.  A zero weighs +inf,
-    as an absent sparse entry does.  A kernel entry exp(-d^2/gamma) loses
-    precision only past d^2/gamma ~708 and is zero past ~745, so distances
-    below ~708 equal those of the exact weights up to rounding.
+    A kernel graph is refused: ``multi_source_shortest_paths`` weighs its edges
+    d^2/gamma as it reads them.  Negative similarities are rejected.  A zero
+    weighs +inf, as an absent sparse entry does.
     """
     if graph.matrix is None:
         raise ValueError("a kernel graph stores no weights; use multi_source_shortest_paths")
@@ -92,14 +94,15 @@ def multi_source_shortest_paths(weights, sources: np.ndarray) -> np.ndarray:
 
     Equivalent to adding a virtual source with zero-weight edges to every
     listed vertex.  ``weights`` is an ndarray or CSR matrix of nonnegative
-    edge weights, or a SimilarityGraph, whose similarities become weights
-    -ln s (``path_weights``); a kernel graph is evaluated as it is read, in
-    O(n) memory.  Absent sparse entries mean "no edge" and stored zeros are
-    edges.  Unreachable vertices get +inf.  Sparse input runs csgraph's
-    Dijkstra, which would drop the zero-weight edges of dense input.
-    Otherwise the sources settle at distance 0, one row-block pass on every
-    core keys each other vertex by its least weight from a source, and an
-    array Dijkstra settles the rest on one core, one row per vertex.
+    edge weights, or a SimilarityGraph: a stored one's similarities become
+    weights -ln s (``path_weights``), and a kernel graph's edges weigh
+    d^2/gamma, evaluated as read in O(n) memory, on every pair of vertices.
+    Absent sparse entries mean "no edge" and stored zeros are edges.
+    Unreachable vertices get +inf.  Sparse input runs csgraph's Dijkstra,
+    which would drop the zero-weight edges of dense input.  Otherwise the
+    sources settle at distance 0, one row-block pass on every core keys each
+    other vertex by its least weight from a source, and an array Dijkstra
+    settles the rest on one core, one row per vertex.
     """
     sources = np.asarray(sources, dtype=np.int64)
     if sources.size == 0:
@@ -113,8 +116,7 @@ def multi_source_shortest_paths(weights, sources: np.ndarray) -> np.ndarray:
         columns = x.__getitem__
 
         def read(rows, c, out):  # the weights of rows x columns c, in out
-            s = kernel_rows(x[rows], c, g.gamma, g.metric, out)
-            return np.negative(np.log(s, out=s), out=s)  # ln 0 divides by zero: no edge
+            return _edge_weights(x[rows], c, g.gamma, g.metric, out)
     else:  # an n x n array: columns are indices
         x, columns = np.asarray(weights, dtype=np.float64), np.copy
 
@@ -126,24 +128,22 @@ def multi_source_shortest_paths(weights, sources: np.ndarray) -> np.ndarray:
     cols, key = columns(rest), np.empty(rest.size)
 
     def source_keys(rows, out):  # in place: the pass holds O(n) beside its scratch
-        with np.errstate(divide="ignore"):  # per thread
-            w = read(sources, cols[rows], out.reshape(sources.size, -1))
-            np.min(w, axis=0, out=key[rows])
+        w = read(sources, cols[rows], out.reshape(sources.size, -1))
+        np.min(w, axis=0, out=key[rows])
 
     for_row_blocks(source_keys, rest.size, sources.size)
     # 0.0 + w, as the relaxation from a source at distance 0.0 adds, turns -0.0 into 0.0
     np.add(0.0, key, out=key)
     buf, m = np.empty((1, rest.size)), rest.size  # rest, key and cols: the first m unsettled
-    with np.errstate(divide="ignore"):
-        while m:
-            p = int(np.argmin(key[:m]))
-            u, du = rest[p], key[p]
-            if du == np.inf:
-                break
-            dist[u], m = du, m - 1
-            rest[p], key[p], cols[p] = rest[m], key[m], cols[m]
-            w = read([u], cols[:m], buf[:, :m])[0]
-            np.minimum(key[:m], np.add(du, w, out=w), out=key[:m])
+    while m:
+        p = int(np.argmin(key[:m]))
+        u, du = rest[p], key[p]
+        if du == np.inf:
+            break
+        dist[u], m = du, m - 1
+        rest[p], key[p], cols[p] = rest[m], key[m], cols[m]
+        w = read([u], cols[:m], buf[:, :m])[0]
+        np.minimum(key[:m], np.add(du, w, out=w), out=key[:m])
     return dist
 
 
@@ -166,10 +166,9 @@ def fit_shortest_path(
     on the k-nearest-neighbor graph of every row, symmetrized by keeping an
     edge when either endpoint kept it; one pass over kernel row blocks then
     gives both the degrees and the kNN selection.  No n x n matrix is built.
-    Disconnected vertices score +inf and trigger a warning.
+    Unreachable vertices, which only a kNN graph has, score +inf and warn.
     """
-    if not 0.0 < q < 1.0:  # before the kernel pass, which can take seconds
-        raise ValueError("q must be in (0, 1)")
+    check_q(q)  # before the kernel pass, which can take seconds
     kernel = kernel_graph(data, gamma, metric)
     if k is None:  # every row takes its distinct row's degree and distance
         path_graph, paths = kernel, replace(kernel, source=data.distinct.data)
@@ -182,14 +181,10 @@ def fit_shortest_path(
 
         path_graph = paths = max_symmetrize(knn_truncate(kernel, k, read_rows))
     _, normal = select_normal_set(vd, q)
-    ra_q = multi_source_shortest_paths(paths, vertex[normal])[vertex]  # weighs a stored graph
-    unreachable = int(np.sum(np.isinf(ra_q)))
-    if unreachable:
-        warnings.warn(
-            f"{unreachable} observations are unreachable from the normal set; "
-            "their scores are +inf",
-            stacklevel=2,
-        )
+    ra_q = multi_source_shortest_paths(paths, vertex[normal])[vertex]  # weighs either graph
+    if unreachable := int(np.sum(np.isinf(ra_q))):
+        warnings.warn(f"{unreachable} observations are unreachable from the normal set; "
+                      "their scores are +inf", stacklevel=2)
     return ShortestPathModel(vd=vd, normal_set=normal, ra_q=ra_q, graph=path_graph)
 
 
@@ -208,6 +203,11 @@ def one_hop_extension(
     point into the fitted distances ``ra_q``.  ``out``, a points x training
     buffer, holds the weights when given.
     """
-    w = sq_distances(points, training, metric, out)
-    np.divide(w, gamma, out=w)
+    w = _edge_weights(points, training, gamma, metric, out)
     return np.add(w, ra_q, out=w).min(axis=1)
+
+
+def _edge_weights(a, b, gamma, metric, out=None):
+    """Weights -ln s = d(a_i, b_j)^2 / gamma, the same bits for the fit and the score."""
+    w = sq_distances(a, b, metric, out)
+    return np.divide(w, gamma, out=w)

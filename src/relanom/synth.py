@@ -9,7 +9,6 @@ cluster is anomalous despite being locally dense.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,10 @@ class ClusterSpec:
 
 
 def generate_mixture(specs: list[ClusterSpec], n: int, seed: int):
-    """Draw round(weight * n) points per cluster with a seeded generator.
+    """Draw exactly n points with a seeded generator, weight * n per cluster.
+
+    Each cluster gets the integer part of weight * n; the rows left over go one
+    each to the largest remainders, ties to the earlier cluster.
 
     Returns ``(Dataset, labels)`` where labels align row-for-row with the
     data.  Rows are grouped by cluster in spec order; identical seeds
@@ -58,11 +60,13 @@ def generate_mixture(specs: list[ClusterSpec], n: int, seed: int):
         raise ValueError("all cluster means must share the same dimension")
     if any(c.sd < 0.0 for c in specs):
         raise ValueError("cluster sd must be nonnegative")
+    exact = np.array([c.weight for c in specs]) * n
+    counts = np.floor(exact).astype(np.int64)
+    counts[np.argsort(counts - exact, kind="stable")[: n - counts.sum()]] += 1
     rng = np.random.default_rng(seed)
     blocks = []
     labels = []
-    for spec in specs:
-        count = int(math.floor(spec.weight * n + 0.5))
+    for spec, count in zip(specs, counts.tolist()):
         if count == 0:
             continue
         draws = rng.standard_normal((count, d))

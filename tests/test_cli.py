@@ -156,13 +156,13 @@ def test_fit_warns_when_sparsify_keeps_pairs_for_connectivity(tmp_path, capsys):
 
 
 def test_fit_and_compare_print_unreachable_rows_as_one_warning_line(tmp_path, capsys):
-    # 84 of 300 wifi rows have no path into the normal set through the kNN graph, and
-    # at gamma 0.001 none through the dense graph but the normal set's own rows.  Each
-    # fit's warnings print in the order its stages find them: the transform's first.
+    # 84 of 300 wifi rows have no path into the normal set through the kNN graph.  The
+    # dense graph weighs every pair d^2/gamma, so even at gamma 0.001, where kernel
+    # entries underflow, it reaches every row and stores no +inf.  Each fit's warnings
+    # print in the order its stages find them: the transform's first.
     data = tmp_path / "wifi.csv"
     assert run("synth", "--dataset", "wifi", "--n", "300", "--seed", "0",
                "--output", str(data)) == 0
-    lines = {}
     boundary = "warning: transform fit hit a search boundary for column(s) x1, x2"
     for name, flags in (("knn", ("--k", "10")), ("dense", ("--gamma", "0.001"))):
         model = tmp_path / f"{name}.json"
@@ -170,12 +170,13 @@ def test_fit_and_compare_print_unreachable_rows_as_one_warning_line(tmp_path, ca
         assert run("fit", "--method", "shortest_path", *flags, "--input", str(data),
                    "--output", str(model)) == 0
         unreachable = int(np.isinf(load_model(model).state["ra_q"]).sum())
-        lines[name] = (f"warning: {unreachable} observations are unreachable from the normal "
-                       "set; their scores are +inf")
-        assert capsys.readouterr().err.splitlines() == [boundary, lines[name]]
+        assert (unreachable > 0) == (name == "knn")
+        line = (f"warning: {unreachable} observations are unreachable from the normal set; "
+                "their scores are +inf")
+        assert capsys.readouterr().err.splitlines() == [boundary] + [line] * (name == "knn")
     # compare prints the warnings of each of its three fits
     assert run("compare", "--input", str(data), "--gamma-shortest-path", "0.001") == 0
-    assert capsys.readouterr().err.splitlines() == [boundary] * 3 + [lines["dense"]]
+    assert capsys.readouterr().err.splitlines() == [boundary] * 3
 
 
 def test_a_failing_fit_prints_the_warnings_raised_before_it_failed(tmp_path, capsys):
@@ -241,16 +242,52 @@ def test_fit_rejects_a_flag_the_method_ignores(tmp_path, train_csv, capsys, meth
 def test_fit_rejects_a_popularity_flag_out_of_range_or_ignored(
     tmp_path, train_csv, capsys, flag, name
 ):
-    # fit_popularity checks sparsify and tol after the transform fit, whose
-    # boundary warning on this file prints before the error line
+    # Every setting is checked before the transform fit, whose boundary warning
+    # on this file would print first.
     model = tmp_path / "m.json"
     assert run("fit", "--method", "popularity", "--input", str(train_csv),
                "--output", str(model), *flag) == 1
-    *warned, err = capsys.readouterr().err.splitlines()
+    [err] = capsys.readouterr().err.splitlines()
     assert err.startswith("error:") and name in err
-    assert warned == (["warning: transform fit hit a search boundary for column(s) x2"]
-                      if name in ("sparsify", "tol") else [])
     assert not model.exists()
+
+
+BAD_SETTINGS = [
+    (("fit", "--method", "popularity", "--gamma", "-1"), "gamma must be a positive finite real"),
+    (("fit", "--method", "vertex_degree", "--gamma", "-1"),
+     "gamma must be a positive finite real"),
+    (("fit", "--method", "shortest_path", "--gamma", "-1"),
+     "gamma must be a positive finite real"),
+    (("fit", "--method", "popularity", "--sparsify", "1.0"), "sparsify must be in [0, 1), got 1.0"),
+    (("fit", "--method", "popularity", "--tol", "0"),
+     "tol must be a positive finite real and max_iter at least 1"),
+    (("fit", "--method", "popularity", "--max-iter", "0"),
+     "tol must be a positive finite real and max_iter at least 1"),
+    (("fit", "--method", "popularity", "--start", "rff", "--rff-dim", "0"),
+     "n_features must be at least 1"),
+    (("fit", "--method", "shortest_path", "--q", "1.5"), "q must be in (0, 1)"),
+    (("fit", "--method", "shortest_path", "--k", "0"), "k must be in [1, 299], got 0"),
+    (("fit", "--method", "shortest_path", "--k", "5000"), "k must be in [1, 299], got 5000"),
+    (("compare", "--q", "1.5"), "q must be in (0, 1)"),
+    (("compare", "--gamma-shortest-path", "-1"), "gamma must be a positive finite real"),
+    (("compare", "--top-fraction", "1.5"), "fraction must be in (0, 1)"),
+]
+
+
+@pytest.mark.parametrize("argv, error", BAD_SETTINGS,
+                         ids=[" ".join(argv) for argv, _ in BAD_SETTINGS])
+def test_a_bad_setting_is_refused_before_any_fit(tmp_path, capsys, argv, error):
+    # On this file the transform fit warns of a search boundary, and compare's first
+    # fits print result lines: a refusal comes before both, as its one stderr line.
+    data = tmp_path / "wifi.csv"
+    assert run("synth", "--dataset", "wifi", "--n", "300", "--seed", "0",
+               "--output", str(data)) == 0
+    capsys.readouterr()
+    output = ("--output", str(tmp_path / "m.json")) if argv[0] == "fit" else ()
+    assert run(*argv, "--input", str(data), *output) == 1
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [f"error: {error}"] and out == ""
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_default_fit_config_is_unchanged(tmp_path, train_csv):

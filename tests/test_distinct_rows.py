@@ -4,7 +4,7 @@ Popularity (plain and sparsified), vertex degrees and the dense shortest-path
 fit run on the m distinct rows of their input.  The oracles here build the
 dense n x n kernel of every row and run the primitives on it: the power
 iteration on the kernel or its brute-force cut, its row sums, and the array
-Dijkstra on its -ln s weights.
+Dijkstra on the exact weights d^2 / gamma of every pair of rows.
 """
 
 import math
@@ -22,6 +22,7 @@ from relanom.graph import (
     DistanceMetric,
     kernel_graph,
     rbf_similarity_matrix,
+    sq_distances,
     threshold_sparsify,
 )
 from relanom.model_io import fit_model
@@ -29,7 +30,6 @@ from relanom.popularity import ConvergenceError, fit_popularity, power_iteration
 from relanom.shortest_path import (
     fit_shortest_path,
     multi_source_shortest_paths,
-    path_weights,
     select_normal_set,
 )
 from relanom.synth import wifi_analogue
@@ -69,11 +69,12 @@ def assert_shortest_path_is_the_full_row_fit(data, gamma, q, metric):
     dense = rbf_similarity_matrix(data, gamma, metric)
     vd = vertex_degrees(dense)
     _, normal = select_normal_set(vd, q)
-    ra_q = multi_source_shortest_paths(path_weights(dense), normal)
+    x = data.values
+    ra_q = multi_source_shortest_paths(sq_distances(x, x, metric) / gamma, normal)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         model = fit_shortest_path(data, gamma, q, metric=metric)
-    assert len(caught) == np.isinf(ra_q).any()  # the unreachable rows' warning
+    assert not caught and np.isfinite(ra_q).all()  # the dense graph is complete
     assert np.array_equal(model.vd, vd) and np.array_equal(model.normal_set, normal)
     assert np.array_equal(model.ra_q, ra_q)
     assert np.array_equal(model.graph.rows(slice(0, data.n)), dense.matrix)

@@ -20,15 +20,35 @@ from relanom.model_io import METHODS, ModelBundle, fit_model, load_model, save_m
 from relanom.synth import scraping_analogue, wifi_analogue
 
 
+def duplicated_grid():
+    """The byte-identity manifest's ties.csv: 40 rows on 20 distinct grid points."""
+    i = np.arange(40)
+    return Dataset(np.column_stack([i % 4, i * 3 % 5]).astype(float), ["x1", "x2"])
+
+
+TRAINING_SETS = {  # raw training data and fit_model's keywords
+    "scraping": (lambda: scraping_analogue(300, seed=0)[0], {}),
+    "wifi": (lambda: wifi_analogue(300, seed=0)[0], {}),
+    "ties": (duplicated_grid, {"preprocess": "standardize"}),
+    "wifi_gamma0.001": (lambda: wifi_analogue(300, seed=0)[0], {"gamma": 0.001}),
+}
+
+
 @pytest.mark.parametrize("metric", [DistanceMetric.EUCLIDEAN, DistanceMetric.MANHATTAN])
-@pytest.mark.parametrize("method", ["popularity", "vertex_degree", "shortest_path"])
-def test_bundle_scores_training_rows_like_the_fit(method, metric):
-    raw, _ = scraping_analogue(300, seed=0)
-    bundle, _ = fit_model(raw, method, metric=metric)
-    train = bundle.training.values
-    # AC6 tolerance: out-of-sample scores reproduce the training scores.
-    np.testing.assert_allclose(
-        bundle.score_model(train), bundle.train_scores_rowwise(), rtol=0.0, atol=1e-6)
+@pytest.mark.parametrize("method, training", [("popularity", "scraping")] + [
+    (method, training) for method in ("vertex_degree", "shortest_path")
+    for training in TRAINING_SETS])
+@pytest.mark.filterwarnings("ignore:transform fit hit a search boundary")
+def test_bundle_scores_training_rows_like_the_fit(method, training, metric):
+    raw, settings = TRAINING_SETS[training]
+    bundle, _ = fit_model(raw(), method, metric=metric, **settings)
+    scores, stored = bundle.score_model(bundle.training.values), bundle.train_scores_rowwise()
+    if method == "popularity":  # AC6 tolerance: out-of-sample scores reproduce the fit's
+        np.testing.assert_allclose(scores, stored, rtol=0.0, atol=1e-6)
+        return
+    # A training row scores as itself: the stored score and its DORA, bit for bit.
+    assert scores.tobytes() == stored.tobytes() and np.isfinite(stored).all()
+    assert bundle.dora_of(scores).tobytes() == bundle.dora_of(stored).tobytes()
 
 
 def unblocked_scores(method, state, training, points, gamma, metric):

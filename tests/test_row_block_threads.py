@@ -109,7 +109,7 @@ def test_upper_triangle_has_the_full_build_bits(values, metric, workers, block_e
 @pytest.mark.parametrize("metric", list(DistanceMetric))
 @pytest.mark.parametrize("workers", [1, 3])
 def test_threaded_knn_selection_gives_the_serial_bits(workers, metric, gamma, monkeypatch):
-    # 151 wifi rows, 44 distinct: most rows have more ties at the k-th value than
+    # 150 wifi rows, 43 distinct: most rows have more ties at the k-th value than
     # places.  Gamma 1e-4 makes every similarity between distinct rows 0.
     raw, _ = wifi_analogue(150, seed=3)
     data = apply_preprocessor(raw, fit_preprocessor(raw))
@@ -117,8 +117,9 @@ def test_threaded_knn_selection_gives_the_serial_bits(workers, metric, gamma, mo
     s = oracle_kernel(x, gamma, metric)
     dense = rbf_similarity_matrix(data, gamma, metric)
     monkeypatch.setattr(graph_module, "_WORKERS", workers)
-    # 4 rows of 2n-wide scratch per worker: 37 blocks of 4 rows and a last one of 3
-    monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", 4 * 2 * n * workers)
+    # 4 rows of the selection's (2n + n // 8 + 1)-wide scratch per worker: 37 blocks
+    # of 4 rows and a last one of 2
+    monkeypatch.setattr(graph_module, "_BLOCK_ENTRIES", 4 * (2 * n + n // 8 + 1) * workers)
     for k in (1, 10, n - 1):
         indices, values = oracle_knn(s, k)
         for graph in (kernel_graph(data, gamma, metric), dense):

@@ -21,7 +21,6 @@ from relanom.graph import (
     DistanceMetric,
     SimilarityGraph,
     kernel_graph,
-    kernel_rows,
     knn_truncate,
     max_symmetrize,
     rbf_similarity_matrix,
@@ -251,7 +250,6 @@ def test_path_graphs_match_heap_dijkstra(points, gamma, k_share, q):
         )
 
 
-@pytest.mark.filterwarnings("ignore:.*unreachable")
 @settings(max_examples=200, deadline=None)
 @given(
     points=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=12),
@@ -261,31 +259,31 @@ def test_path_graphs_match_heap_dijkstra(points, gamma, k_share, q):
 )
 def test_underflowed_entries_keep_exact_weight_distances(points, gamma, metric, q):
     # The two far corners make some kernel entries underflow to 0.  The
-    # oracle runs on the exact weights d^2/gamma.  A path below ~708 only
-    # uses entries in the normal float range, whose -ln is exact to
-    # rounding; past it a subnormal entry's -ln is off by up to ~0.7 and a
-    # zero is no edge, so there the only bound is ~708.
+    # dense fit weighs every edge d^2/gamma, so it equals the oracle on those
+    # exact weights bit for bit, every row is reached, and the one-hop score
+    # of a training row is its fitted distance.
     x = np.array(points + [(0, 0), (40, 40)], dtype=float)
     model = fit_shortest_path(Dataset(x), gamma, q, metric=metric)
     assert np.any(model.graph.rows(slice(0, model.graph.n)) == 0.0)
     oracle = multi_source_shortest_paths(sq_distances(x, x, metric) / gamma, model.normal_set)
-    near, floor = oracle < 700.0, np.minimum(oracle, 708.0) - 1e-9
-    np.testing.assert_allclose(model.ra_q[near], oracle[near], rtol=0, atol=1e-9)
-    assert np.all(model.ra_q >= floor)
-    one_hop = one_hop_scores(model, x)
-    np.testing.assert_allclose(one_hop[near], model.ra_q[near], rtol=0, atol=1e-9)
-    assert np.all((floor <= one_hop) & (one_hop <= model.ra_q))
+    assert model.ra_q.tobytes() == oracle.tobytes() and np.isfinite(oracle).all()
+    assert one_hop_scores(model, x).tobytes() == model.ra_q.tobytes()
 
 
 def dense_route_oracle(data, gamma, q, k, metric):
     """The shortest-path fit as a chain over the dense n x n graph: kernel
     matrix, its row sums, kNN truncation and symmetrization, an n x n array
-    of -ln s weights, and the array Dijkstra on it."""
+    of weights, exact d^2/gamma without k and -ln s of the kNN graph with it,
+    and the array Dijkstra on it."""
     dense = rbf_similarity_matrix(data, gamma, metric)
     vd = vertex_degrees(dense)
     _, normal = select_normal_set(vd, q)
-    path_graph = dense if k is None else max_symmetrize(knn_truncate(dense, k))
-    return vd, normal, multi_source_shortest_paths(path_weights(path_graph), normal), path_graph
+    if k is None:
+        weights, path_graph = sq_distances(data.values, data.values, metric) / gamma, dense
+    else:
+        path_graph = max_symmetrize(knn_truncate(dense, k))
+        weights = path_weights(path_graph)
+    return vd, normal, multi_source_shortest_paths(weights, normal), path_graph
 
 
 @pytest.mark.filterwarnings("ignore:.*unreachable")
@@ -300,8 +298,9 @@ def dense_route_oracle(data, gamma, q, k, metric):
 )
 def test_row_block_fits_equal_the_dense_route(points, gamma, metric, k_share, q, block_rows):
     # Integer-grid points repeat rows and tie similarities; gamma 1e-4 makes
-    # every off-diagonal similarity 0, a +inf weight.  Small blocks make the
-    # kernel pass and the kNN selection read several row blocks.
+    # every off-diagonal similarity 0, a +inf weight in a kNN graph and a
+    # finite one in the dense graph.  Small blocks make the kernel pass and
+    # the kNN selection read several row blocks.
     data = Dataset(np.array(points, dtype=float))
     k = None if k_share is None else 1 + int(k_share * (data.n - 2))
     vd, normal, ra_q, path_graph = dense_route_oracle(data, gamma, q, k, metric)
@@ -320,7 +319,7 @@ def test_row_block_fits_equal_the_dense_route(points, gamma, metric, k_share, q,
             assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # ln 0 in the pool's threads too
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no float warning, in any thread
 @settings(max_examples=300, deadline=None)
 @given(
     points=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=14),
@@ -334,15 +333,15 @@ def test_kernel_graph_dijkstra_equals_the_ndarray_route(
     points, gamma, metric, picks, every, block_rows
 ):
     # Integer-grid points repeat rows (zero weights) and tie distances; gamma
-    # 1e-4 underflows every off-diagonal entry to 0 (+inf weights).  Sources
-    # repeat, or are every vertex; n runs from 1.  Small blocks split the
-    # source pass into several blocks on the pool's threads.
+    # 1e-4 underflows every off-diagonal kernel entry to 0, yet the weights
+    # d^2/gamma stay finite.  Sources repeat, or are every vertex; n runs from
+    # 1.  Small blocks split the source pass into several blocks on the pool's
+    # threads.
     x = np.array(points, dtype=float)
     n = len(x)
     sources = np.arange(n) if every else np.array(picks) % n
     kernel = SimilarityGraph(None, gamma, metric, source=Dataset(x))
-    with np.errstate(divide="ignore"):
-        weights = -np.log(kernel_rows(x, x, gamma, metric))
+    weights = sq_distances(x, x, metric) / gamma
     want = oracle_dijkstra(weights, sources)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph_module, "_BLOCK_ENTRIES", block_rows * n)

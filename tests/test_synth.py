@@ -1,8 +1,11 @@
 """Synthetic dataset generators: determinism, counts, cluster statistics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from relanom import synth
 from relanom.synth import (
     LABEL_ANOMALOUS,
     LABEL_NORMAL,
@@ -77,6 +80,47 @@ def test_counts_follow_weights():
     assert (labels == LABEL_NORMAL).sum() == 100
     assert (labels == LABEL_ANOMALOUS).sum() == 300
     assert data.n == 400
+
+
+def old_rule_mixture(specs, n, seed):
+    """The former draw: round(weight * n) rows per cluster, in spec order."""
+    rng, blocks, labels = np.random.default_rng(seed), [], []
+    for spec in specs:
+        count = int(np.floor(spec.weight * n + 0.5))
+        blocks.append(np.asarray(spec.mean) + spec.sd * rng.standard_normal((count, 2)))
+        labels += [spec.label] * count
+    return np.vstack(blocks), np.array(labels)
+
+
+@pytest.mark.parametrize("maker", [scraping_analogue, wifi_analogue])
+def test_a_mixture_has_exactly_n_rows(maker, monkeypatch):
+    # Rounding each cluster's weight * n gave the wifi layout 2 rows at n=3, 9 at
+    # n=8 and 151 at n=150.  Where it gave n rows, the data are unchanged.
+    with monkeypatch.context() as mp:
+        mp.setattr(synth, "generate_mixture", lambda specs, n, seed: specs)
+        specs = maker()
+    numbered = [replace(spec, label=str(i)) for i, spec in enumerate(specs)]
+    weights = np.array([spec.weight for spec in specs])
+    unchanged = 0
+    for n in range(2, 2001):
+        data, labels = maker(n, seed=n % 5)
+        assert data.n == labels.size == n
+        _, clusters = generate_mixture(numbered, n, seed=0)
+        counts = np.bincount(clusters.astype(int), minlength=len(specs))
+        assert counts.sum() == n and np.all(np.abs(counts - weights * n) < 1.0)
+        old, old_labels = old_rule_mixture(specs, n, seed=n % 5)
+        if len(old) == n:
+            unchanged += 1
+            assert np.array_equal(data.values, old) and np.array_equal(labels, old_labels)
+    assert unchanged > 1000
+
+
+def test_leftover_rows_go_to_the_largest_remainders_then_the_earlier_cluster():
+    specs = [ClusterSpec(w, (float(i),), 0.0, str(i)) for i, w in enumerate([0.4, 0.3, 0.3])]
+    # n=5: 2, 1.5, 1.5, which rounding made 6 rows; the tie goes to the earlier cluster
+    assert generate_mixture(specs, 5, seed=0)[1].tolist() == ["0", "0", "1", "1", "2"]
+    # n=7: 2.8, 2.1, 2.1 -> floors 2, 2, 2 and one row left, to the remainder 0.8
+    assert generate_mixture(specs, 7, seed=0)[1].tolist() == ["0"] * 3 + ["1"] * 2 + ["2"] * 2
 
 
 def test_empty_specs_rejected():

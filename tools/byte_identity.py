@@ -7,9 +7,10 @@ exist yet.  The script generates ``synth`` scraping and wifi data (n=1000,
 seed 0), fits every method with ``--metric l2`` and ``--metric l1``, plus
 popularity with ``--sparsify 0.5``, ``--sparsify 0.9``,
 ``--metric l1 --sparsify 0.5`` and ``--start rff`` and shortest_path with
-``--k 1``, ``--k 10``, ``--metric l1 --k 10``, ``--gamma 0.1``, ``--q 0.1``
-and ``--q 0.9``, and every method with ``--preprocess standardize`` (each fit
-with ``--train-scores`` and ``--dump-graph``), then runs ``score`` (with and
+``--k 1``, ``--k 10``, ``--metric l1 --k 10``, ``--gamma 0.1``,
+``--gamma 0.001``, ``--q 0.1`` and ``--q 0.9``, and every method with
+``--preprocess standardize`` (each fit with ``--train-scores`` and
+``--dump-graph``), then runs ``score`` (with and
 without ``--neg-log-display``), ``ecdf``, ``explain`` (``--p-normal`` 0.5 and
 0.95) and ``grid`` on every model, and ``compare`` on each data file.  A
 copy of each data file with a quoted header and CRLF line ends is fitted by
@@ -31,10 +32,13 @@ two manifests compare only at one thread count.  Run it on two checkouts and
 diff the manifests.  Commands that fail are listed on stderr; a failure is
 hashed like any other output.  Every model file a fit writes is loaded and
 saved again, and one whose second save differs from it by a byte is listed on
-stderr too.
+stderr too.  So is every vertex_degree and shortest_path fit whose ``score`` of
+its own training file differs from its ``--train-scores`` file in any score or
+DORA cell: such a fit gives one row two scores.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import os
@@ -76,6 +80,24 @@ def run(tag, *argv):
         os.remove("resaved.json")
 
 
+def check_train_scores(tag, flags):
+    """List a vertex_degree or shortest_path fit whose ``score`` of its training file
+    (``{tag}.score.csv``) differs from its ``{tag}.train.csv`` in a score or DORA cell."""
+    if flags[flags.index("--method") + 1] not in ("vertex_degree", "shortest_path"):
+        return
+    tables = []
+    for name in (f"{tag}.train.csv", f"{tag}.score.csv"):
+        if not os.path.exists(name):  # the fit or the score failed, and is listed
+            return
+        with open(name, newline="") as fh:
+            tables.append({column[0]: column[1:] for column in zip(*csv.reader(fh))})
+    train, score = tables
+    for key in [list(train)[1]] + ["dora"] * ("dora" in train):  # the score column first
+        if changed := sum(a != b for a, b in zip(train[key], score[key])):
+            print(f"{tag}: score of the training file changes {changed} '{key}' cells of "
+                  "--train-scores", file=sys.stderr)
+
+
 print(f"# cores {len(os.sched_getaffinity(0))}, "
       f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
 run("help", "--help")
@@ -96,6 +118,7 @@ FITS = [
     ("sp_l1_k10", ["--method", "shortest_path", "--metric", "l1", "--k", "10"]),
     ("pop_sparse09", ["--method", "popularity", "--sparsify", "0.9"]),
     ("sp_g01", ["--method", "shortest_path", "--gamma", "0.1"]),
+    ("sp_g0001", ["--method", "shortest_path", "--gamma", "0.001"]),
     ("pop_l1_sparse", ["--method", "popularity", "--metric", "l1", "--sparsify", "0.5"]),
     ("sp_q01", ["--method", "shortest_path", "--q", "0.1"]),
     ("sp_q09", ["--method", "shortest_path", "--q", "0.9"]),
@@ -115,6 +138,7 @@ for ds in ("scraping", "wifi"):
             "--train-scores", f"{tag}.train.csv", "--dump-graph", f"{tag}.graph.csv")
         run(f"{tag}.score", "score", "--model", model, "--input", data,
             "--output", f"{tag}.score.csv")
+        check_train_scores(tag, flags)
         run(f"{tag}.scoreneg", "score", "--model", model, "--input", data,
             "--output", f"{tag}.scoreneg.csv", "--neg-log-display")
         run(f"{tag}.ecdf", "ecdf", "--model", model, "--output", f"{tag}.ecdf.csv")
@@ -160,6 +184,7 @@ for name, flags in TIES:
         "--dump-graph", f"{tag}.graph.csv")
     run(f"{tag}.score", "score", "--model", f"{tag}.model.json", "--input", "ties.csv",
         "--output", f"{tag}.score.csv")
+    check_train_scores(tag, flags)
 
 for name in sorted(os.listdir(".")):
     with open(name, "rb") as fh:
