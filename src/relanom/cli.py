@@ -52,11 +52,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _setting(fit, "q", "normal-set fraction", type=float)
     _setting(fit, "k", "kNN degree of the path graph, dense when unset", type=int)
     _setting(fit, "sparsify", "drop this fraction of the smallest similarity pairs", type=float)
-    _setting(fit, "start", "power iteration start vector", choices=STARTS)
-    _setting(fit, "rff_dim", "random Fourier features of --start rff", type=int)
+    _setting(fit, "start", "start vector; rff: 256 Fourier features, seed 0", choices=STARTS)
     _setting(fit, "tol", "power iteration tolerance", type=float)
     _setting(fit, "max_iter", "power iteration step limit", type=int)
-    _setting(fit, "seed", "seed of --start random or rff", type=int)
     fit.add_argument("--train-scores", default=None,
                      help="also write per-row training scores to this CSV")
     fit.add_argument("--dump-graph", default=None,

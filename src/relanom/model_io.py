@@ -53,7 +53,7 @@ def defaults(fn) -> dict:
 
 
 # Each fit setting, in a model file's config order: the method whose fit takes it and its
-# default, read off that fit's signature.  Popularity's rff_dim is null unless start is rff.
+# default, read off that fit's signature.
 SETTINGS = {name: (fit.__name__.removeprefix("fit_"), default)
             for fit in (fit_popularity, fit_shortest_path)
             for name, default in defaults(fit).items() if name != "metric"}
@@ -178,10 +178,10 @@ def fit_config(n: int, method: str, gamma: float | None = None,
     """The bandwidth and config of a fit of ``method`` on ``n`` rows, every setting checked.
 
     ``settings`` are fit settings named in ``SETTINGS``; each is taken only by its
-    method, and one left out or None takes its default.  ``rff_dim`` applies only
-    with start "rff" and ``seed`` only with start "random" or "rff".  Setting one
-    where it does not apply is an error, not ignored.  The config holds every
-    setting of its method.  A value is refused by the check its fit runs.
+    method, and setting one for another method is an error, not ignored.  One left
+    out or None takes its default.  The config holds every setting of its method:
+    popularity's ``tol``, ``max_iter``, ``sparsify`` and ``start``, shortest path's
+    ``q`` and ``k``.  A value is refused by the check its fit runs.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}'")
@@ -192,14 +192,6 @@ def fit_config(n: int, method: str, gamma: float | None = None,
             raise ValueError(f"{name} applies only to method {SETTINGS[name][0]}, not {method}")
     config = {name: default if settings.get(name) is None else settings[name]
               for name, (owner, default) in SETTINGS.items() if owner == method}
-    if settings.get("rff_dim") is not None and config["start"] != "rff":
-        raise ValueError(f"rff_dim applies only to start rff, not {config['start']}")
-    if settings.get("seed") is not None and config["start"] == "uniform":
-        raise ValueError("seed applies only to start random or rff, not uniform")
-    if config.get("seed", 0) < 0:
-        raise ValueError(f"seed must be nonnegative, got {config['seed']}")
-    if method == "popularity" and config["start"] != "rff":
-        config["rff_dim"] = None
     gamma = float(DEFAULT_GAMMA[method] if gamma is None else gamma)
     check_graph(gamma, config.get("k"), n)
     if method == "popularity":

@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 _TOL, _MAX_ITER = 1e-8, 10_000  # the power iteration's stopping rule unless given
-STARTS = ("uniform", "random", "rff")  # fit_popularity's start vectors
+STARTS = ("uniform", "rff")  # fit_popularity's start vectors
 
 
 class ConvergenceError(RuntimeError):
@@ -61,10 +61,12 @@ class PowerResult:
 class PopularityModel(PowerResult):
     """Fitted popularity scorer: the power iteration's result on ``graph``.
 
-    ``lambda1`` = s' S s of the returned unit vector on the fitted (possibly
-    sparsified) graph is the out-of-sample denominator, so out-of-sample
-    scores reproduce the training scores on training rows.  ``graph`` is the
-    kernel graph with the fit's ``ThresholdCut``; the n x n array is freed.
+    ``lambda1`` = s' S s of the returned unit vector on the fitted (possibly sparsified)
+    graph is the out-of-sample denominator.  By the iteration's entrywise test, a training
+    row of a plain fit scores out of sample its training score to a relative ``tol``, up to
+    rounding; a sparsified fit's out-of-sample kernel keeps the dropped pairs, which only
+    lower it.  ``graph`` is the kernel graph with the fit's ``ThresholdCut``; the n x n
+    array is freed.
     """
 
     graph: SimilarityGraph
@@ -75,23 +77,16 @@ def _check_stopping(tol: float, max_iter: int) -> None:
         raise ValueError("tol must be a positive finite real and max_iter at least 1")
 
 
-def _check_features(n_features: int) -> None:
-    if n_features < 1:
-        raise ValueError("n_features must be at least 1")
-
-
 def check_popularity(metric: DistanceMetric, *, tol: float, max_iter: int, sparsify: float,
-                     start: str, rff_dim: int | None, **_) -> None:
+                     start: str) -> None:
     """Refuse the settings ``fit_popularity`` refuses before it reads its data, but gamma."""
     _check_stopping(tol, max_iter)
     if not 0.0 <= sparsify < 1.0:
         raise ValueError(f"sparsify must be in [0, 1), got {sparsify}")
     if start not in STARTS:
         raise ValueError(f"unknown start '{start}'")
-    if start == "rff":
-        if metric is not DistanceMetric.EUCLIDEAN:
-            raise ValueError("the random-feature warm start requires the euclidean metric")
-        _check_features(rff_dim)
+    if start == "rff" and metric is not DistanceMetric.EUCLIDEAN:
+        raise ValueError("the random-feature warm start requires the euclidean metric")
 
 
 def _symmetric_product(s_matrix, weights):
@@ -114,22 +109,26 @@ def power_iteration(
     tol: float = _TOL,
     max_iter: int = _MAX_ITER,
     weights: np.ndarray | None = None,
+    *,
+    nonnegative: bool = True,
 ) -> PowerResult:
     """Dominant eigenpair of a symmetric matrix by power iteration.
 
-    Convergence is declared when the 2-norm residual
-    ``|| S s - (s' S s) s ||`` of the current unit iterate is within
-    ``tol``; that iterate is returned, so the reported residual is the
-    residual of the returned vector.  The sign is fixed to the
-    all-positive orientation.  The products read only S's upper triangle, in the
-    BLAS symmetric product ``dsymv`` on the library's threads (see
-    ``_symmetric_product``).
+    The unit iterate s, with y = S s and lambda = s' y, is returned once the 2-norm
+    residual ``|| y - lambda s ||`` is within ``tol`` and so is every entry's relative
+    change ``|y_i / lambda - s_i| / |s_i|``, which converges the small entries the 2-norm
+    barely weighs.  The sign is fixed to the all-positive orientation.  The products read
+    only S's upper triangle, in the BLAS symmetric product ``dsymv`` on the library's
+    threads (see ``_symmetric_product``).
 
     The iteration runs on W S W, W = diag(w), from w / ||w|| unless ``s0`` is given:
     S over distinct rows that stand for w_u^2 equal rows each.  Its eigenpair is the one
     of those rows' matrix, whose eigenvector is s / w on every row of a group, with the
-    same eigenvalue, norm and residual.  The default weights, all ones, multiply exactly:
-    the plain iteration on S from the uniform vector.
+    same eigenvalue, norm, residual and relative changes.  The default weights, all ones,
+    multiply exactly: the plain iteration on S from the uniform vector.
+
+    A ``nonnegative`` S keeps every iterate positive, so an entry that reaches 0 has
+    underflowed below the float range, and is refused at once (``FloatingPointError``).
     """
     n = s_matrix.shape[0]
     if s_matrix.shape[0] != s_matrix.shape[1]:
@@ -150,9 +149,12 @@ def power_iteration(
         y = product(s)
         if not np.all(np.isfinite(y)):
             raise FloatingPointError("power iteration produced non-finite values")
+        if nonnegative and not np.all(y):
+            raise FloatingPointError("dominant eigenvector is not strictly positive; the "
+                                     "graph is effectively disconnected at this gamma")
         lam = float(s @ y)
         residual = float(np.linalg.norm(y - lam * s))
-        if residual <= tol:
+        if residual <= tol and np.all(np.abs(y / lam - s) <= tol * np.abs(s)):
             if s.sum() < 0.0:
                 s = -s
             return PowerResult(s_vec=s, lambda1=lam, iterations=it, residual=residual)
@@ -170,7 +172,8 @@ def rff_feature_map(data: Dataset, n_features: int, gamma: float, seed: int) -> 
     uniform on [0, 2*pi), so z(x)'z(y) is an unbiased estimate of
     exp(-||x - y||^2 / gamma).
     """
-    _check_features(n_features)
+    if n_features < 1:
+        raise ValueError("n_features must be at least 1")
     check_graph(gamma)
     rng = np.random.default_rng(seed)
     w = rng.normal(0.0, math.sqrt(2.0 / gamma), size=(n_features, data.d))
@@ -196,7 +199,7 @@ def rff_warm_start(data: Dataset, n_features: int, gamma: float, seed: int) -> n
     small = dsyrk(1.0, phi.T, trans=1)  # phi phi', upper triangle only: the one dsymv reads
     # Lift any tiny negative diagonal noise; the matrix is PSD by form.
     np.fill_diagonal(small, np.maximum(small.diagonal(), 1e-12))
-    lead = power_iteration(small, tol=1e-10)
+    lead = power_iteration(small, tol=1e-10, nonnegative=False)
     start = np.abs(dgemv(1.0, phi.T, lead.s_vec))
     norm = float(np.linalg.norm(start))
     if norm == 0.0:
@@ -209,38 +212,32 @@ def fit_popularity(
     gamma: float,
     *,
     metric: DistanceMetric = DistanceMetric.EUCLIDEAN,
-    seed: int = 0,
     tol: float = _TOL,
     max_iter: int = _MAX_ITER,
     sparsify: float = 0.0,
     start: str = "uniform",
-    rff_dim: int = 256,
 ) -> PopularityModel:
     """Cut the similarity graph and run the power iteration on the cut.
 
     The keyword arguments after ``metric`` are the fit settings, in a model file's order.
-    ``start``, one of ``STARTS``, selects the initial vector: "uniform", "random" (seeded
-    positive entries), or "rff" (random Fourier feature warm start of dimension
-    ``rff_dim``).  The cut is ``threshold_sparsify``'s: it drops the ``sparsify`` fraction
+    ``start``, one of ``STARTS``, selects the initial vector, which changes only the
+    number of products: "uniform", or "rff", ``rff_warm_start`` with 256 features drawn
+    with seed 0.  The cut is ``threshold_sparsify``'s: it drops the ``sparsify`` fraction
     of the smallest off-diagonal similarity pairs, which must lie in [0, 1), and the pairs
     tied with the last of them, unless that disconnects the graph (a ``UserWarning`` then
     gives the fraction dropped); a plain fit's fraction 0 drops nothing.  Equal
     observations keep equal rows, so the iteration runs on the m x m cut of
     ``data.distinct``, weighted by the square roots of their counts (all 1 without equal
-    rows), from the start vector's mean over each group; every row gets its group's entry.
+    rows), from the start vector's mean over each group; every row gets its group's
+    entry.  A gamma so small that an entry underflows to 0 is refused there.
     """
     # Every flag is checked, and the warm start built, before the kernel exists.
-    check_popularity(metric, tol=tol, max_iter=max_iter, sparsify=sparsify, start=start,
-                     rff_dim=rff_dim)
-    s0 = None  # uniform
-    if start == "random":
-        s0 = np.random.default_rng(seed).random(data.n) + 1e-12
-    elif start == "rff":
-        s0 = rff_warm_start(data, rff_dim, gamma, seed)
+    check_popularity(metric, tol=tol, max_iter=max_iter, sparsify=sparsify, start=start)
     distinct = data.distinct
     w = np.sqrt(distinct.counts)
-    if s0 is not None:  # w * (the group means of |s0|)
-        s0 = np.bincount(distinct.inverse, np.abs(s0)) / w
+    s0 = None  # uniform
+    if start == "rff":  # w * (the group means of the warm start)
+        s0 = np.bincount(distinct.inverse, rff_warm_start(data, 256, gamma, 0)) / w
     cut = (graph := threshold_sparsify(kernel_graph(data, gamma, metric), sparsify)).matrix
     graph = replace(graph, matrix=replace(cut, kernel=None))  # the kernel goes to dsymv only
     if cut.dropped < cut.asked:  # pairs kept for connectivity
@@ -250,9 +247,6 @@ def fit_popularity(
     result = power_iteration(cut.kernel, s0, tol=tol, max_iter=max_iter,  # freed on return
                              weights=w)
     s_vec = (result.s_vec / w)[distinct.inverse]
-    if np.any(s_vec <= 0.0):
-        raise FloatingPointError("dominant eigenvector is not strictly positive; the graph is "
-                                 "effectively disconnected at this gamma")
     return PopularityModel(**{**vars(result), "s_vec": s_vec}, graph=graph)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import csgraph_from_dense, dijkstra
 
 from .dataset import Dataset
 from .degree import vertex_degrees
@@ -97,43 +97,33 @@ def multi_source_shortest_paths(weights, sources: np.ndarray) -> np.ndarray:
     edge weights, or a SimilarityGraph: a stored one's similarities become
     weights -ln s (``path_weights``), and a kernel graph's edges weigh
     d^2/gamma, evaluated as read in O(n) memory, on every pair of vertices.
-    Absent sparse entries mean "no edge" and stored zeros are edges.
-    Unreachable vertices get +inf.  Sparse input runs csgraph's Dijkstra,
-    which would drop the zero-weight edges of dense input.  Otherwise the
-    sources settle at distance 0, one row-block pass on every core keys each
-    other vertex by its least weight from a source, and an array Dijkstra
-    settles the rest on one core, one row per vertex.
+    An ndarray's +inf entries and a CSR's absent entries mean "no edge";
+    zero weights are edges.  Unreachable vertices get +inf.  Stored weights
+    run csgraph's Dijkstra, an ndarray as the CSR of its finite entries.  On
+    a kernel graph the sources settle at distance 0, one row-block pass on
+    every core keys each other vertex by its least weight from a source, and
+    an array Dijkstra settles the rest on one core, one row per vertex.
     """
     sources = np.asarray(sources, dtype=np.int64)
     if sources.size == 0:
         raise ValueError("at least one source vertex is required")
     if isinstance(weights, SimilarityGraph) and weights.matrix is not None:
         weights = path_weights(weights)
-    if sparse.issparse(weights):
+    if not isinstance(weights, SimilarityGraph):
+        if not sparse.issparse(weights):
+            weights = csgraph_from_dense(weights, null_value=np.inf)
         return dijkstra(weights, directed=True, indices=sources, min_only=True)
-    if isinstance(weights, SimilarityGraph):  # a kernel graph: columns are its points
-        g, x = weights, weights.source.values
-        columns = x.__getitem__
-
-        def read(rows, c, out):  # the weights of rows x columns c, in out
-            return _edge_weights(x[rows], c, g.gamma, g.metric, out)
-    else:  # an n x n array: columns are indices
-        x, columns = np.asarray(weights, dtype=np.float64), np.copy
-
-        def read(rows, c, out):  # a fresh copy; out is not needed
-            return x[np.ix_(rows, c)]
+    gamma, metric, x = weights.gamma, weights.metric, weights.source.values  # a kernel graph
     dist = np.full(len(x), np.inf)
     dist[sources] = 0.0
     sources, rest = np.flatnonzero(dist == 0.0), np.flatnonzero(dist)  # rest: left to settle
-    cols, key = columns(rest), np.empty(rest.size)
+    cols, key = x[rest], np.empty(rest.size)
 
     def source_keys(rows, out):  # in place: the pass holds O(n) beside its scratch
-        w = read(sources, cols[rows], out.reshape(sources.size, -1))
+        w = _edge_weights(x[sources], cols[rows], gamma, metric, out.reshape(sources.size, -1))
         np.min(w, axis=0, out=key[rows])
 
     for_row_blocks(source_keys, rest.size, sources.size)
-    # 0.0 + w, as the relaxation from a source at distance 0.0 adds, turns -0.0 into 0.0
-    np.add(0.0, key, out=key)
     buf, m = np.empty((1, rest.size)), rest.size  # rest, key and cols: the first m unsettled
     while m:
         p = int(np.argmin(key[:m]))
@@ -142,7 +132,7 @@ def multi_source_shortest_paths(weights, sources: np.ndarray) -> np.ndarray:
             break
         dist[u], m = du, m - 1
         rest[p], key[p], cols[p] = rest[m], key[m], cols[m]
-        w = read([u], cols[:m], buf[:, :m])[0]
+        w = _edge_weights(x[[u]], cols[:m], gamma, metric, buf[:, :m])[0]
         np.minimum(key[:m], np.add(du, w, out=w), out=key[:m])
     return dist
 

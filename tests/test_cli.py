@@ -70,7 +70,7 @@ def test_fit_is_deterministic(tmp_path, train_csv):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
         assert run("fit", "--method", "popularity", "--input", str(train_csv),
-                   "--output", str(path), "--start", "rff", "--seed", "4") == 0
+                   "--output", str(path), "--start", "rff") == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -208,14 +208,10 @@ def test_fit_missing_input_fails(tmp_path, capsys):
     ("vertex_degree", ("--q", "0.3")),
     ("shortest_path", ("--start", "uniform")),
     ("vertex_degree", ("--start", "rff")),
-    ("shortest_path", ("--rff-dim", "256")),
-    ("vertex_degree", ("--rff-dim", "64")),
     ("vertex_degree", ("--tol", "0.5")),
     ("shortest_path", ("--tol", "1e-6")),
     ("vertex_degree", ("--max-iter", "1")),
     ("shortest_path", ("--max-iter", "1")),
-    ("vertex_degree", ("--seed", "9")),
-    ("shortest_path", ("--seed", "9")),
 ])
 def test_fit_rejects_a_flag_the_method_ignores(tmp_path, train_csv, capsys, method, flag):
     model = tmp_path / "m.json"
@@ -230,16 +226,11 @@ def test_fit_rejects_a_flag_the_method_ignores(tmp_path, train_csv, capsys, meth
 @pytest.mark.parametrize("flag, name", [
     (("--sparsify", "-0.5"), "sparsify"),
     (("--sparsify", "nan"), "sparsify"),
-    (("--rff-dim", "7"), "rff_dim"),
-    (("--rff-dim", "7", "--start", "random"), "rff_dim"),
-    (("--seed", "5"), "seed"),
-    (("--seed", "5", "--start", "uniform"), "seed"),
     (("--sparsify", "1.0"), "sparsify"),
     (("--tol", "nan"), "tol"),
     (("--tol", "inf"), "tol"),
-    (("--seed", "-1", "--start", "rff"), "seed"),
 ])
-def test_fit_rejects_a_popularity_flag_out_of_range_or_ignored(
+def test_fit_rejects_a_popularity_flag_out_of_range(
     tmp_path, train_csv, capsys, flag, name
 ):
     # Every setting is checked before the transform fit, whose boundary warning
@@ -263,8 +254,6 @@ BAD_SETTINGS = [
      "tol must be a positive finite real and max_iter at least 1"),
     (("fit", "--method", "popularity", "--max-iter", "0"),
      "tol must be a positive finite real and max_iter at least 1"),
-    (("fit", "--method", "popularity", "--start", "rff", "--rff-dim", "0"),
-     "n_features must be at least 1"),
     (("fit", "--method", "shortest_path", "--q", "1.5"), "q must be in (0, 1)"),
     (("fit", "--method", "shortest_path", "--k", "0"), "k must be in [1, 299], got 0"),
     (("fit", "--method", "shortest_path", "--k", "5000"), "k must be in [1, 299], got 5000"),
@@ -299,10 +288,9 @@ def test_default_fit_config_is_unchanged(tmp_path, train_csv):
         assert run("fit", "--method", method, "--input", str(train_csv),
                    "--output", str(model)) == 0
         stored[method] = json.loads(model.read_text())["config"]
-    assert stored["popularity"] == {"seed": 0, "tol": 1e-8, "max_iter": 10_000,
-                                    "sparsify": 0.0, "start": "uniform", "rff_dim": None}
-    assert list(stored["popularity"]) == ["seed", "tol", "max_iter", "sparsify", "start",
-                                          "rff_dim"]
+    assert stored["popularity"] == {"tol": 1e-8, "max_iter": 10_000, "sparsify": 0.0,
+                                    "start": "uniform"}
+    assert list(stored["popularity"]) == ["tol", "max_iter", "sparsify", "start"]
     assert stored["shortest_path"] == {"q": 0.5, "k": None}
     assert stored["vertex_degree"] == {}
 
@@ -311,6 +299,20 @@ def test_unknown_flag_exits_two(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("fit", "--method", "popularity", "--nonsense", "x")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("method", ["popularity", "vertex_degree", "shortest_path"])
+@pytest.mark.parametrize("flag", [("--seed", "0"), ("--rff-dim", "256"), ("--start", "random")])
+def test_fit_has_no_random_start_seed_or_feature_count(tmp_path, train_csv, capsys, method,
+                                                       flag):
+    # The rff warm start is fixed (256 features, seed 0); no start is random.  No
+    # method's fit takes these flags: argparse refuses them before any method is read.
+    with pytest.raises(SystemExit) as exc:
+        run("fit", "--method", method, "--input", str(train_csv),
+            "--output", str(tmp_path / "m.json"), *flag)
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 # ---------------------------------------------------------------------------

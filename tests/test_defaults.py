@@ -94,7 +94,7 @@ def test_settings_are_the_two_fit_signatures():
             if p.kind is p.KEYWORD_ONLY and name != "metric"]
     want += [(name, ("shortest_path", shortest_path[name].default)) for name in ("q", "k")]
     assert list(SETTINGS.items()) == want
-    assert list(SETTINGS) == ["seed", "tol", "max_iter", "sparsify", "start", "rff_dim", "q", "k"]
+    assert list(SETTINGS) == ["tol", "max_iter", "sparsify", "start", "q", "k"]
     iteration = defaults(power_iteration)
     assert (iteration["tol"], iteration["max_iter"]) == (SETTINGS["tol"][1],
                                                          SETTINGS["max_iter"][1])

@@ -169,12 +169,11 @@ def test_wifi_fits_are_the_full_row_fits(metric):
 @pytest.mark.parametrize("method, flags, sorts", [
     ("popularity", {}, 1),
     ("popularity", {"sparsify": 0.5}, 1),
-    ("popularity", {"start": "random"}, 1),
     ("popularity", {"start": "rff"}, 1),
     ("vertex_degree", {}, 1),
     ("shortest_path", {}, 1),
     ("shortest_path", {"k": 10}, 0),
-], ids=["popularity", "sparsify", "random", "rff", "vertex_degree", "shortest_path", "knn"])
+], ids=["popularity", "sparsify", "rff", "vertex_degree", "shortest_path", "knn"])
 @pytest.mark.filterwarnings("ignore:.*unreachable")
 def test_a_fit_finds_the_distinct_rows_once(method, flags, sorts, monkeypatch):
     raw, _ = wifi_analogue(300, seed=0)

@@ -281,33 +281,24 @@ def test_state_entries_that_scoring_does_not_read_load_as_json_gave_them(tmp_pat
 
 # The settings a model file's config holds, per method, in its order, with their defaults.
 DEFAULT_CONFIG = {
-    "popularity": {"seed": 0, "tol": 1e-8, "max_iter": 10_000, "sparsify": 0.0,
-                   "start": "uniform", "rff_dim": 256},
+    "popularity": {"tol": 1e-8, "max_iter": 10_000, "sparsify": 0.0, "start": "uniform"},
     "vertex_degree": {},
     "shortest_path": {"q": 0.5, "k": None},
 }
 SETTING_VALUES = {
-    "seed": st.integers(0, 2**16), "tol": st.sampled_from([1e-6, 1e-8, 1e-10]),
-    "max_iter": st.integers(5_000, 20_000), "sparsify": st.sampled_from([0.0, 0.3, 0.5]),
-    "start": st.sampled_from(["uniform", "random", "rff"]), "rff_dim": st.integers(8, 64),
+    "tol": st.sampled_from([1e-6, 1e-8, 1e-10]), "max_iter": st.integers(5_000, 20_000),
+    "sparsify": st.sampled_from([0.0, 0.3, 0.5]), "start": st.sampled_from(["uniform", "rff"]),
     "q": st.sampled_from([0.1, 0.5, 0.9]), "k": st.integers(1, 10),
 }
 
 
 @st.composite
 def method_and_settings(draw):
-    """A method and a valid subset of its settings: rff_dim only with start rff, seed
-    only with start random or rff."""
+    """A method and a subset of its settings."""
     method = draw(st.sampled_from(METHODS))
     names = draw(st.sets(st.sampled_from(sorted(DEFAULT_CONFIG[method])))) if (
         DEFAULT_CONFIG[method]) else set()
-    chosen = {name: draw(SETTING_VALUES[name]) for name in sorted(names)}
-    start = chosen.get("start", "uniform")
-    if start != "rff":
-        chosen.pop("rff_dim", None)
-    if start == "uniform":
-        chosen.pop("seed", None)
-    return method, chosen
+    return method, {name: draw(SETTING_VALUES[name]) for name in sorted(names)}
 
 
 @pytest.mark.filterwarnings("ignore:.*unreachable from the normal set")
@@ -318,8 +309,6 @@ def test_the_stored_config_is_the_methods_settings_given_or_default(drawn):
     raw, _ = scraping_analogue(30, seed=0)
     config = fit_model(raw, method, **given_settings)[0].config
     want = {**DEFAULT_CONFIG[method], **given_settings}
-    if method == "popularity" and want["start"] != "rff":
-        want["rff_dim"] = None
     assert config == want and list(config) == list(DEFAULT_CONFIG[method])
     for other in METHODS:
         for name, value in DEFAULT_CONFIG[other].items():

@@ -137,12 +137,13 @@ def test_rejects_malformed_inputs():
 
 def plain_power_iteration(s, s0, tol=1e-8):
     """Test oracle: the power iteration on S with no weights, from s0 or the uniform vector,
-    on the same dsymv product of S's upper triangle."""
+    on the same dsymv product of S's upper triangle and the same two stopping tests."""
     v = np.full(len(s), 1.0 / math.sqrt(len(s))) if s0 is None else s0 / np.linalg.norm(s0)
     for it in range(1, 10_001):
         y = blas_dsymv(1.0, s.T, v, lower=1)
         lam = float(v @ y)
-        if (residual := float(np.linalg.norm(y - lam * v))) <= tol:
+        residual = float(np.linalg.norm(y - lam * v))
+        if residual <= tol and np.all(abs(y / lam - v) <= tol * v):
             return v, lam, it, residual
         v = y / float(np.linalg.norm(y))
     raise AssertionError("the oracle did not converge")
@@ -225,13 +226,9 @@ def test_two_points_give_symmetric_vector():
     np.testing.assert_allclose(relative_anomaly(model), [-1 / math.sqrt(2)] * 2, atol=1e-8)
 
 
-def test_same_seed_is_bit_identical():
+def test_lambda1_is_the_rayleigh_quotient_of_the_returned_vector():
     data = random_dataset(40, 2, seed=6)
-    a = fit_popularity(data, 0.5, start="random", seed=9)
-    b = fit_popularity(data, 0.5, start="random", seed=9)
-    assert np.array_equal(a.s_vec, b.s_vec)
-    assert a.lambda1 == b.lambda1
-    for model in (a, fit_popularity(data, 0.5), fit_popularity(data, 0.5, sparsify=0.5),
+    for model in (fit_popularity(data, 0.5), fit_popularity(data, 0.5, sparsify=0.5),
                   fit_popularity(data, 0.5, start="rff")):
         # lambda1, the out-of-sample denominator, is s' S s of the returned vector, with
         # S s from dsymv, the product the iteration uses.  The matrix it iterated on is
@@ -239,6 +236,42 @@ def test_same_seed_is_bit_identical():
         s = model.graph.rows(slice(0, data.n))
         product = _symmetric_product(s, np.ones(data.n))
         assert model.lambda1 == float(model.s_vec @ product(model.s_vec))
+
+
+@st.composite
+def clusters_with_a_far_tight_one(draw):
+    """1-3-D points: a near cluster in the unit cube with one row repeated r times and
+    a far cluster of k <= r / 2 points within 1e-3 of one corner (L, ..., L).  So the
+    near block's eigenvalue, at least r, is at least twice the far one's, at most k;
+    and gamma >= d / 2 keeps the near block's similarities at least e^-2, so no two of
+    its eigenvalues are nearly tied.  The far entries of the eigenvector range from
+    representable to below the float range."""
+    d, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    near = rng.random((draw(st.integers(1, 8)), d))
+    repeated = np.repeat(near[:1], draw(st.integers(2 * k, 2 * k + 6)) - 1, axis=0)
+    far = draw(st.floats(1.0, 30.0)) + 1e-3 * rng.random((k, d))
+    gamma = draw(st.floats(d / 2, 5.0))
+    return Dataset(rng.permutation(np.vstack([near, repeated, far]))), gamma
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=clusters_with_a_far_tight_one())
+def test_an_eigenvector_is_refused_or_converged_entry_by_entry(drawn):
+    # The power iteration stops only when every entry has converged, relative to its
+    # size, and refuses an entry that underflows to 0; nothing in between is returned.
+    data, gamma = drawn
+    try:
+        model = fit_popularity(data, gamma)
+    except FloatingPointError as exc:
+        assert "not strictly positive" in str(exc)
+        return
+    assert np.all(model.s_vec > 0.0)
+    distinct = data.distinct
+    s = model.s_vec[distinct.rows]
+    # (S s)_u over every row, from the distinct rows' kernel and counts
+    product = rbf_similarity_matrix(distinct.data, gamma).matrix @ (distinct.counts * s)
+    assert np.all(np.abs(product / model.lambda1 - s) <= (1e-8 + 1e-12) * s)
 
 
 def test_equal_observations_get_bit_equal_entries(wifi):
@@ -396,7 +429,6 @@ class KernelBuilt(Exception):
     ({"max_iter": 0}, "max_iter"),
     ({"sparsify": 1.0}, "sparsify"),
     ({"sparsify": -0.1}, "sparsify"),
-    ({"start": "rff", "rff_dim": 0}, "n_features"),
 ])
 def test_bad_flags_are_refused_before_the_kernel_is_built(flags, match, small_data, monkeypatch):
     # The dense kernel is 8 n^2 bytes (3.2 GB at 20,000 rows): a bad flag must not cost it.
@@ -413,25 +445,25 @@ def test_bad_flags_are_refused_before_the_kernel_is_built(flags, match, small_da
 def test_rff_fit_holds_the_features_or_the_kernel_not_both():
     # The warm start is built, and its features freed, before the kernel; the feature
     # map works in place.  Kernel 18 MB (in an anonymous mapping, which tracemalloc
-    # does not see), one 1024 x 1500 feature array 12 MB.
-    n, dim = 1500, 1024
+    # does not see), one 256 x 1500 feature array 3 MB.
+    n, dim = 1500, 256  # the fit's fixed feature count
     data = random_dataset(n, 2, seed=12)
-    tracemalloc.start()
-    try:
-        model = fit_popularity(data, 1.0, start="rff", rff_dim=dim)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    def traced(fn):  # fn's result and the peak of its traced allocations
+        tracemalloc.start()
+        try:
+            return fn(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    plain = traced(lambda: fit_popularity(data, 1.0))[1]
+    model, peak = traced(lambda: fit_popularity(data, 1.0, start="rff"))
     assert np.all(model.s_vec > 0.0)
-    # the features and their D x D Gram matrix; the kernel lies outside numpy's allocator
-    assert peak <= (n * dim + dim * dim) * 8 + 100_000
-    tracemalloc.start()
-    try:
-        rff_feature_map(data, dim, 1.0, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= n * dim * 8 + 100_000  # one D x n array, plus W and b
+    # the features and their D x D Gram matrix, or the plain fit's row-block scratch;
+    # the kernel lies outside numpy's allocator
+    assert peak <= max((n * dim + dim * dim) * 8, plain) + 100_000
+    # one D x n array, plus W and b
+    assert traced(lambda: rff_feature_map(data, dim, 1.0, 0))[1] <= n * dim * 8 + 100_000
 
 
 @pytest.mark.parametrize("analogue", ["wifi", "scraping"])

@@ -20,10 +20,9 @@ the data file, which must refuse it.  A duplicated integer grid (40 rows, 20
 distinct points, 4 and 5 values per column), whose pairs tie at the cut's
 threshold, is fitted with ``--preprocess standardize`` (with ``--train-scores``
 and ``--dump-graph``) by popularity plain, with ``--sparsify 0.5``, with
-``--metric l1 --sparsify 0.5``, with ``--start random`` and with ``--start rff``,
-by vertex_degree and by dense shortest_path, and each model is scored; these
-fits run on its distinct rows, and the cut's outputs change whenever its tie
-rule does.  It prints ``<sha256>  <name>`` for every output file and for every
+``--metric l1 --sparsify 0.5`` and with ``--start rff``, by vertex_degree and
+by dense shortest_path, and each model is scored; these fits run on its
+distinct rows, and the cut's outputs change whenever its tie rule does.  It prints ``<sha256>  <name>`` for every output file and for every
 command's exit code, stdout and stderr, and for ``--help`` of the program and of
 every command, formatted at 80 columns.  Its first line names the CPU cores the
 process may run on and ``OPENBLAS_NUM_THREADS``: the popularity fits' BLAS
@@ -172,7 +171,6 @@ TIES = [
     ("pop_std", ["--method", "popularity"]),
     ("pop_std_sparse", ["--method", "popularity", "--sparsify", "0.5"]),
     ("pop_std_l1_sparse", ["--method", "popularity", "--metric", "l1", "--sparsify", "0.5"]),
-    ("pop_std_random", ["--method", "popularity", "--start", "random"]),
     ("pop_std_rff", ["--method", "popularity", "--start", "rff"]),
     ("vd_std", ["--method", "vertex_degree"]),
     ("sp_std", ["--method", "shortest_path"]),
